@@ -11,6 +11,7 @@ harness.
 
 from .construction import (
     BLOCK_TREE,
+    CertificationError,
     ConstructionOutcome,
     GoodPair,
     IncomparableSplit,
@@ -30,7 +31,6 @@ from .construction import (
     path_decomposition,
     setup,
     strong_split,
-    verify_agreement,
     verify_outcome,
     weak_construct,
 )
@@ -50,15 +50,12 @@ from .trees import (
     TreeError,
     UnrootedTree,
     canonical_root_edge,
-    caterpillar_ordering,
     deroot,
     is_caterpillar,
     isomorphic,
     label_key,
     min_label,
-    restrict,
     root_at_edge,
-    seq,
     sorted_labels,
 )
 
@@ -66,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCK_TREE",
+    "CertificationError",
     "ConstructionOutcome",
     "GenSpec",
     "GoodPair",
@@ -89,7 +87,6 @@ __all__ = [
     "adversarial_pair",
     "brute_force_mast",
     "canonical_root_edge",
-    "caterpillar_ordering",
     "classify_iteration",
     "common_monotone_subsequence",
     "deroot",
@@ -105,15 +102,12 @@ __all__ = [
     "mix64",
     "parse_newick",
     "path_decomposition",
-    "restrict",
     "root_at_edge",
     "rooted_mast",
-    "seq",
     "setup",
     "sorted_labels",
     "strong_split",
     "unrooted_mast",
-    "verify_agreement",
     "verify_outcome",
     "weak_construct",
     "write_newick",

@@ -7,7 +7,8 @@ subcommand keeps its millis column at 0 unless --timing wall is given,
 for the same reason.
 
 Exit codes: 0 success, 2 parse or usage failure, 3 taxon-set mismatch,
-4 size cap exceeded, 5 verification failure.
+4 size cap exceeded, 5 verification failure (a result failing its own
+certification exits 5 without a report).
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ import time
 from typing import Optional
 
 from .construction import (
-    BLOCK_TREE,
+    CertificationError,
     ConstructionOutcome,
     UNROOTED_CATERPILLAR,
+    certified,
     main_construct,
     setup,
-    verify_agreement,
     verify_outcome,
     weak_construct,
 )
-from .exact import SizeCapExceeded, brute_force_mast, rooted_mast, unrooted_mast
+from .exact import EXACT, SizeCapExceeded, brute_force_mast, rooted_mast, unrooted_mast
 from .generators import GenSpec, MODELS, adversarial_pair, generate
 from .newick import NewickError, parse_newick, write_newick
 from .rng import SplitMix64, mix64
@@ -78,8 +79,8 @@ def _tiny_outcome(tree1: UnrootedTree, tree2: UnrootedTree) -> ConstructionOutco
     # Up to three taxa admit a single unrooted shape, so everything agrees.
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
-    return ConstructionOutcome(frozenset(tree1.taxa), UNROOTED_CATERPILLAR,
-                               "tiny", float(len(tree1)), None)
+    return certified(tree1, tree2, ConstructionOutcome(
+        frozenset(tree1.taxa), UNROOTED_CATERPILLAR, "tiny", float(len(tree1))))
 
 
 def _run_construction(tree1: UnrootedTree, tree2: UnrootedTree,
@@ -101,7 +102,6 @@ def _cmd_construct(args) -> int:
     rng = SplitMix64(mix64(args.seed, 1)) if args.orient == "random" else None
     outcome = _run_construction(tree1, tree2, args.algorithm, args.big_c,
                                 args.orient, rng)
-    verified = verify_outcome(tree1, tree2, outcome)
     _emit(args, {
         "n": len(tree1),
         "algorithm": args.algorithm,
@@ -109,10 +109,10 @@ def _cmd_construct(args) -> int:
         "kind": outcome.kind,
         "branch": outcome.branch,
         "claimed_bound": round(outcome.claimed_bound, 6),
-        "verified": verified,
+        "verified": True,
         "agreement": sorted_labels(outcome.agreement_set),
     })
-    return EXIT_OK if verified else EXIT_VERIFY
+    return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
@@ -120,10 +120,10 @@ def _cmd_exact(args) -> int:
     tree2 = _load_tree(args.t2, rooted=args.rooted)
     n = len(tree1)
     if args.method == "brute":
-        cap = args.cap if args.cap else 10
+        cap = 10 if args.cap is None else args.cap
         result = brute_force_mast(tree1, tree2, cap=cap)
     else:
-        cap = args.cap if args.cap else (2048 if args.rooted else 512)
+        cap = (2048 if args.rooted else 512) if args.cap is None else args.cap
         if n > cap:
             raise SizeCapExceeded(n, cap)
         if args.rooted:
@@ -144,10 +144,11 @@ def _cmd_exact(args) -> int:
 def _cmd_verify(args) -> int:
     tree1 = _load_tree(args.t1, rooted=args.rooted)
     tree2 = _load_tree(args.t2, rooted=args.rooted)
-    leaves = [part.strip() for part in args.leaves.split(",") if part.strip()]
-    kind = BLOCK_TREE if args.rooted else UNROOTED_CATERPILLAR
-    ok = verify_agreement(tree1, tree2, leaves, kind)
-    _emit(args, {"verified": ok, "size": len(set(leaves))})
+    leaves = frozenset(part.strip() for part in args.leaves.split(",")
+                       if part.strip())
+    claim = ConstructionOutcome(leaves, EXACT, "claim", 0.0)
+    ok = verify_outcome(tree1, tree2, claim)
+    _emit(args, {"verified": ok, "size": len(leaves)})
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -167,6 +168,12 @@ def _cmd_gen(args) -> int:
 
 
 def _experiment_grid(args) -> list[int]:
+    # Checked before the loop, which never ends for n_min < 1 or a
+    # factor below 2.
+    if not 4 <= args.n_min <= args.n_max:
+        raise NewickError("experiment needs 4 <= n-min <= n-max", 0)
+    if args.step_factor < 2:
+        raise NewickError("experiment step factor must be 2 or more", 0)
     sizes = []
     n = args.n_min
     while n <= args.n_max:
@@ -188,15 +195,12 @@ def _cmd_experiment(args) -> int:
         if model not in PAIR_MODELS:
             raise NewickError(f"unknown pair model {model!r}", 0)
     grid = _experiment_grid(args)
-    if not grid or grid[0] < 4:
-        raise NewickError("experiment sizes must start at 4 or more", 0)
     if "adversarial" in models:
         for n in grid:
             if n & (n - 1):
                 raise NewickError(
                     f"adversarial model needs power-of-two sizes, got {n}", 0)
     rows: list[dict] = []
-    failed = False
     out = sys.stdout if args.out == "-" else open(args.out, "w",
                                                   encoding="utf-8", newline="")
     try:
@@ -215,15 +219,6 @@ def _cmd_experiment(args) -> int:
                             args.timing == "wall")
                         rows.append(row)
                         writer.writerow([row[f] for f in CSV_FIELDS])
-                        if row["verified"] != "true":
-                            failed = True
-                            break
-                    if failed:
-                        break
-                if failed:
-                    break
-            if failed:
-                break
     finally:
         if out is not sys.stdout:
             out.close()
@@ -233,29 +228,25 @@ def _cmd_experiment(args) -> int:
         print(f"min-main-ratio: {ratio:.6f}")
     if args.json:
         print(json.dumps(rows, sort_keys=True))
-    if failed:
-        print("error: a run failed verification", file=sys.stderr)
-        return EXIT_VERIFY
     return EXIT_OK
 
 
 def _run_experiment_row(tree1, tree2, algorithm, n, seed, model,
                         timing: bool) -> dict:
     start = time.perf_counter() if timing else 0.0
+    # Producers raise CertificationError rather than return an uncertified
+    # set, so every row that is written is verified.
     if algorithm == "exact_dp":
         result = unrooted_mast(tree1, tree2)
         size = result.size
-        kind = "exact"
+        kind = result.kind
         branch = "dp"
-        verified = verify_agreement(tree1, tree2, result.agreement_set,
-                                    UNROOTED_CATERPILLAR)
     else:
         outcome = _run_construction(tree1, tree2, algorithm, None,
                                     "min_label", None)
         size = len(outcome.agreement_set)
         kind = outcome.kind
         branch = outcome.branch
-        verified = verify_outcome(tree1, tree2, outcome)
     millis = int((time.perf_counter() - start) * 1000) if timing else 0
     return {
         "n": n,
@@ -265,7 +256,7 @@ def _run_experiment_row(tree1, tree2, algorithm, n, seed, model,
         "size": size,
         "kind": kind,
         "branch": branch,
-        "verified": "true" if verified else "false",
+        "verified": "true",
         "millis": millis,
     }
 
@@ -275,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mastkit",
         description="build, check, and measure agreement subtrees")
     parser.set_defaults(func=None)
-    default_seed = int(os.environ.get("MASTKIT_SEED", "0"))
+    # A string default goes through type=int when --seed is absent, so a
+    # bad MASTKIT_SEED is a usage error (exit 2).
+    default_seed = os.environ.get("MASTKIT_SEED", "0")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("construct", help="run a construction algorithm")
@@ -296,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("dp", "brute"), default="dp")
     p.add_argument("--rooted", action="store_true")
     p.add_argument("--cap", type=int, default=None,
-                   help="leaf cap (default: dp 512 unrooted / 2048 rooted, brute 10)")
+                   help="largest n solved (default: dp 512 unrooted / "
+                   "2048 rooted, brute 10; 0 solves none)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exact)
 
@@ -325,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default="uniform,adversarial")
     p.add_argument("--out", default="-")
     p.add_argument("--cap", type=int, default=512,
-                   help="largest n solved exactly")
+                   help="largest n solved exactly (0 solves none)")
     p.add_argument("--timing", choices=("off", "wall"), default="off")
     p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--json", action="store_true")
@@ -341,18 +335,18 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except NewickError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
     except TaxaMismatch as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TAXA
     except SizeCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
-    except TreeError as err:
+    except CertificationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VERIFY
+    except TreeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ explicit agreement set of logarithmic size.  The pipeline:
 
 Every intermediate object is checked as it is produced: candidate pairs
 are re-validated with explicit ancestor queries, splits with explicit
-incomparability queries, and each final outcome is verified by restricting
-both trees to the returned set and testing isomorphism.  A returned
-outcome is therefore a certificate.
+incomparability queries, and each final outcome must pass
+:func:`verify_outcome` against the rooted pair it was built on.  A
+returned outcome is therefore a certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .exact import rooted_mast
+from .exact import EXACT, rooted_agreement_leaves
 from .rng import SplitMix64
 from .trees import (
     RootedTree,
@@ -38,6 +38,7 @@ from .trees import (
     is_caterpillar,
     isomorphic,
     label_key,
+    min_label,
     root_at_edge,
     sorted_labels,
 )
@@ -47,8 +48,13 @@ UNROOTED_CATERPILLAR = "unrooted_caterpillar"
 BLOCK_TREE = "block_tree"
 
 _ROOTED_KINDS = (ROOTED_CATERPILLAR, BLOCK_TREE)
+_KINDS = _ROOTED_KINDS + (UNROOTED_CATERPILLAR, EXACT)
 
 Tree = Union[RootedTree, UnrootedTree]
+
+
+class CertificationError(TreeError):
+    """A produced agreement set failed :func:`verify_outcome`."""
 
 
 @dataclass(frozen=True)
@@ -144,20 +150,19 @@ class SplitDegenerate:
 
 @dataclass(frozen=True)
 class ConstructionOutcome:
-    """A verified agreement set plus provenance.
+    """A certified agreement set plus provenance.
 
-    ``kind`` says how to interpret the set: rooted kinds agree as rooted
-    restrictions of the setup trees, the unrooted kind as restrictions of
-    the original unrooted trees.  ``claimed_bound`` is the size the taken
-    branch promises (a report, not an assertion).  ``setup_trees`` holds
-    the rooted pair the construction ran on, for later re-verification.
+    ``kind`` says what the set promises: the rooted kinds agree as rooted
+    trees once both originals are rooted at the pendant edge of their
+    smallest taxon, as :func:`setup` roots them; the unrooted kind agrees
+    as an unrooted caterpillar.  ``claimed_bound`` is the size the taken
+    branch promises (a report, not an assertion).
     """
 
     agreement_set: frozenset[str]
     kind: str
     branch: str
     claimed_bound: float
-    setup_trees: Optional[tuple[RootedTree, RootedTree]] = None
 
 
 def _longest_increasing(values: Sequence[int]) -> list[int]:
@@ -206,14 +211,13 @@ def common_monotone_subsequence(
     return tuple(a[i] for i in picked), direction
 
 
-def setup(tree1: UnrootedTree, tree2: UnrootedTree,
-          edge1: Optional[tuple[int, int]] = None,
-          edge2: Optional[tuple[int, int]] = None,
-          *, orient: str = "min_label",
+def setup(tree1: UnrootedTree, tree2: UnrootedTree, *,
+          orient: str = "min_label",
           rng: Optional[SplitMix64] = None,
           ) -> tuple[IterationState, RootedTree, RootedTree]:
-    """Root both trees, align their leaf orders, and cut down to a common
-    monotone subsequence of size at least ceil(sqrt(n)).
+    """Root both trees at the pendant edge of their smallest taxon, align
+    their leaf orders, and cut down to a common monotone subsequence of
+    size at least ceil(sqrt(n)).
 
     Returns the initial state plus the two rooted trees the state's
     restrictions came from (the second possibly mirrored so that both
@@ -226,12 +230,8 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     n = len(tree1)
     if n < 4:
         raise TreeError("setup needs at least 4 taxa")
-    if edge1 is None:
-        edge1 = canonical_root_edge(tree1)
-    if edge2 is None:
-        edge2 = canonical_root_edge(tree2)
-    rooted1 = root_at_edge(tree1, edge1, orient=orient, rng=rng)
-    rooted2 = root_at_edge(tree2, edge2, orient=orient, rng=rng)
+    rooted1 = root_at_edge(tree1, canonical_root_edge(tree1), orient=orient, rng=rng)
+    rooted2 = root_at_edge(tree2, canonical_root_edge(tree2), orient=orient, rng=rng)
     common, direction = common_monotone_subsequence(rooted1.seq(), rooted2.seq())
     if direction == "decreasing":
         rooted2 = rooted2.mirror()
@@ -535,34 +535,6 @@ def _apply_pair(state: IterationState, pair: GoodPair) -> None:
     state.step += 1
 
 
-def _checked_outcome(outcome: ConstructionOutcome) -> ConstructionOutcome:
-    """Verify an outcome against its own setup trees before release."""
-    pair = outcome.setup_trees
-    if pair is None:
-        raise TreeError("outcome lacks its setup trees")
-    tree1, tree2 = pair
-    a = outcome.agreement_set
-    if not a:
-        raise TreeError("empty agreement set")
-    r1 = tree1.restrict(a)
-    r2 = tree2.restrict(a)
-    if outcome.kind in _ROOTED_KINDS:
-        if not isomorphic(r1, r2):
-            raise TreeError("rooted agreement failed verification")
-        if outcome.kind == ROOTED_CATERPILLAR and not is_caterpillar(r1):
-            raise TreeError("agreement is not a caterpillar")
-    elif outcome.kind == UNROOTED_CATERPILLAR:
-        if len(a) >= 2:
-            u1, u2 = deroot(r1), deroot(r2)
-            if not isomorphic(u1, u2):
-                raise TreeError("unrooted agreement failed verification")
-            if not is_caterpillar(u1):
-                raise TreeError("agreement is not a caterpillar")
-    else:
-        raise TreeError(f"unknown outcome kind {outcome.kind!r}")
-    return outcome
-
-
 def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
                    c: int = 4,
                    observer: Optional[Callable[..., None]] = None,
@@ -591,17 +563,17 @@ def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
         if observer is not None:
             observer(state, decomp, branch)
         if branch == "caterpillar":
-            return _checked_outcome(ConstructionOutcome(
+            return certified(tree1, tree2, ConstructionOutcome(
                 frozenset(payload), UNROOTED_CATERPILLAR,
                 f"greedy-caterpillar(step={state.step})",
-                math.log2(n_param), (tree1, tree2)))
+                math.log2(n_param)))
         tallies[branch] += 1
         _apply_pair(state, payload)
     lg = math.log2(n_param)
-    return _checked_outcome(ConstructionOutcome(
+    return certified(tree1, tree2, ConstructionOutcome(
         frozenset(state.agreed) | state.taxa, ROOTED_CATERPILLAR,
         f"pair-chain(large={tallies['large']} regular={tallies['regular']})",
-        0.5 * lg / math.log2(2 * lg) + 1, (tree1, tree2)))
+        0.5 * lg / math.log2(2 * lg) + 1))
 
 
 def _check_split(state: IterationState, split: IncomparableSplit) -> None:
@@ -699,9 +671,9 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
             _check_split(state, split)
             return split
     transversal = tuple(order[max(p.lo, pick.lo) - 1] for p in partners)
-    sub = rooted_mast(state.tree1.restrict(transversal),
-                      state.tree2.restrict(transversal))
-    leaves = tuple(sorted(sub.agreement_set, key=label_key))
+    sub = rooted_agreement_leaves(state.tree1.restrict(transversal),
+                                  state.tree2.restrict(transversal))
+    leaves = tuple(sorted(sub, key=label_key))
     return SweepFallback(
         leaves, lg / 48,
         f"transversal-exact(step={state.step} partners={len(partners)})")
@@ -727,7 +699,6 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     if n < 4:
         raise TreeError("construction needs at least 4 taxa")
     state, rooted1, rooted2 = setup(tree1, tree2, orient=orient, rng=rng)
-    setup_pair = (rooted1, rooted2)
     singles = 0
     blocks = 0
     tags: list[str] = []
@@ -741,12 +712,12 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
             continue
         split = strong_split(state, decomp, c)
         if isinstance(split, SweepFallback):
-            return _checked_outcome(ConstructionOutcome(
+            return certified(rooted1, rooted2, ConstructionOutcome(
                 frozenset(split.leaves), UNROOTED_CATERPILLAR, split.branch,
-                split.claimed_bound, setup_pair))
+                split.claimed_bound))
         if isinstance(split, SplitDegenerate):
-            sub = rooted_mast(state.tree1, state.tree2)
-            state.agreed.extend(sorted(sub.agreement_set, key=label_key))
+            sub = rooted_agreement_leaves(state.tree1, state.tree2)
+            state.agreed.extend(sorted(sub, key=label_key))
             tags.append("degenerate-exact")
             consumed = True
             break
@@ -754,9 +725,9 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
                                 state.tree2.restrict(split.nucleus),
                                 n_param=len(split.nucleus) ** 2)
         if nested.kind == UNROOTED_CATERPILLAR:
-            return _checked_outcome(ConstructionOutcome(
+            return certified(rooted1, rooted2, ConstructionOutcome(
                 nested.agreement_set, UNROOTED_CATERPILLAR,
-                "nested:" + nested.branch, nested.claimed_bound, setup_pair))
+                "nested:" + nested.branch, nested.claimed_bound))
         state.agreed.extend(sorted(nested.agreement_set, key=label_key))
         blocks += 1
         state.taxa = split.survivors
@@ -770,53 +741,64 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
         if len(state.taxa) == 1:
             agreed.extend(state.taxa)
         else:
-            sub = rooted_mast(state.tree1, state.tree2)
-            if sub.agreement_set != state.taxa:
+            sub = rooted_agreement_leaves(state.tree1, state.tree2)
+            if len(sub) != len(state.taxa):
                 tags.append("final-exact")
-            agreed.extend(sorted(sub.agreement_set, key=label_key))
+            agreed.extend(sorted(sub, key=label_key))
     branch = f"block-chain(singles={singles} blocks={blocks})"
     if tags:
         branch += ";" + ";".join(tags)
-    return _checked_outcome(ConstructionOutcome(
+    return certified(rooted1, rooted2, ConstructionOutcome(
         frozenset(agreed), BLOCK_TREE, branch,
-        math.log2(n) / (4 * math.log2(c)), setup_pair))
+        math.log2(n) / (4 * math.log2(c))))
 
 
-def verify_agreement(tree1: Tree, tree2: Tree, leaves, kind: str) -> bool:
-    """Restrict both trees to ``leaves`` and test isomorphism.
+def _canonically_rooted(tree: UnrootedTree,
+                        leaves: frozenset[str]) -> RootedTree:
+    # Rooting at the smallest taxon's pendant edge commutes with any
+    # restriction that keeps that taxon, so only leaves + {x} get rooted.
+    sub = tree.restrict(leaves | {min_label(tree.taxa)})
+    return root_at_edge(sub, canonical_root_edge(sub)).restrict(leaves)
 
-    Rooted kinds expect the rooted trees the construction ran on;
-    the unrooted kind expects the unrooted originals.
+
+def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:
+    """Certify an agreement result against two trees the caller holds.
+
+    ``outcome`` is a :class:`ConstructionOutcome` or an exact
+    :class:`~mastkit.exact.MastResult`; only its ``agreement_set`` and
+    ``kind`` are read, never trees.  Both trees are restricted to the set
+    and the restrictions tested for isomorphism, and for caterpillar
+    kinds for their shape.  The trees may be the unrooted originals or
+    the rooted pair a producer derived from them with :func:`setup`.
+    Against unrooted trees, a rooted kind is checked with each tree rooted
+    at the pendant edge of its smallest taxon, the rooting :func:`setup`
+    uses.  An empty set, an unknown kind, or a taxon either tree lacks
+    fails.
     """
-    rooted = kind in _ROOTED_KINDS
-    want = RootedTree if rooted else UnrootedTree
-    if not isinstance(tree1, want) or not isinstance(tree2, want):
-        raise TypeError(f"kind {kind!r} verifies against {want.__name__} inputs")
-    a = frozenset(leaves)
-    if not a:
+    if isinstance(tree1, RootedTree) != isinstance(tree2, RootedTree):
+        raise TypeError("verification needs two trees of the same rootedness")
+    a = frozenset(outcome.agreement_set)
+    kind = outcome.kind
+    if kind not in _KINDS or not a or not (a <= tree1.taxa and a <= tree2.taxa):
         return False
-    return isomorphic(tree1.restrict(a), tree2.restrict(a))
+    if len(a) == 1:
+        return True  # agrees in every kind, and has no edge to root at
+    if kind in _ROOTED_KINDS and isinstance(tree1, UnrootedTree):
+        r1, r2 = _canonically_rooted(tree1, a), _canonically_rooted(tree2, a)
+    else:
+        r1, r2 = tree1.restrict(a), tree2.restrict(a)
+    if kind == UNROOTED_CATERPILLAR and isinstance(r1, RootedTree):
+        r1, r2 = deroot(r1), deroot(r2)
+    if not isomorphic(r1, r2):
+        return False
+    return kind in (BLOCK_TREE, EXACT) or is_caterpillar(r1)
 
 
-def verify_outcome(tree1: UnrootedTree, tree2: UnrootedTree,
-                   outcome: ConstructionOutcome) -> bool:
-    """Re-verify an outcome against the unrooted originals.
-
-    Unrooted kinds restrict the originals directly; rooted kinds restrict
-    the outcome's attached setup trees, whose de-rooted restrictions are
-    restrictions of the originals.  The setup trees may already be cut
-    down to the aligned core, so their taxa only need to sit inside the
-    originals'.
-    """
-    if outcome.kind == UNROOTED_CATERPILLAR:
-        return verify_agreement(tree1, tree2, outcome.agreement_set,
-                                outcome.kind)
-    if outcome.setup_trees is None:
-        return False
-    setup1, setup2 = outcome.setup_trees
-    if not (setup1.taxa <= tree1.taxa and setup2.taxa <= tree2.taxa):
-        return False
-    if not outcome.agreement_set <= setup1.taxa:
-        return False
-    return verify_agreement(setup1, setup2, outcome.agreement_set,
-                            outcome.kind)
+def certified(tree1: Tree, tree2: Tree, outcome):
+    """Return ``outcome`` if :func:`verify_outcome` accepts it on the
+    trees, else raise :class:`CertificationError`."""
+    if not verify_outcome(tree1, tree2, outcome):
+        raise CertificationError(
+            f"{outcome.kind} agreement of {len(outcome.agreement_set)} taxa"
+            " failed certification")
+    return outcome

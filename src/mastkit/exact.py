@@ -8,9 +8,9 @@ Two independent routes to ground truth:
 * a brute-force subset scan (:func:`brute_force_mast`) that is exact by
   exhaustion and only feasible for tiny inputs.
 
-Every result is re-validated before it is returned: the claimed agreement
-set is restricted onto both input trees and the restrictions are checked
-for isomorphism.  A result object is therefore a certificate, not a claim.
+Every result passes :func:`mastkit.construction.verify_outcome` on the
+solver's own input trees before it is returned, so a result object is a
+certificate, not a claim.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from .trees import (
 
 Tree = Union[RootedTree, UnrootedTree]
 
+# The kind of every exact result: the set agrees on the two trees as
+# given, rooted or unrooted, with no shape promised.
+EXACT = "exact"
+
 
 class SizeCapExceeded(TreeError):
     """An exact solver was asked for more leaves than its configured cap."""
@@ -46,21 +50,22 @@ class MastResult:
     """A maximum agreement set together with its witness tree.
 
     ``witness`` is the first tree restricted to ``agreement_set``; the
-    factory guarantees it is isomorphic to the second tree's restriction.
+    solvers certify that it is isomorphic to the second tree's
+    restriction.  ``kind`` is a class constant, not a field.
     """
 
     size: int
     agreement_set: frozenset[str]
     witness: Tree
+    kind = EXACT
 
 
-def _result(tree1: Tree, tree2: Tree, leaves: Iterable[str]) -> MastResult:
+def _certified(tree1: Tree, tree2: Tree, leaves: Iterable[str]) -> MastResult:
+    # Imported here: construction imports this module for its DP.
+    from .construction import certified
     agreement = frozenset(leaves)
-    w1 = tree1.restrict(agreement)
-    w2 = tree2.restrict(agreement)
-    if not isomorphic(w1, w2):
-        raise TreeError("internal error: agreement set failed validation")
-    return MastResult(len(agreement), agreement, w1)
+    return certified(tree1, tree2, MastResult(
+        len(agreement), agreement, tree1.restrict(agreement)))
 
 
 def _check_pair(tree1: Tree, tree2: Tree, rooted: bool) -> None:
@@ -163,6 +168,17 @@ def _backtrack(tree1: RootedTree, tree2: RootedTree,
     return out
 
 
+def rooted_agreement_leaves(tree1: RootedTree, tree2: RootedTree) -> list[str]:
+    """One maximum agreement set of two rooted trees on the same taxa,
+    uncertified: callers certify the result they build from it.
+    """
+    table = _agreement_table(tree1, tree2)
+    leaves = _backtrack(tree1, tree2, table)
+    if len(leaves) != table[tree1.root][tree2.root]:
+        raise TreeError("internal error: backtracking lost leaves")
+    return leaves
+
+
 def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
     """Maximum agreement of two rooted trees on the same taxa.
 
@@ -170,11 +186,7 @@ def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
     does.  Runs in O(|tree1| * |tree2|) time and space.
     """
     _check_pair(tree1, tree2, rooted=True)
-    table = _agreement_table(tree1, tree2)
-    leaves = _backtrack(tree1, tree2, table)
-    if len(leaves) != table[tree1.root][tree2.root]:
-        raise TreeError("internal error: backtracking lost leaves")
-    return _result(tree1, tree2, leaves)
+    return _certified(tree1, tree2, rooted_agreement_leaves(tree1, tree2))
 
 
 def _rooted_residual(tree: UnrootedTree, label: str) -> RootedTree:
@@ -191,21 +203,20 @@ def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
     the two trees with x deleted and the cut point taken as root, so the
     maximum is found by trying every leaf as x.  Any maximum agreement set
     is non-empty and thus contains some leaf, which makes the sweep
-    exhaustive.  Ties go to the smallest x by label.
+    exhaustive.  Ties go to the smallest x by label.  Only the winner is
+    certified.
     """
     _check_pair(tree1, tree2, rooted=False)
     if len(tree1) <= 3:
         # At most one topology exists, so the trees agree everywhere.
-        return _result(tree1, tree2, tree1.taxa)
-    best_size = 0
-    best: frozenset[str] = frozenset()
+        return _certified(tree1, tree2, tree1.taxa)
+    best: list[str] = []
     for label in sorted_labels(tree1.taxa):
-        sub = rooted_mast(_rooted_residual(tree1, label),
-                          _rooted_residual(tree2, label))
-        if sub.size + 1 > best_size:
-            best_size = sub.size + 1
-            best = sub.agreement_set | {label}
-    return _result(tree1, tree2, best)
+        sub = rooted_agreement_leaves(_rooted_residual(tree1, label),
+                                      _rooted_residual(tree2, label))
+        if len(sub) + 1 > len(best):
+            best = sub + [label]
+    return _certified(tree1, tree2, best)
 
 
 def brute_force_mast(tree1: Tree, tree2: Tree, cap: int = 10) -> MastResult:
@@ -225,5 +236,5 @@ def brute_force_mast(tree1: Tree, tree2: Tree, cap: int = 10) -> MastResult:
     for size in range(n, 0, -1):
         for combo in combinations(taxa, size):
             if isomorphic(tree1.restrict(combo), tree2.restrict(combo)):
-                return _result(tree1, tree2, combo)
+                return _certified(tree1, tree2, combo)
     raise TreeError("unreachable: single leaves always agree")

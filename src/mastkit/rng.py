@@ -46,11 +46,6 @@ class SplitMix64:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        if not items:
-            raise ValueError("choice from an empty sequence")
-        return items[self.randrange(len(items))]
-
 
 def mix64(*parts: int) -> int:
     """Collapse integers into one well-spread 64-bit value.

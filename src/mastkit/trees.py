@@ -612,37 +612,6 @@ def is_caterpillar(tree) -> bool:
     raise TypeError(f"not a tree: {tree!r}")
 
 
-def caterpillar_ordering(tree: RootedTree) -> Optional[tuple[str, ...]]:
-    """The canonical peel order of a rooted caterpillar, else ``None``.
-
-    Walking the internal spine from the root down, each spine node
-    contributes its leaf child; the bottom node contributes both leaves in
-    left-right order.  The returned ordering ``s`` satisfies, for every
-    ``i``, that ``s[i]`` is incomparable with ``lca(s[i+1:])``.
-    """
-    if not isinstance(tree, RootedTree):
-        raise TypeError("caterpillar ordering is defined on rooted trees")
-    if not is_caterpillar(tree):
-        return None
-    if len(tree) == 1:
-        return (tree.labels[tree.root],)
-    out = []
-    cur = tree.root
-    while True:
-        l, r = tree.left[cur], tree.right[cur]
-        l_leaf, r_leaf = tree.is_leaf(l), tree.is_leaf(r)
-        if l_leaf and r_leaf:
-            out.append(tree.labels[l])
-            out.append(tree.labels[r])
-            return tuple(out)
-        if l_leaf:
-            out.append(tree.labels[l])
-            cur = r
-        else:
-            out.append(tree.labels[r])
-            cur = l
-
-
 # -- isomorphism -------------------------------------------------------------
 
 
@@ -687,14 +656,3 @@ def isomorphic(a, b) -> bool:
         return _canon_id(ra, table) == _canon_id(rb, table)
     raise TypeError("isomorphism needs two trees of the same rootedness")
 
-
-def restrict(tree, keep: Iterable[str]):
-    """Rootedness-generic restriction (dispatches to the tree's method)."""
-    return tree.restrict(keep)
-
-
-def seq(tree: RootedTree) -> tuple[str, ...]:
-    """Leaf labels of a rooted tree in preorder."""
-    if not isinstance(tree, RootedTree):
-        raise TypeError("seq is defined for rooted trees")
-    return tree.seq()

@@ -1,6 +1,16 @@
-"""Command-line harness checks, run in process through main(argv)."""
+"""Command-line harness checks, run in process through main(argv).
+
+Inputs that once made the CLI loop forever run in a child process with a
+timeout and a memory limit instead, so a regression fails rather than
+hangs the suite.
+"""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +26,26 @@ from mastkit.cli import (
 
 CAT11 = "(1,2,(3,(4,(5,(6,(7,(8,(9,(10,11)))))))));"
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def run_isolated(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "mastkit", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=env, preexec_fn=_limit_memory)
 
 
 def test_construct_five_leaf_example(capsys):
@@ -97,12 +122,23 @@ def test_exact_dp_cap_exit(capsys):
     assert code == EXIT_CAP and "cap is 10" in err
 
 
+def test_exact_cap_zero_solves_nothing(capsys):
+    for method in ("dp", "brute"):
+        code, out, err = run(capsys, [
+            "exact", "--t1", "(1,2,3);", "--t2", "(1,2,3);",
+            "--method", method, "--cap", "0"])
+        assert code == EXIT_CAP and out == "" and "cap is 0" in err
+
+
 def test_verify_exit_codes(capsys):
     base = ["verify", "--t1", "((1,2),3);", "--t2", "((1,3),2);", "--rooted"]
     code, out, _ = run(capsys, base + ["--leaves", "1,2"])
     assert code == EXIT_OK and "verified: true" in out
     code, out, _ = run(capsys, base + ["--leaves", "1,2,3"])
     assert code == EXIT_VERIFY and "verified: false" in out
+    code, out, err = run(capsys, base + ["--leaves", "1,9"])
+    assert code == EXIT_VERIFY and err == ""
+    assert out == "size: 2\nverified: false\n"
 
 
 def test_parse_and_taxa_failures(capsys):
@@ -133,6 +169,21 @@ def test_gen_models_and_file_output(capsys, tmp_path):
         "--out", str(target)])
     assert code == EXIT_OK and out == ""
     assert target.read_text() == "(1,(((2,6),4),5),3);\n"
+
+
+def test_gen_usage_errors_exit_2(capsys, monkeypatch):
+    code, _, err = run(capsys, ["gen", "--model", "balanced", "--n", "6"])
+    assert code == EXIT_PARSE and "power-of-two" in err
+    code, _, err = run(capsys, ["gen", "--model", "uniform", "--n", "-1"])
+    assert code == EXIT_PARSE and "at least one taxon" in err
+    monkeypatch.setenv("MASTKIT_SEED", "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--model", "uniform", "--n", "4"])
+    assert exit_info.value.code == EXIT_PARSE
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    code, out, _ = run(capsys, ["gen", "--model", "uniform", "--n", "4",
+                                "--seed", "1"])
+    assert code == EXIT_OK and out
 
 
 def test_gen_seed_env_default(capsys, monkeypatch):
@@ -203,6 +254,15 @@ def test_experiment_rejects_bad_grids(capsys, tmp_path):
         "experiment", "--n-min", "8", "--n-max", "8", "--models", "mystery",
         "--out", str(tmp_path / "y.csv")])
     assert code == EXIT_PARSE and "unknown pair model" in err
+
+
+@pytest.mark.parametrize("extra", [["--n-min", "0", "--n-max", "8"],
+                                   ["--n-min", "4", "--n-max", "8",
+                                    "--step-factor", "1"]])
+def test_experiment_grids_that_never_end_exit_2(extra):
+    done = run_isolated(["experiment", *extra, "--out", os.devnull])
+    assert done.returncode == EXIT_PARSE
+    assert done.stdout == "" and "error:" in done.stderr
 
 
 def test_file_inputs_are_read_from_disk(capsys, tmp_path):

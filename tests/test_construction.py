@@ -13,14 +13,17 @@ from hypothesis import given, settings, strategies as st
 
 from mastkit import (
     BLOCK_TREE,
+    CertificationError,
     ROOTED_CATERPILLAR,
     TaxaMismatch,
     TreeError,
     UNROOTED_CATERPILLAR,
+    canonical_root_edge,
     deroot,
     isomorphic,
     parse_newick,
-    verify_agreement,
+    root_at_edge,
+    unrooted_mast,
     verify_outcome,
 )
 from mastkit.construction import (
@@ -32,6 +35,7 @@ from mastkit.construction import (
     Piece,
     SplitDegenerate,
     SweepFallback,
+    certified,
     check_good_pair,
     classify_iteration,
     common_monotone_subsequence,
@@ -44,6 +48,7 @@ from mastkit.construction import (
     strong_split,
     weak_construct,
 )
+from mastkit.exact import EXACT
 from mastkit.generators import GenSpec, generate
 from mastkit.rng import SplitMix64, mix64
 from mastkit.trees import is_caterpillar, label_key
@@ -520,27 +525,34 @@ def test_main_outcomes_always_verify(n, seed):
 # -- verification -------------------------------------------------------------
 
 
-def test_verify_agreement_frozen_examples():
+def claim(leaves, kind):
+    return ConstructionOutcome(frozenset(leaves), kind, "claim", 0.0)
+
+
+def test_verify_outcome_frozen_examples():
     yes = rooted("((1,2),3);")
     no = rooted("((1,3),2);")
-    assert verify_agreement(yes, no, {"1", "2", "3"}, BLOCK_TREE) is False
-    assert verify_agreement(yes, no, {"1", "2"}, BLOCK_TREE) is True
-    assert verify_agreement(yes, no, (), BLOCK_TREE) is False
+    assert verify_outcome(yes, no, claim({"1", "2", "3"}, BLOCK_TREE)) is False
+    assert verify_outcome(yes, no, claim({"1", "2"}, BLOCK_TREE)) is True
+    assert verify_outcome(yes, no, claim((), BLOCK_TREE)) is False
     q1 = unrooted("((1,2),(3,4));")
     q2 = unrooted("((1,3),(2,4));")
-    assert verify_agreement(q1, q2, {"1", "2", "3", "4"},
-                            UNROOTED_CATERPILLAR) is False
-    assert verify_agreement(q1, q2, {"1", "2", "3"},
-                            UNROOTED_CATERPILLAR) is True
+    assert verify_outcome(q1, q2, claim({"1", "2", "3", "4"},
+                                        UNROOTED_CATERPILLAR)) is False
+    assert verify_outcome(q1, q2, claim({"1", "2", "3"},
+                                        UNROOTED_CATERPILLAR)) is True
 
 
-def test_verify_agreement_enforces_rootedness_types():
+def test_verify_outcome_takes_either_rootedness_but_not_a_mix():
+    star = unrooted("(1,2,3);")
+    cherry = rooted("(1,2);")
+    assert verify_outcome(star, star, claim({"1"}, BLOCK_TREE))
+    assert verify_outcome(star, star, claim({"1", "2", "3"}, BLOCK_TREE))
+    assert verify_outcome(cherry, cherry, claim({"1"}, UNROOTED_CATERPILLAR))
+    assert verify_outcome(cherry, cherry,
+                          claim({"1", "2"}, UNROOTED_CATERPILLAR))
     with pytest.raises(TypeError):
-        verify_agreement(unrooted("(1,2,3);"), unrooted("(1,2,3);"),
-                         {"1"}, BLOCK_TREE)
-    with pytest.raises(TypeError):
-        verify_agreement(rooted("(1,2);"), rooted("(1,2);"),
-                         {"1"}, UNROOTED_CATERPILLAR)
+        verify_outcome(star, cherry, claim({"1"}, BLOCK_TREE))
 
 
 def test_verify_outcome_rejects_tampering():
@@ -550,12 +562,34 @@ def test_verify_outcome_rejects_tampering():
     assert verify_outcome(a, b, out)
     bigger = out.agreement_set | (a.taxa - out.agreement_set)
     forged = ConstructionOutcome(bigger, out.kind, out.branch,
-                                 out.claimed_bound, out.setup_trees)
+                                 out.claimed_bound)
     assert not verify_outcome(a, b, forged)
-    orphan = ConstructionOutcome(out.agreement_set, BLOCK_TREE, out.branch,
-                                 out.claimed_bound, None)
-    assert not verify_outcome(a, b, orphan)
     foreign = ConstructionOutcome(frozenset({"zz"}) | out.agreement_set,
-                                  BLOCK_TREE, out.branch, out.claimed_bound,
-                                  out.setup_trees)
+                                  BLOCK_TREE, out.branch, out.claimed_bound)
     assert not verify_outcome(a, b, foreign)
+    renamed = ConstructionOutcome(out.agreement_set, "mystery", out.branch,
+                                  out.claimed_bound)
+    assert not verify_outcome(a, b, renamed)
+
+
+def test_forged_full_agreement_fails_in_every_kind():
+    one = unrooted("((1,2),(3,4),(5,6));")
+    two = unrooted("((1,3),(2,5),(4,6));")
+    assert unrooted_mast(one, two).size == 4
+    for kind in (BLOCK_TREE, ROOTED_CATERPILLAR, UNROOTED_CATERPILLAR, EXACT):
+        assert not verify_outcome(one, two, claim(one.taxa, kind))
+    with pytest.raises(CertificationError):
+        certified(one, two, claim(one.taxa, BLOCK_TREE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2**32), data=st.data())
+def test_rooted_kinds_check_the_canonically_rooted_restrictions(n, seed, data):
+    one = generate(GenSpec("uniform", n, seed))
+    two = generate(GenSpec("uniform", n, seed ^ 0x5EED))
+    leaves = data.draw(st.sets(st.sampled_from(sorted(one.taxa)), min_size=1))
+    kind = data.draw(st.sampled_from([BLOCK_TREE, ROOTED_CATERPILLAR]))
+    r1 = root_at_edge(one, canonical_root_edge(one)).restrict(leaves)
+    r2 = root_at_edge(two, canonical_root_edge(two)).restrict(leaves)
+    expected = isomorphic(r1, r2) and (kind == BLOCK_TREE or is_caterpillar(r1))
+    assert verify_outcome(one, two, claim(leaves, kind)) == expected

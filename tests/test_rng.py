@@ -34,11 +34,6 @@ def test_shuffle_is_frozen_and_a_permutation():
     assert sorted(xs) == list(range(10))
 
 
-def test_choice_is_frozen():
-    gen = SplitMix64(7)
-    assert [gen.choice("abcd") for _ in range(6)] == ["d", "a", "c", "d", "c", "b"]
-
-
 def test_mix64_depends_on_every_part_and_on_order():
     assert mix64(0) == 15574732934893814642
     assert mix64(0, 1) == 3252126715644146669

@@ -15,7 +15,6 @@ from mastkit import (
     write_newick,
 )
 from mastkit.trees import (
-    caterpillar_ordering,
     is_caterpillar,
     label_key,
     min_label,
@@ -87,17 +86,6 @@ def test_caterpillar_predicates():
     assert not is_caterpillar(unrooted("(1,2,((3,4),((5,6),(7,8))));"))
     spine = rooted("(((1,2),3),4);")
     assert is_caterpillar(spine)
-    assert caterpillar_ordering(spine) == ("4", "3", "1", "2")
-    assert caterpillar_ordering(rooted("(4,(3,(1,(2,5))));")) == (
-        "4", "3", "1", "2", "5")
-
-
-def test_caterpillar_ordering_rejects_non_caterpillars_and_unrooted():
-    bal = unrooted("(1,2,((3,4),((5,6),(7,8))));")
-    tree = root_at_edge(bal, canonical_root_edge(bal))
-    assert caterpillar_ordering(tree) is None
-    with pytest.raises(TypeError):
-        caterpillar_ordering(bal)
 
 
 def test_isomorphism_ignores_child_order_but_not_labels():
