@@ -6,9 +6,10 @@ identical invocations produce byte-identical output; the experiment
 subcommand keeps its millis column at 0 unless --timing wall is given,
 for the same reason.
 
-Exit codes: 0 success, 2 parse or usage failure, 3 taxon-set mismatch,
-4 size cap exceeded, 5 verification failure (a result failing its own
-certification exits 5 without a report).
+Exit codes: 0 success, 2 parse or usage failure (an --out file that
+cannot be written included), 3 taxon-set mismatch, 4 size cap exceeded,
+5 verification failure (a result failing its own certification exits 5
+without a report).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _load_tree(value: str, rooted: bool):
         try:
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise NewickError(f"cannot read tree file {value!r}: {err}", 0)
     return parse_newick(text, rooted=rooted)
 
@@ -276,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True, help="second tree (Newick or path)")
     p.add_argument("--algorithm", choices=("weak", "main"), default="main")
     p.add_argument("--C", dest="big_c", type=int, default=None,
-                   help="shrink-fraction constant (default 4 weak, 40 main)")
+                   help="shrink-fraction constant >= 2 (default 4 weak, 40 main)")
     p.add_argument("--orient", choices=("min_label", "random"),
                    default="min_label")
     p.add_argument("--seed", type=int, default=default_seed)
@@ -346,6 +347,10 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except TreeError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as err:
+        # Tree files are read in _load_tree, so this is an --out file.
+        print(f"error: cannot write: {err}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -554,6 +554,8 @@ def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
         raise TreeError("input trees must list their leaves identically")
     if n_param < 4:
         raise TreeError("size parameter must be at least 4")
+    if c < 2:
+        raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
     state = IterationState(taxa=tree1.taxa, tree1=tree1, tree2=tree2,
                            agreed=[], n_param=n_param)
     tallies = {"large": 0, "regular": 0}
@@ -698,6 +700,8 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     n = len(tree1)
     if n < 4:
         raise TreeError("construction needs at least 4 taxa")
+    if c < 2:  # the claimed bound divides by log2(c)
+        raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
     state, rooted1, rooted2 = setup(tree1, tree2, orient=orient, rng=rng)
     singles = 0
     blocks = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rng import SplitMix64, mix64
-from .trees import RootedTree, TreeError, UnrootedTree, deroot
+from .trees import TreeError, UnrootedTree, unrooted_from_edges
 
 MODELS = ("uniform", "caterpillar", "balanced")
 
@@ -26,15 +26,6 @@ def _labels(n: int) -> list[str]:
     return [str(i) for i in range(1, n + 1)]
 
 
-def _from_edges(num_nodes: int, edges: list[tuple[int, int]],
-                labels: list) -> UnrootedTree:
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return UnrootedTree(adj, labels)
-
-
 def _uniform(n: int, seed: int) -> UnrootedTree:
     # Attaching each new leaf to a uniformly chosen existing edge makes
     # every binary shape on the labels equally likely: a shape on k leaves
@@ -43,8 +34,6 @@ def _uniform(n: int, seed: int) -> UnrootedTree:
     rng = SplitMix64(seed)
     order = _labels(n)
     rng.shuffle(order)
-    if n == 1:
-        return UnrootedTree([[]], order)
     labels: list = [order[0], order[1]]
     edges: list[tuple[int, int]] = [(0, 1)]
     for i in range(2, n):
@@ -57,51 +46,39 @@ def _uniform(n: int, seed: int) -> UnrootedTree:
         edges[pick] = (u, mid)
         edges.append((mid, v))
         edges.append((mid, leaf))
-    return _from_edges(len(labels), edges, labels)
+    return unrooted_from_edges(len(labels), edges, labels)
 
 
 def _caterpillar(n: int) -> UnrootedTree:
     # Spine reads the labels in numeric order end to end.
     labels: list = _labels(n)
-    if n == 1:
-        return UnrootedTree([[]], labels)
     if n == 2:
-        return _from_edges(2, [(0, 1)], labels)
+        return unrooted_from_edges(2, [(0, 1)], labels)
     labels += [None] * (n - 2)
     edges = [(0, n), (1, n), (n - 1, 2 * n - 3)]
     for j in range(1, n - 2):
         spine = n + j
         edges.append((spine - 1, spine))
         edges.append((j + 1, spine))
-    return _from_edges(2 * n - 2, edges, labels)
+    return unrooted_from_edges(2 * n - 2, edges, labels)
 
 
 def _balanced(n: int) -> UnrootedTree:
     if n & (n - 1) or n < 1:
         raise TreeError("balanced shape needs a power-of-two leaf count")
-    if n == 1:
-        return UnrootedTree([[]], _labels(1))
-    # Heap layout: internals 0..n-2, leaves n-1..2n-2 left to right, so
-    # in-order labeling is just counting off the leaf block.
-    total = 2 * n - 1
-    parent = [-1] * total
-    left = [-1] * total
-    right = [-1] * total
-    labels: list = [None] * total
-    for i in range(n - 1):
-        left[i] = 2 * i + 1
-        right[i] = 2 * i + 2
-        parent[2 * i + 1] = i
-        parent[2 * i + 2] = i
-    for i in range(n - 1, total):
-        labels[i] = str(i - n + 2)
-    return deroot(RootedTree(parent, left, right, labels, 0))
+    # Heap layout with the root suppressed: node i >= 2 hangs below
+    # i // 2 - 1, the root's children 0 and 1 are joined last, and the
+    # leaves n-2..2n-3 carry the labels left to right.
+    edges = [(i, i // 2 - 1) for i in range(2, 2 * n - 2)] + [(0, 1)]
+    return unrooted_from_edges(2 * n - 2, edges, [None] * (n - 2) + _labels(n))
 
 
 def generate(spec: GenSpec) -> UnrootedTree:
     """Build the tree a spec describes."""
     if spec.n < 1:
         raise TreeError("need at least one taxon")
+    if spec.n == 1 and spec.model in MODELS:
+        return unrooted_from_edges(1, [], _labels(1))  # the same in every model
     if spec.model == "uniform":
         return _uniform(spec.n, spec.seed)
     if spec.model == "caterpillar":

@@ -17,7 +17,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .trees import RootedTree, TreeError, UnrootedTree, label_key
+from .trees import (
+    RootedTree,
+    TreeError,
+    UnrootedTree,
+    canonical_root_edge,
+    deroot,
+    root_at_edge,
+    rooted_from_arrays,
+    unrooted_from_edges,
+)
 
 _LABEL_STOP = set("(),:;'\"[]")
 
@@ -137,32 +146,13 @@ def parse_newick(text: str, rooted: bool):
 
 def _to_rooted(children: list[list[int]], labels: list[Optional[str]],
                top: int) -> RootedTree:
-    for v, kids in enumerate(children):
+    for kids in children:
         if len(kids) not in (0, 2):
             raise NewickError(
                 f"rooted trees are binary; found a group with {len(kids)} children")
-    n_parent: list[int] = []
-    n_left: list[int] = []
-    n_right: list[int] = []
-    n_labels: list[Optional[str]] = []
-    stack = [(top, -1)]
-    while stack:
-        old, par = stack.pop()
-        new = len(n_parent)
-        n_parent.append(par)
-        n_left.append(-1)
-        n_right.append(-1)
-        n_labels.append(labels[old])
-        if par != -1:
-            if n_left[par] == -1:
-                n_left[par] = new
-            else:
-                n_right[par] = new
-        kids = children[old]
-        if kids:
-            stack.append((kids[1], new))
-            stack.append((kids[0], new))
-    return RootedTree(n_parent, n_left, n_right, n_labels, 0)
+    left = [kids[0] if kids else -1 for kids in children]
+    right = [kids[1] if kids else -1 for kids in children]
+    return rooted_from_arrays(top, left, right, labels)
 
 
 def _to_unrooted(children: list[list[int]], labels: list[Optional[str]],
@@ -175,92 +165,50 @@ def _to_unrooted(children: list[list[int]], labels: list[Optional[str]],
         if v != top and len(kids) not in (0, 2):
             raise NewickError(
                 f"unrooted trees are binary; found a group with {len(kids)} children")
-    suppress_top = len(top_kids) == 2
-    old_ids = [v for v in range(len(children)) if not (suppress_top and v == top)]
-    idx = {v: i for i, v in enumerate(old_ids)}
-    adj: list[list[int]] = [[] for _ in old_ids]
-    n_labels = [labels[v] for v in old_ids]
-
-    def connect(a: int, b: int) -> None:
-        adj[idx[a]].append(idx[b])
-        adj[idx[b]].append(idx[a])
-
-    for v in old_ids:
-        for c in children[v]:
-            connect(v, c)
-    if suppress_top:
-        connect(top_kids[0], top_kids[1])
-    return UnrootedTree(adj, n_labels)
+    if len(top_kids) == 2:
+        return deroot(_to_rooted(children, labels, top))
+    return unrooted_from_edges(
+        len(children), [(v, c) for v, kids in enumerate(children) for c in kids],
+        labels)
 
 
-def _emit(label_of, kids_of, top: int) -> list[str]:
+def _emit(tree: RootedTree, stack: list) -> str:
+    """Newick text for the items on ``stack``, taken from its end: strings
+    are written as they are, node ids as their subtrees."""
+    left, right, labels = tree.left, tree.right, tree.labels
     parts: list[str] = []
-    stack: list[tuple[str, object]] = [("n", top)]
     while stack:
-        kind, x = stack.pop()
-        if kind == "t":
-            parts.append(x)  # type: ignore[arg-type]
-            continue
-        v: int = x  # type: ignore[assignment]
-        kids = kids_of(v)
-        if not kids:
-            parts.append(label_of(v))
-            continue
-        parts.append("(")
-        stack.append(("t", ")"))
-        for k in range(len(kids) - 1, 0, -1):
-            stack.append(("n", kids[k]))
-            stack.append(("t", ","))
-        stack.append(("n", kids[0]))
-    return parts
+        x = stack.pop()
+        if isinstance(x, str):
+            parts.append(x)
+        elif left[x] == -1:
+            parts.append(labels[x])
+        else:
+            parts.append("(")
+            stack += (")", right[x], ",", left[x])
+    parts.append(";")
+    return "".join(parts)
 
 
 def write_newick(tree) -> str:
     """Serialize a tree.
 
-    Rooted trees keep their child order.  Unrooted trees are written in a
-    canonical orientation (topmost at the neighbor of the smallest-label
-    leaf, branches ordered by their smallest label) so that equal trees
+    Rooted trees keep their child order.  An unrooted tree is written in
+    its canonical form: the canonical rooting (at the pendant edge of the
+    smallest taxon, every child pair ordered by smallest taxon, see
+    :func:`~mastkit.trees.root_at_edge`) with the root suppressed, so the
+    smallest taxon opens a three-way top group.  Equal trees therefore
     serialize identically regardless of internal node numbering.
     """
     if isinstance(tree, RootedTree):
-        left, right, labels = tree.left, tree.right, tree.labels
-        parts = _emit(
-            lambda v: labels[v],
-            lambda v: () if left[v] == -1 else (left[v], right[v]),
-            tree.root)
-        return "".join(parts) + ";"
+        return _emit(tree, [tree.root])
     if isinstance(tree, UnrootedTree):
         if len(tree) == 1:
             return f"{tree.labels[0]};"
-        if len(tree) == 2:
-            a, b = sorted(tree.labels, key=label_key)
-            return f"({a},{b});"
-        adj, labels = tree.adj, tree.labels
-        start = tree.leaf_node(min(tree.taxa, key=label_key))
-        top = adj[start][0]
-        par = {top: -1}
-        order = [top]
-        stack = [top]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u != par[v]:
-                    par[u] = v
-                    order.append(u)
-                    stack.append(u)
-        kids: dict[int, list[int]] = {v: [] for v in order}
-        for v in order:
-            if par[v] != -1:
-                kids[par[v]].append(v)
-        best: dict[int, str] = {}
-        for v in reversed(order):
-            if labels[v] is not None:
-                best[v] = labels[v]
-            else:
-                best[v] = min((best[c] for c in kids[v]), key=label_key)
-        for v in order:
-            kids[v].sort(key=lambda c: label_key(best[c]))
-        parts = _emit(lambda v: labels[v], lambda v: kids[v], top)
-        return "".join(parts) + ";"
+        rooted = root_at_edge(tree, canonical_root_edge(tree))
+        leaf, rest = rooted.children(rooted.root)
+        if rooted.is_leaf(rest):  # two leaves: (x,y);
+            return _emit(rooted, [rooted.root])
+        a, b = rooted.children(rest)
+        return _emit(rooted, [")", b, ",", a, ",", leaf, "("])
     raise TypeError(f"not a tree: {tree!r}")

@@ -15,6 +15,13 @@ mirror, rooting) returns a fresh tree and never aliases node ids of the
 source.  Because instances never change, derived data (preorder numbers,
 subtree sizes, depths) is computed once on demand and cached.
 
+Node arrays are made in one of two ways.  :func:`rooted_from_arrays` is
+the one way a rooted tree is built from another structure (restriction,
+rooting, the Newick reader): it numbers the new nodes in preorder, so the
+root is 0 and every left child is its parent plus one.
+:func:`unrooted_from_edges` is the one adjacency builder: each node lists
+its neighbors in the order its edges are given.
+
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
 """
@@ -22,7 +29,7 @@ interpreter recursion limit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class TreeError(Exception):
@@ -52,27 +59,16 @@ def sorted_labels(labels: Iterable[str]) -> list[str]:
     return sorted(labels, key=label_key)
 
 
-class RootedTree:
-    """An ordered rooted binary tree over a set of leaf labels.
+class _LabeledTree:
+    """The label index both tree types share.
 
-    The representation is array-based: ``parent``, ``left`` and ``right``
-    map node ids to node ids (-1 where absent) and ``labels`` maps leaf
-    nodes to their taxon (``None`` on internal nodes).
+    ``labels`` maps leaf nodes to their taxon (``None`` on internal nodes).
     """
 
-    __slots__ = (
-        "parent", "left", "right", "labels", "root",
-        "_leaf_node", "_taxa", "_pre", "_prepos", "_post",
-        "_nleaves", "_depth", "_seq",
-    )
+    __slots__ = ("labels", "_leaf_node", "_taxa")
 
-    def __init__(self, parent: list[int], left: list[int], right: list[int],
-                 labels: list[Optional[str]], root: int, _checked: bool = False):
-        self.parent = parent
-        self.left = left
-        self.right = right
+    def __init__(self, labels: list[Optional[str]]):
         self.labels = labels
-        self.root = root
         leaf_node: dict[str, int] = {}
         for node, lab in enumerate(labels):
             if lab is not None:
@@ -81,6 +77,61 @@ class RootedTree:
                 leaf_node[lab] = node
         self._leaf_node = leaf_node
         self._taxa = frozenset(leaf_node)
+
+    def __len__(self) -> int:
+        """Number of leaves."""
+        return len(self._leaf_node)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} leaves={len(self)} nodes={self.num_nodes()}>"
+
+    @property
+    def taxa(self) -> frozenset[str]:
+        return self._taxa
+
+    def num_nodes(self) -> int:
+        return len(self.labels)
+
+    def is_leaf(self, node: int) -> bool:
+        return self.labels[node] is not None
+
+    def leaf_node(self, label: str) -> int:
+        try:
+            return self._leaf_node[label]
+        except KeyError:
+            raise TreeError(f"unknown taxon {label!r}") from None
+
+    def _keep_set(self, keep: Iterable[str]) -> frozenset[str]:
+        """``keep`` as a set, checked to be a non-empty subset of the taxa."""
+        keepset = frozenset(keep)
+        if not keepset:
+            raise TreeError("restriction to an empty taxon set")
+        unknown = keepset - self._taxa
+        if unknown:
+            raise TreeError(f"unknown taxa in restriction: {sorted_labels(unknown)}")
+        return keepset
+
+
+class RootedTree(_LabeledTree):
+    """An ordered rooted binary tree over a set of leaf labels.
+
+    The representation is array-based: ``parent``, ``left`` and ``right``
+    map node ids to node ids (-1 where absent) and ``labels`` maps leaf
+    nodes to their taxon (``None`` on internal nodes).
+    """
+
+    __slots__ = (
+        "parent", "left", "right", "root",
+        "_pre", "_prepos", "_post", "_nleaves", "_depth", "_seq",
+    )
+
+    def __init__(self, parent: list[int], left: list[int], right: list[int],
+                 labels: list[Optional[str]], root: int, _checked: bool = False):
+        super().__init__(labels)
+        self.parent = parent
+        self.left = left
+        self.right = right
+        self.root = root
         self._pre = None
         self._prepos = None
         self._post = None
@@ -91,29 +142,6 @@ class RootedTree:
             self.validate()
 
     # -- basic queries ---------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of leaves."""
-        return len(self._leaf_node)
-
-    def __repr__(self) -> str:
-        return f"<RootedTree leaves={len(self)} nodes={len(self.parent)}>"
-
-    @property
-    def taxa(self) -> frozenset[str]:
-        return self._taxa
-
-    def num_nodes(self) -> int:
-        return len(self.parent)
-
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] == -1
-
-    def leaf_node(self, label: str) -> int:
-        try:
-            return self._leaf_node[label]
-        except KeyError:
-            raise TreeError(f"unknown taxon {label!r}") from None
 
     def children(self, node: int) -> tuple[int, int]:
         return self.left[node], self.right[node]
@@ -246,54 +274,33 @@ class RootedTree:
         and nodes left with a single live child are suppressed; surviving
         internal nodes keep their child order.
         """
-        keepset = frozenset(keep)
-        if not keepset:
-            raise TreeError("restriction to an empty taxon set")
-        unknown = keepset - self._taxa
-        if unknown:
-            raise TreeError(f"unknown taxa in restriction: {sorted_labels(unknown)}")
+        keepset = self._keep_set(keep)
         if keepset == self._taxa:
             return self
         left, right, labels = self.left, self.right, self.labels
-        live = [0] * len(self.parent)  # number of live child sides (leaves: kept?)
+        n = len(labels)
+        # rep[v] is the node standing for v's subtree once single-child
+        # nodes are suppressed (-1: nothing kept below); only nodes with
+        # a kept taxon on both sides keep their children.
+        rep = [-1] * n
+        kept_left = [-1] * n
+        kept_right = [-1] * n
         for v in self.postorder():
             l = left[v]
             if l == -1:
-                live[v] = 1 if labels[v] in keepset else 0
+                if labels[v] in keepset:
+                    rep[v] = v
+                continue
+            rl, rr = rep[l], rep[right[v]]
+            if rl == -1:
+                rep[v] = rr
+            elif rr == -1:
+                rep[v] = rl
             else:
-                live[v] = (1 if live[l] else 0) + (1 if live[right[v]] else 0)
-
-        def rep(v: int) -> int:
-            # Descend through single-live-child chains to the surviving node.
-            while True:
-                l = left[v]
-                if l == -1 or live[v] == 2:
-                    return v
-                v = l if live[l] else right[v]
-
-        n_parent: list[int] = []
-        n_left: list[int] = []
-        n_right: list[int] = []
-        n_labels: list[Optional[str]] = []
-        stack = [(rep(self.root), -1)]
-        while stack:
-            old, par = stack.pop()
-            new = len(n_parent)
-            n_parent.append(par)
-            n_left.append(-1)
-            n_right.append(-1)
-            n_labels.append(labels[old])
-            if par != -1:
-                if n_left[par] == -1:
-                    n_left[par] = new
-                else:
-                    n_right[par] = new
-            l = left[old]
-            if l != -1 and live[old] == 2:
-                # Push right first so the left child is numbered first.
-                stack.append((rep(right[old]), new))
-                stack.append((rep(l), new))
-        return RootedTree(n_parent, n_left, n_right, n_labels, 0, _checked=True)
+                rep[v] = v
+                kept_left[v] = rl
+                kept_right[v] = rr
+        return rooted_from_arrays(rep[self.root], kept_left, kept_right, labels)
 
     def mirror(self) -> "RootedTree":
         """Swap the child order of every internal node."""
@@ -330,48 +337,17 @@ class RootedTree:
             raise TreeError("tree is not connected")
 
 
-class UnrootedTree:
+class UnrootedTree(_LabeledTree):
     """An unrooted binary tree: internal degree 3, leaf degree 1."""
 
-    __slots__ = ("adj", "labels", "_leaf_node", "_taxa")
+    __slots__ = ("adj",)
 
     def __init__(self, adj: list[list[int]], labels: list[Optional[str]],
                  _checked: bool = False):
+        super().__init__(labels)
         self.adj = adj
-        self.labels = labels
-        leaf_node: dict[str, int] = {}
-        for node, lab in enumerate(labels):
-            if lab is not None:
-                if lab in leaf_node:
-                    raise TreeError(f"duplicate leaf label {lab!r}")
-                leaf_node[lab] = node
-        self._leaf_node = leaf_node
-        self._taxa = frozenset(leaf_node)
         if not _checked:
             self.validate()
-
-    def __len__(self) -> int:
-        """Number of leaves."""
-        return len(self._leaf_node)
-
-    def __repr__(self) -> str:
-        return f"<UnrootedTree leaves={len(self)} nodes={len(self.adj)}>"
-
-    @property
-    def taxa(self) -> frozenset[str]:
-        return self._taxa
-
-    def num_nodes(self) -> int:
-        return len(self.adj)
-
-    def is_leaf(self, node: int) -> bool:
-        return self.labels[node] is not None
-
-    def leaf_node(self, label: str) -> int:
-        try:
-            return self._leaf_node[label]
-        except KeyError:
-            raise TreeError(f"unknown taxon {label!r}") from None
 
     def degree(self, node: int) -> int:
         return len(self.adj[node])
@@ -389,12 +365,7 @@ class UnrootedTree:
     def restrict(self, keep: Iterable[str]) -> "UnrootedTree":
         """Restriction to a non-empty taxon subset: the minimal spanning
         subgraph with all degree-2 nodes suppressed."""
-        keepset = frozenset(keep)
-        if not keepset:
-            raise TreeError("restriction to an empty taxon set")
-        unknown = keepset - self._taxa
-        if unknown:
-            raise TreeError(f"unknown taxa in restriction: {sorted_labels(unknown)}")
+        keepset = self._keep_set(keep)
         if keepset == self._taxa:
             return self
         adj, labels = self.adj, self.labels
@@ -417,9 +388,7 @@ class UnrootedTree:
         # Nodes kept in the final tree: alive with pruned degree != 2.
         keep_nodes = [v for v in range(n) if alive[v] and deg[v] != 2]
         idx = {v: i for i, v in enumerate(keep_nodes)}
-        n_adj: list[list[int]] = [[] for _ in keep_nodes]
-        n_labels = [labels[v] for v in keep_nodes]
-        seen = set()
+        edges = []
         for v in keep_nodes:
             for u in adj[v]:
                 if not alive[u]:
@@ -428,13 +397,10 @@ class UnrootedTree:
                 while deg[cur] == 2:
                     nxt = next(w for w in adj[cur] if alive[w] and w != prev)
                     prev, cur = cur, nxt
-                a, b = idx[v], idx[cur]
-                if (a, b) not in seen:
-                    seen.add((a, b))
-                    seen.add((b, a))
-                    n_adj[a].append(b)
-                    n_adj[b].append(a)
-        return UnrootedTree(n_adj, n_labels, _checked=True)
+                if v < cur:  # every path is walked from both of its ends
+                    edges.append((idx[v], idx[cur]))
+        return unrooted_from_edges(len(keep_nodes), edges,
+                                   [labels[v] for v in keep_nodes])
 
     def validate(self) -> None:
         """Check every structural invariant; raises :class:`TreeError`."""
@@ -484,7 +450,60 @@ class UnrootedTree:
                 raise TreeError("tree is not connected")
 
 
-# -- rootedness conversions ------------------------------------------------
+# -- builders and rootedness conversions ------------------------------------
+
+
+def rooted_from_arrays(top: int, left: list[int], right: list[int],
+                       labels: list[Optional[str]], rng=None) -> RootedTree:
+    """The subtree below ``top`` as a fresh tree with preorder node ids.
+
+    ``left`` and ``right`` give each reachable internal node's ordered
+    children and are -1 on leaves; ``labels`` gives the leaves' taxa.
+    Other entries are never read.  With ``rng`` (an object with a
+    ``randrange`` method), each child pair is swapped on a coin flip,
+    drawn as its node is numbered.  The arrays must describe a binary
+    tree; nothing is re-validated.
+    """
+    n_parent: list[int] = []
+    n_left: list[int] = []
+    n_right: list[int] = []
+    n_labels: list[Optional[str]] = []
+    stack = [(top, -1)]
+    while stack:
+        old, par = stack.pop()
+        new = len(n_parent)
+        n_parent.append(par)
+        n_left.append(-1)
+        n_right.append(-1)
+        n_labels.append(labels[old])
+        if par != -1:
+            if n_left[par] == -1:
+                n_left[par] = new
+            else:
+                n_right[par] = new
+        l = left[old]
+        if l != -1:
+            r = right[old]
+            if rng is not None and rng.randrange(2):
+                l, r = r, l
+            # Push right first so the left child is numbered first.
+            stack.append((r, new))
+            stack.append((l, new))
+    return RootedTree(n_parent, n_left, n_right, n_labels, 0, _checked=True)
+
+
+def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
+                        labels: list[Optional[str]]) -> UnrootedTree:
+    """An unrooted tree on nodes ``0..num_nodes-1`` with the given edges.
+
+    Each node lists its neighbors in the order its edges come.  The edges
+    must form a binary tree; nothing is re-validated.
+    """
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return UnrootedTree(adj, labels, _checked=True)
 
 
 def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
@@ -504,7 +523,9 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
     * ``"min_label"`` (default, deterministic): the child whose subtree
       contains the smallest taxon becomes the left child;
     * ``"random"``: a coin flip per node from ``rng`` (an object with a
-      ``randrange`` method).
+      ``randrange`` method), drawn in the new tree's preorder; heads
+      swaps the pair from the order of ``edge`` and of the adjacency
+      lists.
     """
     a, b = edge
     if not tree.has_edge(a, b):
@@ -514,81 +535,66 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
     if orient == "random" and rng is None:
         raise TreeError("random orientation needs an rng")
     adj, labels = tree.adj, tree.labels
-    # Orient away from the new root: parent map over original nodes.
-    par: dict[int, int] = {a: -1, b: -1}
+    top = len(adj)  # the new root's id
+    left = [-1] * (top + 1)
+    right = [-1] * (top + 1)
+    left[top], right[top] = a, b
+    # Orient away from the new root: a node's children are its neighbors
+    # other than its parent, in adjacency order.
+    par = [-1] * top
+    par[a], par[b] = b, a
     order = [a, b]
-    stack = [a, b]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u != par[v] and not (v == a and u == b) and not (v == b and u == a):
-                par[u] = v
-                order.append(u)
-                stack.append(u)
-    kids: dict[int, list[int]] = {v: [] for v in order}
     for v in order:
-        p = par[v]
-        if p != -1:
-            kids[p].append(v)
-    # Smallest taxon below each oriented node, for deterministic child order.
-    best: dict[int, str] = {}
-    for v in reversed(order):
-        if labels[v] is not None:
-            best[v] = labels[v]
-        else:
-            best[v] = min((best[c] for c in kids[v]), key=label_key)
-    def ordered(pair: list[int]) -> tuple[int, int]:
-        x, y = pair
-        if orient == "random":
-            return (y, x) if rng.randrange(2) else (x, y)
-        if label_key(best[x]) <= label_key(best[y]):
-            return (x, y)
-        return (y, x)
-
-    n_parent = [-1]
-    n_left = [-1]
-    n_right = [-1]
-    n_labels: list[Optional[str]] = [None]
-    stack2: list[tuple[int, int]] = []
-    ra, rb = ordered([a, b])
-    stack2.append((rb, 0))
-    stack2.append((ra, 0))
-    while stack2:
-        old, parnew = stack2.pop()
-        new = len(n_parent)
-        n_parent.append(parnew)
-        n_left.append(-1)
-        n_right.append(-1)
-        n_labels.append(labels[old])
-        if n_left[parnew] == -1:
-            n_left[parnew] = new
-        else:
-            n_right[parnew] = new
-        if kids[old]:
-            cl, cr = ordered(kids[old])
-            stack2.append((cr, new))
-            stack2.append((cl, new))
-    return RootedTree(n_parent, n_left, n_right, n_labels, 0, _checked=True)
+        if labels[v] is None:
+            x, y, z = adj[v]
+            p = par[v]
+            if x == p:
+                x, y = y, z
+            elif y == p:
+                y = z
+            left[v], right[v] = x, y
+            par[x] = par[y] = v
+            order.append(x)
+            order.append(y)
+    if orient == "min_label":
+        # best[v] is the rank of the smallest taxon below v; children are
+        # ranked before their parents, and the new root last.
+        best = [0] * (top + 1)
+        leaf_node = tree._leaf_node
+        for rank, label in enumerate(sorted_labels(leaf_node)):
+            best[leaf_node[label]] = rank
+        order.reverse()
+        order.append(top)
+        for v in order:
+            x = left[v]
+            if x != -1:
+                y = right[v]
+                if best[y] < best[x]:
+                    left[v], right[v] = y, x
+                    best[v] = best[y]
+                else:
+                    best[v] = best[x]
+    return rooted_from_arrays(top, left, right, labels + [None],
+                              rng if orient == "random" else None)
 
 
 def deroot(tree: RootedTree) -> UnrootedTree:
-    """Suppress the root, joining its two child subtrees by an edge."""
+    """Suppress the root, joining its two child subtrees by an edge.
+
+    The other nodes keep their id order, and each lists its children
+    before its parent, as the Newick reader does.
+    """
     if len(tree) < 2:
         raise TreeError("cannot deroot a single-leaf tree")
-    root = tree.root
-    old_ids = [v for v in range(tree.num_nodes()) if v != root]
-    idx = {v: i for i, v in enumerate(old_ids)}
-    n_adj: list[list[int]] = [[] for _ in old_ids]
-    n_labels = [tree.labels[v] for v in old_ids]
-    def connect(u: int, v: int) -> None:
-        n_adj[idx[u]].append(idx[v])
-        n_adj[idx[v]].append(idx[u])
-    for v in old_ids:
-        p = tree.parent[v]
-        if p != root and p != -1:
-            connect(v, p)
-    connect(tree.left[root], tree.right[root])
-    return UnrootedTree(n_adj, n_labels, _checked=True)
+    root, parent, labels = tree.root, tree.parent, tree.labels
+    idx = [v if v < root else v - 1 for v in range(len(labels))]
+    a, b = tree.children(root)
+    # One edge up from each node, in postorder, so that a node's edges to
+    # its children come first; the root's children are joined instead.
+    edges = [(idx[v], idx[a if v == b else parent[v]])
+             for v in tree.postorder() if v != root and v != a]
+    return unrooted_from_edges(len(labels) - 1, edges,
+                               labels[:root] + labels[root + 1:])
 
 
 # -- shape predicates --------------------------------------------------------
@@ -639,20 +645,17 @@ def isomorphic(a, b) -> bool:
     Both arguments must share rootedness.  Different taxon sets compare
     unequal rather than raising.
     """
-    if isinstance(a, RootedTree) and isinstance(b, RootedTree):
-        if a.taxa != b.taxa:
-            return False
-        table: dict = {}
-        return _canon_id(a, table) == _canon_id(b, table)
     if isinstance(a, UnrootedTree) and isinstance(b, UnrootedTree):
         if a.taxa != b.taxa:
             return False
         if len(a) <= 2:
             return True
-        pivot = min_label(a.taxa)
-        ra = root_at_edge(a, (a.leaf_node(pivot), a.adj[a.leaf_node(pivot)][0]))
-        rb = root_at_edge(b, (b.leaf_node(pivot), b.adj[b.leaf_node(pivot)][0]))
-        table = {}
-        return _canon_id(ra, table) == _canon_id(rb, table)
-    raise TypeError("isomorphism needs two trees of the same rootedness")
+        a = root_at_edge(a, canonical_root_edge(a))
+        b = root_at_edge(b, canonical_root_edge(b))
+    elif not (isinstance(a, RootedTree) and isinstance(b, RootedTree)):
+        raise TypeError("isomorphism needs two trees of the same rootedness")
+    elif a.taxa != b.taxa:
+        return False
+    table: dict = {}
+    return _canon_id(a, table) == _canon_id(b, table)
 

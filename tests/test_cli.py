@@ -26,6 +26,14 @@ from mastkit.cli import (
 
 CAT11 = "(1,2,(3,(4,(5,(6,(7,(8,(9,(10,11)))))))));"
 
+# One uniform 16-taxon pair, written with a three-child top and again
+# rooted at other edges (a two-child top).  The two spellings list each
+# node's neighbors in different orders, which random orientation sees.
+PAIR3 = ("(1,(((((((((((2,7),6),(12,13)),16),15),9),10),14),3),8),4),(5,11));",
+         "(1,(((((((2,(3,14)),((4,6),(11,12))),(13,15)),10),9),7),5),(8,16));")
+PAIR2 = ("(((1,(((((((((((2,7),6),(12,13)),16),15),9),10),14),3),8),4)),5),11);",
+         "(((((((1,(8,16)),5),7),9),10),(13,15)),((2,(3,14)),((4,6),(11,12))));")
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -276,3 +284,64 @@ def test_file_inputs_are_read_from_disk(capsys, tmp_path):
     code, _, err = run(capsys, ["construct", "--t1", str(tmp_path / "no.nwk"),
                                 "--t2", str(two)])
     assert code == EXIT_PARSE and "cannot read" in err
+
+
+@pytest.mark.parametrize("pair, expected", [
+    (PAIR3, {"agreement": ["5", "16"],
+             "branch": "block-chain(singles=1 blocks=0)"}),
+    (PAIR2, {"agreement": ["1", "6", "8", "12", "15"],
+             "branch": "block-chain(singles=3 blocks=0);degenerate-exact"}),
+])
+def test_construct_random_orientation_is_frozen(capsys, pair, expected):
+    code, out, _ = run(capsys, [
+        "construct", "--t1", pair[0], "--t2", pair[1],
+        "--orient", "random", "--seed", "9", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "algorithm": "main", "claimed_bound": 0.187902, "kind": "block_tree",
+        "n": 16, "size": len(expected["agreement"]), "verified": True,
+        **expected}
+
+
+def test_construct_shrink_constant_range(capsys):
+    argv = ["construct", "--t1", PAIR3[0], "--t2", PAIR3[1]]
+    for algorithm in ("main", "weak"):
+        _, default, _ = run(capsys, argv + ["--algorithm", algorithm])
+        code, out, _ = run(capsys, argv + ["--algorithm", algorithm,
+                                           "--C", "0"])
+        assert code == EXIT_OK and out == default
+        for bad in ("1", "-3"):
+            code, out, err = run(capsys, argv + ["--algorithm", algorithm,
+                                                 "--C", bad])
+            assert code == EXIT_PARSE and out == ""
+            assert "at least 2" in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, ["gen", "--model", "uniform", "--n", "6",
+                                  "--out", str(missing / "x.nwk")])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: cannot write")
+    code, out, err = run(capsys, ["experiment", "--n-min", "4",
+                                  "--n-max", "4", "--out",
+                                  str(missing / "x.csv")])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: cannot write")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_output_device_exits_2(capsys):
+    code, out, err = run(capsys, ["gen", "--model", "uniform", "--n", "6",
+                                  "--out", "/dev/full"])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: cannot write")
+
+
+def test_non_utf8_tree_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.nwk"
+    bad.write_bytes(b"\xff\xfe;")
+    code, out, err = run(capsys, ["construct", "--t1", str(bad),
+                                  "--t2", "(1,2,3);"])
+    assert code == EXIT_PARSE and out == ""
+    assert "cannot read tree file" in err

@@ -14,6 +14,7 @@ from mastkit import (
     root_at_edge,
     write_newick,
 )
+from mastkit.rng import SplitMix64
 from mastkit.trees import (
     is_caterpillar,
     label_key,
@@ -156,3 +157,97 @@ def test_rooted_restriction_keeps_relative_leaf_order(n, seed):
     cut = tree.restrict(keep)
     expected = tuple(lab for lab in tree.seq() if lab in keep)
     assert cut.seq() == expected
+
+
+# Canonical rootings written as Newick, recorded before the tree builders
+# were merged into one.  The random rows pin the draw order: one coin per
+# internal node, in the new tree's preorder, on the child pair in
+# adjacency order.
+FROZEN_ROOTINGS = {
+    ('uniform', 2, 'min_label'):
+        '(1,2);',
+    ('uniform', 2, 'random'):
+        '(2,1);',
+    ('uniform', 3, 'min_label'):
+        '(1,(2,3));',
+    ('uniform', 3, 'random'):
+        '((3,2),1);',
+    ('uniform', 9, 'min_label'):
+        '(1,(((2,5),(3,7)),((4,(6,8)),9)));',
+    ('uniform', 9, 'random'):
+        '(((9,(4,(8,6))),((5,2),(7,3))),1);',
+    ('uniform', 40, 'min_label'):
+        ('(1,((((((((((((2,19),16),(15,31)),6),18),40),27),(((23,((25,35),'
+         '33)),29),24)),11),((((((3,(21,39)),(9,(13,36))),4),((((8,10),(17'
+         ',38)),37),(14,((22,26),30)))),(20,(28,34))),12)),(7,32)),5));'),
+    ('uniform', 40, 'random'):
+        ('((5,((7,32),((((((((17,38),(10,8)),37),(14,(30,(26,22)))),(((3,('
+         '39,21)),((36,13),9)),4)),((28,34),20)),12),((((29,(23,((25,35),3'
+         '3))),24),(27,(40,((6,(((2,19),16),(31,15))),18)))),11)))),1);'),
+    ('caterpillar', 2, 'min_label'):
+        '(1,2);',
+    ('caterpillar', 2, 'random'):
+        '(2,1);',
+    ('caterpillar', 3, 'min_label'):
+        '(1,(2,3));',
+    ('caterpillar', 3, 'random'):
+        '((3,2),1);',
+    ('caterpillar', 9, 'min_label'):
+        '(1,(2,(3,(4,(5,(6,(7,(8,9))))))));',
+    ('caterpillar', 9, 'random'):
+        '((((4,(5,(6,(7,(9,8))))),3),2),1);',
+    ('caterpillar', 40, 'min_label'):
+        ('(1,(2,(3,(4,(5,(6,(7,(8,(9,(10,(11,(12,(13,(14,(15,(16,(17,(18,('
+         '19,(20,(21,(22,(23,(24,(25,(26,(27,(28,(29,(30,(31,(32,(33,(34,('
+         '35,(36,(37,(38,(39,40)))))))))))))))))))))))))))))))))))))));'),
+    ('caterpillar', 40, 'random'):
+        ('((((4,(5,(6,(7,(8,(9,(10,(11,(((((16,(17,(18,((20,(21,((23,((25,'
+         '(26,(27,(28,((30,(31,(32,((34,(35,(((38,(39,40)),37),36))),33)))'
+         '),29))))),24)),22))),19)))),15),14),13),12))))))))),3),2),1);'),
+    ('balanced', 2, 'min_label'):
+        '(1,2);',
+    ('balanced', 2, 'random'):
+        '(2,1);',
+    ('balanced', 4, 'min_label'):
+        '(1,(2,(3,4)));',
+    ('balanced', 4, 'random'):
+        '(((4,3),2),1);',
+    ('balanced', 8, 'min_label'):
+        '(1,(2,((3,4),((5,6),(7,8)))));',
+    ('balanced', 8, 'random'):
+        '((2,(((5,6),(7,8)),(3,4))),1);',
+    ('balanced', 32, 'min_label'):
+        ('(1,(2,((3,4),(((5,6),(7,8)),((((9,10),(11,12)),((13,14),(15,16))'
+         '),((((17,18),(19,20)),((21,22),(23,24))),(((25,26),(27,28)),((29'
+         ',30),(31,32)))))))));'),
+    ('balanced', 32, 'random'):
+        ('((2,((3,4),(((((9,10),(11,12)),((14,13),(16,15))),((((29,30),(31'
+         ',32)),((27,28),(25,26))),(((22,21),(23,24)),((17,18),(19,20)))))'
+         ',((7,8),(5,6))))),1);'),
+
+}
+
+
+@pytest.mark.parametrize("model, n, orient", list(FROZEN_ROOTINGS))
+def test_canonical_rooting_is_frozen(model, n, orient):
+    tree = generate(GenSpec(model, n, 5))
+    back = root_at_edge(tree, canonical_root_edge(tree), orient=orient,
+                        rng=SplitMix64(11))
+    assert write_newick(back) == FROZEN_ROOTINGS[model, n, orient]
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**32),
+       shuffle=st.integers(0, 2**32))
+def test_unrooted_newick_ignores_node_numbering(n, seed, shuffle):
+    tree = generate(GenSpec("uniform", n, seed))
+    rng = SplitMix64(shuffle)
+    new_id = list(range(tree.num_nodes()))
+    rng.shuffle(new_id)
+    adj = [[] for _ in new_id]
+    labels = [None] * len(new_id)
+    for v, nbrs in enumerate(tree.adj):
+        adj[new_id[v]] = [new_id[u] for u in nbrs]
+        rng.shuffle(adj[new_id[v]])
+        labels[new_id[v]] = tree.labels[v]
+    assert write_newick(UnrootedTree(adj, labels)) == write_newick(tree)
