@@ -37,7 +37,7 @@ from .exact import EXACT, SizeCapExceeded, brute_force_mast, rooted_mast, unroot
 from .generators import GenSpec, MODELS, adversarial_pair, generate
 from .newick import NewickError, parse_newick, write_newick
 from .rng import SplitMix64, mix64
-from .trees import RootedTree, TaxaMismatch, TreeError, UnrootedTree, sorted_labels
+from .trees import TaxaMismatch, TreeError, UnrootedTree, sorted_labels
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -143,10 +143,12 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tree1 = _load_tree(args.t1, rooted=args.rooted)
-    tree2 = _load_tree(args.t2, rooted=args.rooted)
     leaves = frozenset(part.strip() for part in args.leaves.split(",")
                        if part.strip())
+    if not leaves:
+        raise TreeError("verify needs at least one taxon in --leaves")
+    tree1 = _load_tree(args.t1, rooted=args.rooted)
+    tree2 = _load_tree(args.t2, rooted=args.rooted)
     claim = ConstructionOutcome(leaves, EXACT, "claim", 0.0)
     ok = verify_outcome(tree1, tree2, claim)
     _emit(args, {"verified": ok, "size": len(leaves)})
@@ -192,6 +194,10 @@ def _make_pair(model: str, n: int, seed: int):
 
 def _cmd_experiment(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    if not models:
+        raise TreeError("experiment needs at least one pair model")
+    if args.trials < 1:
+        raise TreeError("experiment needs at least one trial")
     for model in models:
         if model not in PAIR_MODELS:
             raise NewickError(f"unknown pair model {model!r}", 0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exact import EXACT, rooted_agreement_leaves
 from .rng import SplitMix64
@@ -40,7 +40,6 @@ from .trees import (
     label_key,
     min_label,
     root_at_edge,
-    sorted_labels,
 )
 
 ROOTED_CATERPILLAR = "rooted_caterpillar"
@@ -110,12 +109,14 @@ class Piece:
 class PathDecomposition:
     """Both trees cut along a spine into consecutive leaf intervals.
 
-    ``first`` hangs off tree1's path from its left-most leaf up to the
-    root, listed bottom-up, starting with the left-most leaf itself and
-    ending with the root's right subtree.  ``second`` hangs off tree2's
-    path from the root down to its right-most leaf, listed top-down,
-    starting with the root's left subtree and ending with the right-most
-    leaf itself.  Each list partitions positions 1..n of ``order``.
+    Both lists come from one walk: from the root down through one child
+    of each node, listing the subtrees that hang off the other side
+    top-down and ending with the leaf reached.  ``second`` is that walk
+    on tree2 through right children, so it starts with the root's left
+    subtree and ends with the right-most leaf.  ``first`` is the walk on
+    tree1 through left children, reversed, so it starts with the
+    left-most leaf and ends with the root's right subtree.  Each list
+    partitions positions 1..n of ``order``.
     """
 
     first: tuple[Piece, ...]
@@ -247,40 +248,25 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree, *,
     return state, rooted1, rooted2
 
 
-def _pieces_up(tree: RootedTree) -> list[Piece]:
-    # Subtrees hanging off the path left-most leaf -> root, bottom-up.
-    positions = {lab: i + 1 for i, lab in enumerate(tree.seq())}
-    spine = []
+def _spine_pieces(tree: RootedTree, along: list[int], off: list[int],
+                  positions: dict[str, int]) -> list[Piece]:
+    # Walk from the root through the ``along`` children; list the subtrees
+    # hanging off the ``off`` side top-down, then the leaf reached.
+    nodes = []
     node = tree.root
-    while tree.left[node] != -1:
-        spine.append(node)
-        node = tree.left[node]
-    pieces = [_piece_at(tree, node, positions)]
-    for parent in reversed(spine):
-        pieces.append(_piece_at(tree, tree.right[parent], positions))
-    return pieces
-
-
-def _pieces_down(tree: RootedTree) -> list[Piece]:
-    # Subtrees hanging off the path root -> right-most leaf, top-down.
-    positions = {lab: i + 1 for i, lab in enumerate(tree.seq())}
+    while along[node] != -1:
+        nodes.append(off[node])
+        node = along[node]
+    nodes.append(node)
     pieces = []
-    node = tree.root
-    while tree.right[node] != -1:
-        pieces.append(_piece_at(tree, tree.left[node], positions))
-        node = tree.right[node]
-    pieces.append(_piece_at(tree, node, positions))
+    for node in nodes:
+        leaves = tree.leaves_under(node)
+        lo = positions[leaves[0]]
+        hi = positions[leaves[-1]]
+        if hi - lo + 1 != len(leaves):
+            raise TreeError("internal error: spine subtree is not an interval")
+        pieces.append(Piece(lo, hi, node, leaves))
     return pieces
-
-
-def _piece_at(tree: RootedTree, node: int,
-              positions: dict[str, int]) -> Piece:
-    leaves = tree.leaves_under(node)
-    lo = positions[leaves[0]]
-    hi = positions[leaves[-1]]
-    if hi - lo + 1 != len(leaves):
-        raise TreeError("internal error: spine subtree is not an interval")
-    return Piece(lo, hi, node, leaves)
 
 
 def path_decomposition(state: IterationState) -> PathDecomposition:
@@ -290,7 +276,9 @@ def path_decomposition(state: IterationState) -> PathDecomposition:
     smaller than its right one, both trees are mirrored (they keep equal
     leaf orders, and agreements are unaffected since child order never
     matters for isomorphism).  Afterwards tree1's left subtree holds at
-    least half the leaves.
+    least half the leaves.  Then ranks the common leaf order once and
+    walks tree1's left spine and tree2's right spine against it, as
+    :class:`PathDecomposition` describes.
     """
     tree1, tree2 = state.tree1, state.tree2
     if len(tree1) >= 2:
@@ -303,8 +291,9 @@ def path_decomposition(state: IterationState) -> PathDecomposition:
     order = tree1.seq()
     if order != tree2.seq():
         raise TreeError("state trees disagree on their leaf order")
-    first = _pieces_up(tree1)
-    second = _pieces_down(tree2)
+    positions = {lab: i + 1 for i, lab in enumerate(order)}
+    first = _spine_pieces(tree1, tree1.left, tree1.right, positions)[::-1]
+    second = _spine_pieces(tree2, tree2.right, tree2.left, positions)
     for pieces in (first, second):
         if [p.lo for p in pieces] != [1] + [p.hi + 1 for p in pieces[:-1]]:
             raise TreeError("internal error: pieces do not tile the order")
@@ -353,6 +342,36 @@ def _span(order: tuple[str, ...], lo: int, hi: int) -> frozenset[str]:
     return frozenset(order[lo - 1:hi])
 
 
+def _first_piece(decomp: PathDecomposition, test: Callable[[Piece], bool]
+                 ) -> Optional[tuple[bool, int, Piece]]:
+    # The first piece passing ``test``, scanning ``first`` then ``second``,
+    # as (in_first, index in its list, piece).
+    for in_first, pieces in ((True, decomp.first), (False, decomp.second)):
+        for idx, piece in enumerate(pieces):
+            if test(piece):
+                return in_first, idx, piece
+    return None
+
+
+def _first_oversized(decomp: PathDecomposition,
+                     c: int) -> Optional[tuple[bool, int, Piece]]:
+    # The first piece with more than max(2n'/C, 1) leaves.
+    n = len(decomp.order)
+    return _first_piece(decomp, lambda p: p.size() > 1 and p.size() * c > 2 * n)
+
+
+def _cut_pair(state: IterationState, order: tuple[str, ...], lo: int, hi: int,
+              cut: int, prefix: bool, tier: str, c: int) -> GoodPair:
+    # Survivors are positions lo..hi up to ``cut``, with the last taxon of
+    # the order as pivot, or past ``cut``, with the first taxon as pivot.
+    if prefix:
+        pair = GoodPair(order[-1], _span(order, lo, min(hi, cut)), tier)
+    else:
+        pair = GoodPair(order[0], _span(order, max(lo, cut + 1), hi), tier)
+    check_good_pair(state, pair, c)
+    return pair
+
+
 def find_good_pair_structural(
         state: IterationState, decomp: PathDecomposition,
         c: int = 4) -> Optional[GoodPair]:
@@ -364,58 +383,30 @@ def find_good_pair_structural(
     second) determines the pair via interval arithmetic on the common
     leaf order.
     """
+    found = _first_oversized(decomp, c)
+    if found is None:
+        return None
+    in_first, idx, piece = found
     order = decomp.order
     n = len(order)
-    oversized = None
-    for side, pieces in ((1, decomp.first), (2, decomp.second)):
-        for idx, piece in enumerate(pieces):
-            size = piece.size()
-            if size > 1 and size * c > 2 * n:
-                oversized = (side, idx, piece)
-                break
-        if oversized:
-            break
-    if oversized is None:
-        return None
-    side, idx, piece = oversized
-    leftmost, rightmost = order[0], order[-1]
-    left2_hi = decomp.second[0].hi           # tree2's left root subtree
-    right1_lo = decomp.first[-1].lo          # tree1's right root subtree
-    last1 = len(decomp.first) - 1
-    if side == 1:
-        if idx < last1:
-            if _overlap(piece, 1, left2_hi) * c >= n:
-                survivors = _span(order, piece.lo, min(piece.hi, left2_hi))
-                pivot = rightmost
-            else:
-                survivors = _span(order, max(piece.lo, left2_hi + 1), piece.hi)
-                pivot = leftmost
+    lo, hi = piece.lo, piece.hi
+    if not in_first:
+        # For tree2's left root subtree (index 0), normalization keeps
+        # tree1's left subtree at half the core, so two long prefixes
+        # again overlap in a long prefix.
+        cut = decomp.first[-1].lo - 1        # tree1's left root subtree
+        prefix = idx == 0 or _overlap(piece, cut + 1, n) * c < n
+    else:
+        cut = decomp.second[0].hi            # tree2's left root subtree
+        if idx < len(decomp.first) - 1:
+            prefix = _overlap(piece, 1, cut) * c >= n
         else:
-            right2_lo = left2_hi + 1
-            if _overlap(piece, right2_lo, n) * c >= n:
-                survivors = _span(order, max(piece.lo, right2_lo), piece.hi)
-                pivot = leftmost
-            else:
+            prefix = _overlap(piece, cut + 1, n) * c < n
+            if prefix:
                 # Both left root subtrees are large; their leaf intervals
                 # are prefixes, so they overlap in a long prefix.
-                survivors = _span(order, 1, min(right1_lo - 1, left2_hi))
-                pivot = rightmost
-    else:
-        if idx == 0:
-            # Normalization keeps tree1's left subtree at half the core,
-            # so two long prefixes again overlap in a long prefix.
-            survivors = _span(order, 1, min(right1_lo - 1, piece.hi))
-            pivot = rightmost
-        else:
-            if _overlap(piece, right1_lo, n) * c >= n:
-                survivors = _span(order, max(piece.lo, right1_lo), piece.hi)
-                pivot = leftmost
-            else:
-                survivors = _span(order, piece.lo, min(piece.hi, right1_lo - 1))
-                pivot = rightmost
-    pair = GoodPair(pivot, survivors, "large")
-    check_good_pair(state, pair, c)
-    return pair
+                lo, hi = 1, piece.lo - 1
+    return _cut_pair(state, order, lo, hi, cut, prefix, "large", c)
 
 
 def find_good_pair_big_subtree(
@@ -432,48 +423,25 @@ def find_good_pair_big_subtree(
     if n < 2:
         raise TreeError("need at least two taxa to form a pair")
     floor = n / math.log2(state.n_param)
-    leftmost, rightmost = order[0], order[-1]
-    left2_hi = decomp.second[0].hi
-    right1_lo = decomp.first[-1].lo
-    last1 = len(decomp.first) - 1
-    for idx, piece in enumerate(decomp.first):
-        if piece.size() < floor:
-            continue
-        if idx < last1:
-            in_left = _overlap(piece, 1, left2_hi)
-            if 2 * in_left >= piece.size():
-                survivors = _span(order, piece.lo, min(piece.hi, left2_hi))
-                pivot = rightmost
-            else:
-                survivors = _span(order, max(piece.lo, left2_hi + 1), piece.hi)
-                pivot = leftmost
-        else:
-            # Top piece of tree1 versus bottom-heavy tree2: the prefix
-            # under tree2's left root subtree misses the top piece, so
-            # its first leaf is a valid pivot.
-            survivors = frozenset(piece.leaves)
-            pivot = leftmost
-        pair = GoodPair(pivot, survivors, "regular")
-        check_good_pair(state, pair, 0)
-        return pair
-    for idx, piece in enumerate(decomp.second):
-        if piece.size() < floor:
-            continue
-        if idx == 0:
-            survivors = frozenset(piece.leaves)
-            pivot = rightmost
-        else:
-            in_right = _overlap(piece, right1_lo, n)
-            if 2 * in_right >= piece.size():
-                survivors = _span(order, max(piece.lo, right1_lo), piece.hi)
-                pivot = leftmost
-            else:
-                survivors = _span(order, piece.lo, min(piece.hi, right1_lo - 1))
-                pivot = rightmost
-        pair = GoodPair(pivot, survivors, "regular")
-        check_good_pair(state, pair, 0)
-        return pair
-    raise TreeError("no piece reaches the regular size floor")
+    found = _first_piece(decomp, lambda p: p.size() >= floor)
+    if found is None:
+        raise TreeError("no piece reaches the regular size floor")
+    in_first, idx, piece = found
+    lo, hi, size = piece.lo, piece.hi, piece.size()
+    if in_first and idx < len(decomp.first) - 1:
+        cut = decomp.second[0].hi            # tree2's left root subtree
+        prefix = 2 * _overlap(piece, 1, cut) >= size
+    elif in_first:
+        # Top piece of tree1 versus bottom-heavy tree2: the prefix
+        # under tree2's left root subtree misses the top piece, so
+        # its first leaf is a valid pivot.
+        cut, prefix = lo - 1, False
+    elif idx == 0:
+        cut, prefix = hi, True
+    else:
+        cut = decomp.first[-1].lo - 1        # tree1's left root subtree
+        prefix = 2 * _overlap(piece, cut + 1, n) < size
+    return _cut_pair(state, order, lo, hi, cut, prefix, "regular", 0)
 
 
 def greedy_caterpillar(decomp: PathDecomposition, lo: int = 1,
@@ -525,11 +493,13 @@ def classify_iteration(
     return "caterpillar", greedy_caterpillar(decomp)
 
 
-def _apply_pair(state: IterationState, pair: GoodPair) -> None:
-    state.agreed.append(pair.pivot)
-    state.taxa = pair.survivors
-    state.tree1 = state.tree1.restrict(pair.survivors)
-    state.tree2 = state.tree2.restrict(pair.survivors)
+def _peel(state: IterationState, peeled: Iterable[str],
+          survivors: frozenset[str]) -> None:
+    # Add ``peeled`` to the output and shrink the core to ``survivors``.
+    state.agreed.extend(peeled)
+    state.taxa = survivors
+    state.tree1 = state.tree1.restrict(survivors)
+    state.tree2 = state.tree2.restrict(survivors)
     if state.tree1.seq() != state.tree2.seq():
         raise TreeError("internal error: restriction broke the leaf order")
     state.step += 1
@@ -570,7 +540,7 @@ def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
                 f"greedy-caterpillar(step={state.step})",
                 math.log2(n_param)))
         tallies[branch] += 1
-        _apply_pair(state, payload)
+        _peel(state, [payload.pivot], payload.survivors)
     lg = math.log2(n_param)
     return certified(tree1, tree2, ConstructionOutcome(
         frozenset(state.agreed) | state.taxa, ROOTED_CATERPILLAR,
@@ -613,9 +583,8 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
     order = decomp.order
     n = len(order)
     n_param = state.n_param
-    for piece in decomp.first + decomp.second:
-        if piece.size() > 1 and piece.size() * c > 2 * n:
-            raise TreeError("oversized piece: structural pair applies")
+    if _first_oversized(decomp, c) is not None:
+        raise TreeError("oversized piece: structural pair applies")
     if len(state.taxa) ** 4 < n_param:
         raise TreeError("core below the fourth-root floor")
     lg = math.log2(n_param)
@@ -629,18 +598,12 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
     hi = min(inside1[-1].hi, inside2[-1].hi)
     if lo > hi:
         return SplitDegenerate("middle-window piece runs do not meet")
-    anchor = None
-    for pieces in (decomp.first, decomp.second):
-        for piece in pieces:
-            if piece.hi >= lo and piece.lo <= hi and piece.size() * 10 * lg >= n:
-                anchor = piece
-                break
-        if anchor is not None:
-            anchor_in_first = pieces is decomp.first
-            break
-    if anchor is None:
+    found = _first_piece(
+        decomp, lambda p: p.hi >= lo and p.lo <= hi and p.size() * 10 * lg >= n)
+    if found is None:
         return SweepFallback(greedy_caterpillar(decomp, lo, hi), lg,
                              f"interval-sweep(step={state.step})")
+    anchor_in_first, _, anchor = found
     if anchor_in_first:
         side_lo, side_hi = 1, (4 * n) // 20
         contained = lambda p: 4 * p.hi < n
@@ -649,19 +612,13 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
         contained = lambda p: 4 * p.lo > 3 * n
     if side_lo > side_hi:
         return SplitDegenerate("side window is empty")
-    pick = None
-    for pieces in (decomp.first, decomp.second):
-        for piece in pieces:
-            if (piece.hi >= side_lo and piece.lo <= side_hi
-                    and piece.size() * 5 * lg >= n and contained(piece)):
-                pick = piece
-                break
-        if pick is not None:
-            pick_in_first = pieces is decomp.first
-            break
-    if pick is None:
+    found = _first_piece(
+        decomp, lambda p: (p.hi >= side_lo and p.lo <= side_hi
+                           and p.size() * 5 * lg >= n and contained(p)))
+    if found is None:
         return SweepFallback(greedy_caterpillar(decomp, side_lo, side_hi), lg,
                              f"side-sweep(step={state.step})")
+    pick_in_first, _, pick = found
     partners = [p for p in (decomp.second if pick_in_first else decomp.first)
                 if p.hi >= pick.lo and p.lo <= pick.hi]
     for partner in partners:
@@ -691,9 +648,13 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     :func:`strong_split`.  A split's nucleus is handed to
     :func:`weak_construct` with size parameter |nucleus|^2 and the
     resulting chain is appended as one block; a fallback caterpillar is
-    returned as-is; a degenerate window is closed out exactly.  Blocks
-    stack because each block's ancestor is incomparable with the
-    remaining core's ancestor in both trees.
+    returned as-is.  Blocks stack because each block's ancestor is
+    incomparable with the remaining core's ancestor in both trees.  The
+    loop ends when the core falls below n^(1/4) taxa or a degenerate
+    window stops it; either way one exact rooted step on the remaining
+    core closes the chain, and the branch is tagged ``final-exact`` if
+    that step drops taxa, or ``degenerate-exact`` after a degenerate
+    window.
     """
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
@@ -705,13 +666,11 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     state, rooted1, rooted2 = setup(tree1, tree2, orient=orient, rng=rng)
     singles = 0
     blocks = 0
-    tags: list[str] = []
-    consumed = False
     while len(state.taxa) ** 4 >= n:
         decomp = path_decomposition(state)
         pair = find_good_pair_structural(state, decomp, c)
         if pair is not None:
-            _apply_pair(state, pair)
+            _peel(state, [pair.pivot], pair.survivors)
             singles += 1
             continue
         split = strong_split(state, decomp, c)
@@ -720,10 +679,6 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
                 frozenset(split.leaves), UNROOTED_CATERPILLAR, split.branch,
                 split.claimed_bound))
         if isinstance(split, SplitDegenerate):
-            sub = rooted_agreement_leaves(state.tree1, state.tree2)
-            state.agreed.extend(sorted(sub, key=label_key))
-            tags.append("degenerate-exact")
-            consumed = True
             break
         nested = weak_construct(state.tree1.restrict(split.nucleus),
                                 state.tree2.restrict(split.nucleus),
@@ -732,28 +687,16 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
             return certified(rooted1, rooted2, ConstructionOutcome(
                 nested.agreement_set, UNROOTED_CATERPILLAR,
                 "nested:" + nested.branch, nested.claimed_bound))
-        state.agreed.extend(sorted(nested.agreement_set, key=label_key))
+        _peel(state, nested.agreement_set, split.survivors)
         blocks += 1
-        state.taxa = split.survivors
-        state.tree1 = state.tree1.restrict(split.survivors)
-        state.tree2 = state.tree2.restrict(split.survivors)
-        if state.tree1.seq() != state.tree2.seq():
-            raise TreeError("internal error: restriction broke the leaf order")
-        state.step += 1
-    agreed = list(state.agreed)
-    if not consumed and state.taxa:
-        if len(state.taxa) == 1:
-            agreed.extend(state.taxa)
-        else:
-            sub = rooted_agreement_leaves(state.tree1, state.tree2)
-            if len(sub) != len(state.taxa):
-                tags.append("final-exact")
-            agreed.extend(sorted(sub, key=label_key))
+    exact = rooted_agreement_leaves(state.tree1, state.tree2)
     branch = f"block-chain(singles={singles} blocks={blocks})"
-    if tags:
-        branch += ";" + ";".join(tags)
+    if len(state.taxa) ** 4 >= n:  # only a degenerate window leaves early
+        branch += ";degenerate-exact"
+    elif len(exact) < len(state.taxa):
+        branch += ";final-exact"
     return certified(rooted1, rooted2, ConstructionOutcome(
-        frozenset(agreed), BLOCK_TREE, branch,
+        frozenset(state.agreed).union(exact), BLOCK_TREE, branch,
         math.log2(n) / (4 * math.log2(c))))
 
 

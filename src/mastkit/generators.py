@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64
 from .trees import TreeError, UnrootedTree, unrooted_from_edges
 
 MODELS = ("uniform", "caterpillar", "balanced")

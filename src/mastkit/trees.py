@@ -29,7 +29,7 @@ interpreter recursion limit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class TreeError(Exception):
@@ -351,13 +351,6 @@ class UnrootedTree(_LabeledTree):
 
     def degree(self, node: int) -> int:
         return len(self.adj[node])
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as (low id, high id) pairs, in id order."""
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < len(self.adj) and v in self.adj[u]

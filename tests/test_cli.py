@@ -149,6 +149,25 @@ def test_verify_exit_codes(capsys):
     assert out == "size: 2\nverified: false\n"
 
 
+GRID = ["experiment", "--n-min", "4", "--n-max", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--t1", "(1,2,3);", "--t2", "(1,2,3);", "--leaves", ","],
+    GRID + ["--trials", "0"],
+    GRID + ["--trials", "-1"],
+    GRID + ["--models", ","],
+], ids=["verify-no-leaves", "trials-0", "trials-negative", "no-models"])
+def test_empty_claims_and_grids_exit_2(capsys, tmp_path, argv):
+    target = tmp_path / "grid.csv"
+    if argv[0] == "experiment":
+        argv = argv + ["--out", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_parse_and_taxa_failures(capsys):
     code, _, err = run(capsys, [
         "construct", "--t1", "((1,2;", "--t2", "(1,2,3);"])

@@ -245,6 +245,69 @@ def test_regular_pair_raises_below_its_floor():
         find_good_pair_big_subtree(state, path_decomposition(state))
 
 
+def rule_case(name, t1, t2, n_param, c, pivot, survivors, tier):
+    return pytest.param(t1, t2, n_param, c, (pivot, survivors, tier), id=name)
+
+
+_L = [str(i) for i in range(1, 51)]
+
+# One state per branch of the two pair finders (C is None for the
+# big-subtree finder), with the pair recorded before the finders shared
+# their cut rule.  Seeded states are cores met by weak_construct on
+# uniform pairs; no seeded instance up to n = 2048 reaches the two comb
+# states, which cover the structural top-piece prefix fallback and the
+# big-subtree suffix on a later second piece (a tie, which goes to the
+# suffix).
+PAIR_RULES = [
+    rule_case("structural-first-inner-prefix", "((3,(4,2)),1);",
+              "((3,(4,2)),1);", 4, 40, "1", ["2", "4"], "large"),
+    rule_case("structural-first-inner-suffix", "((4,(5,3)),2);",
+              "(4,(5,(3,2)));", 7, 40, "4", ["3", "5"], "large"),
+    rule_case("structural-first-top-suffix", "((8,7),(3,2));",
+              "((8,(7,3)),2);", 8, 40, "8", ["2"], "large"),
+    rule_case("structural-first-top-prefix",
+              left_comb(_L[:47] + [left_deep(_L[47:])]) + ";",
+              right_comb([left_deep(_L[:49]), "50"]) + ";", 50, 40,
+              "50", _L[:47], "large"),
+    rule_case("structural-second-0", "((4,2),1);", "((4,2),1);", 4, 4,
+              "1", ["2", "4"], "large"),
+    rule_case("structural-second-later-prefix", "((((2,4),7),9),15);",
+              "(2,((4,(7,9)),15));", 24, 4, "15", ["4", "7", "9"], "large"),
+    rule_case("structural-second-later-suffix",
+              "((((2,3),34),(((((8,21),30),(49,86)),13),72)),"
+              "(((59,20),55),(90,56)));",
+              "(2,((((3,34),((((((8,((21,30),49)),86),13),72),59),(20,55))),"
+              "90),56));", 96, 4, "2", ["20", "55", "59", "90"], "large"),
+    rule_case("big-first-inner-prefix", "(4,2);", "(4,2);", 4, None,
+              "2", ["4"], "regular"),
+    rule_case("big-first-inner-suffix", "((4,(6,3)),2);",
+              "(4,((6,3),2));", 6, None, "4", ["3", "6"], "regular"),
+    rule_case("big-first-top", "((5,3),(6,2));", "(5,(3,(6,2)));", 6, None,
+              "5", ["2", "6"], "regular"),
+    rule_case("big-second-0", "(((7,4),5),2);", "((7,4),(5,2));", 8, None,
+              "2", ["4", "7"], "regular"),
+    rule_case("big-second-later-prefix", "(((2,3),7),5);",
+              "(2,((3,7),5));", 7, None, "5", ["3", "7"], "regular"),
+    rule_case("big-second-later-suffix",
+              left_comb(_L[:13] + [left_deep(_L[13:16])]) + ";",
+              right_comb(_L[:11] + [left_deep(_L[11:15]), "16"]) + ";", 16,
+              None, "1", ["14", "15"], "regular"),
+]
+
+
+@pytest.mark.parametrize("t1,t2,n_param,c,expected", PAIR_RULES)
+def test_pair_rules_are_frozen(t1, t2, n_param, c, expected):
+    one, two = rooted(t1), rooted(t2)
+    state = IterationState(frozenset(one.taxa), one, two, [], n_param)
+    decomp = path_decomposition(state)
+    if c is None:
+        pair = find_good_pair_big_subtree(state, decomp)
+    else:
+        pair = find_good_pair_structural(state, decomp, c)
+    assert (pair.pivot, sorted(pair.survivors, key=label_key), pair.tier) \
+        == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=4, max_value=48), seed=st.integers(0, 2**32))
 def test_structural_pairs_self_verify_on_random_states(n, seed):
