@@ -174,9 +174,9 @@ def _experiment_grid(args) -> list[int]:
     # Checked before the loop, which never ends for n_min < 1 or a
     # factor below 2.
     if not 4 <= args.n_min <= args.n_max:
-        raise NewickError("experiment needs 4 <= n-min <= n-max", 0)
+        raise TreeError("experiment needs 4 <= n-min <= n-max")
     if args.step_factor < 2:
-        raise NewickError("experiment step factor must be 2 or more", 0)
+        raise TreeError("experiment step factor must be 2 or more")
     sizes = []
     n = args.n_min
     while n <= args.n_max:
@@ -200,13 +200,13 @@ def _cmd_experiment(args) -> int:
         raise TreeError("experiment needs at least one trial")
     for model in models:
         if model not in PAIR_MODELS:
-            raise NewickError(f"unknown pair model {model!r}", 0)
+            raise TreeError(f"unknown pair model {model!r}")
     grid = _experiment_grid(args)
     if "adversarial" in models:
         for n in grid:
             if n & (n - 1):
-                raise NewickError(
-                    f"adversarial model needs power-of-two sizes, got {n}", 0)
+                raise TreeError(
+                    f"adversarial model needs power-of-two sizes, got {n}")
     rows: list[dict] = []
     out = sys.stdout if args.out == "-" else open(args.out, "w",
                                                   encoding="utf-8", newline="")
@@ -283,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True, help="second tree (Newick or path)")
     p.add_argument("--algorithm", choices=("weak", "main"), default="main")
     p.add_argument("--C", dest="big_c", type=int, default=None,
-                   help="shrink-fraction constant >= 2 (default 4 weak, 40 main)")
+                   help="shrink-fraction constant, at least 4 for weak and 2 for "
+                   "main (default 4 weak, 40 main)")
     p.add_argument("--orient", choices=("min_label", "random"),
                    default="min_label")
     p.add_argument("--seed", type=int, default=default_seed)

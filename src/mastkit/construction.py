@@ -524,8 +524,8 @@ def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
         raise TreeError("input trees must list their leaves identically")
     if n_param < 4:
         raise TreeError("size parameter must be at least 4")
-    if c < 2:
-        raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
+    if c < 4:  # below 4 a piece may hold more than half the core
+        raise TreeError(f"shrink-fraction constant C must be at least 4, got {c}")
     state = IterationState(taxa=tree1.taxa, tree1=tree1, tree2=tree2,
                            agreed=[], n_param=n_param)
     tallies = {"large": 0, "regular": 0}

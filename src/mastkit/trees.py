@@ -12,13 +12,15 @@ Two flavors are distinguished by type:
 Nodes are small integers that are stable within one tree value.  Trees are
 immutable after construction: every operation that changes shape (restrict,
 mirror, rooting) returns a fresh tree and never aliases node ids of the
-source.  Because instances never change, derived data (preorder numbers,
-subtree sizes, depths) is computed once on demand and cached.
+source.  Because instances never change, subtree leaf counts and the leaf
+order are computed once on demand and cached.
 
 Node arrays are made in one of two ways.  :func:`rooted_from_arrays` is
 the one way a rooted tree is built from another structure (restriction,
-rooting, the Newick reader): it numbers the new nodes in preorder, so the
-root is 0 and every left child is its parent plus one.
+mirroring, rooting, the Newick reader): it numbers the new nodes in
+preorder, so the root is 0, every left child is its parent plus one and
+every subtree is a contiguous id range.  Every rooted tree keeps that
+numbering, and traversal orders and ancestry are read off the ids.
 :func:`unrooted_from_edges` is the one adjacency builder: each node lists
 its neighbors in the order its edges are given.
 
@@ -117,26 +119,23 @@ class RootedTree(_LabeledTree):
 
     The representation is array-based: ``parent``, ``left`` and ``right``
     map node ids to node ids (-1 where absent) and ``labels`` maps leaf
-    nodes to their taxon (``None`` on internal nodes).
+    nodes to their taxon (``None`` on internal nodes).  Node ids are the
+    preorder, left subtree first: the root is 0, a left child is its
+    parent plus one, and the subtree at ``v`` with ``k`` leaves is the id
+    range ``v .. v + 2k - 2``.  Order and ancestry are read off the ids.
     """
 
-    __slots__ = (
-        "parent", "left", "right", "root",
-        "_pre", "_prepos", "_post", "_nleaves", "_depth", "_seq",
-    )
+    __slots__ = ("parent", "left", "right", "_nleaves", "_seq")
+
+    root = 0
 
     def __init__(self, parent: list[int], left: list[int], right: list[int],
-                 labels: list[Optional[str]], root: int, _checked: bool = False):
+                 labels: list[Optional[str]], _checked: bool = False):
         super().__init__(labels)
         self.parent = parent
         self.left = left
         self.right = right
-        self.root = root
-        self._pre = None
-        self._prepos = None
-        self._post = None
         self._nleaves = None
-        self._depth = None
         self._seq = None
         if not _checked:
             self.validate()
@@ -146,49 +145,10 @@ class RootedTree(_LabeledTree):
     def children(self, node: int) -> tuple[int, int]:
         return self.left[node], self.right[node]
 
-    # -- cached traversal data -------------------------------------------
-
-    def preorder(self) -> list[int]:
-        """Nodes in preorder; within a node the left subtree comes first."""
-        if self._pre is None:
-            pre = []
-            stack = [self.root]
-            left, right = self.left, self.right
-            while stack:
-                v = stack.pop()
-                pre.append(v)
-                l = left[v]
-                if l != -1:
-                    stack.append(right[v])
-                    stack.append(l)
-            self._pre = pre
-            pos = [0] * len(self.parent)
-            for i, v in enumerate(pre):
-                pos[v] = i
-            self._prepos = pos
-        return self._pre
-
-    def preorder_position(self) -> list[int]:
-        self.preorder()
-        return self._prepos
-
     def postorder(self) -> list[int]:
-        """Nodes with children always before their parent."""
-        if self._post is None:
-            # Reverse of a root-right-left walk.
-            out = []
-            stack = [self.root]
-            left, right = self.left, self.right
-            while stack:
-                v = stack.pop()
-                out.append(v)
-                l = left[v]
-                if l != -1:
-                    stack.append(l)
-                    stack.append(right[v])
-            out.reverse()
-            self._post = out
-        return self._post
+        """Nodes with children always before their parent: the ids from
+        last to first (a list, which loops faster than a range)."""
+        return list(range(len(self.parent) - 1, -1, -1))
 
     def leaf_counts(self) -> list[int]:
         """Per node, the number of leaves in its subtree."""
@@ -201,45 +161,22 @@ class RootedTree(_LabeledTree):
             self._nleaves = cnt
         return self._nleaves
 
-    def depths(self) -> list[int]:
-        if self._depth is None:
-            dep = [0] * len(self.parent)
-            parent = self.parent
-            for v in self.preorder():
-                p = parent[v]
-                dep[v] = 0 if p == -1 else dep[p] + 1
-            self._depth = dep
-        return self._depth
-
     # -- core operations ---------------------------------------------------
 
     def seq(self) -> tuple[str, ...]:
         """Leaf labels in preorder (left to right)."""
         if self._seq is None:
-            labels = self.labels
-            self._seq = tuple(labels[v] for v in self.preorder() if labels[v] is not None)
+            self._seq = tuple(lab for lab in self.labels if lab is not None)
         return self._seq
 
     def leaves_under(self, node: int) -> tuple[str, ...]:
         """Leaf labels of the subtree at ``node``, in seq order."""
-        out = []
-        stack = [node]
-        left, right, labels = self.left, self.right, self.labels
-        while stack:
-            v = stack.pop()
-            l = left[v]
-            if l == -1:
-                out.append(labels[v])
-            else:
-                stack.append(right[v])
-                stack.append(l)
-        return tuple(out)
+        end = node + 2 * self.leaf_counts()[node] - 1
+        return tuple(lab for lab in self.labels[node:end] if lab is not None)
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff ``a`` lies on the path from ``b`` to the root (or a == b)."""
-        pos = self.preorder_position()
-        span = 2 * self.leaf_counts()[a] - 1
-        return pos[a] <= pos[b] < pos[a] + span
+        return a <= b < a + 2 * self.leaf_counts()[a] - 1
 
     def is_comparable(self, a: int, b: int) -> bool:
         """True iff one of the nodes is an ancestor of the other."""
@@ -250,21 +187,12 @@ class RootedTree(_LabeledTree):
         nodes = [self.leaf_node(lab) for lab in labels]
         if not nodes:
             raise TreeError("lca of an empty taxon set")
-        if len(nodes) == 1:
-            return nodes[0]
-        pos = self.preorder_position()
-        a = min(nodes, key=pos.__getitem__)
-        b = max(nodes, key=pos.__getitem__)
-        # The lca of a set equals the lca of its preorder-extreme leaves.
-        dep = self.depths()
-        parent = self.parent
-        while dep[a] > dep[b]:
+        # The lca of a set is the lowest ancestor of its first leaf that
+        # spans its last one.
+        a, b = min(nodes), max(nodes)
+        cnt, parent = self.leaf_counts(), self.parent
+        while b >= a + 2 * cnt[a] - 1:
             a = parent[a]
-        while dep[b] > dep[a]:
-            b = parent[b]
-        while a != b:
-            a = parent[a]
-            b = parent[b]
         return a
 
     def restrict(self, keep: Iterable[str]) -> "RootedTree":
@@ -300,40 +228,41 @@ class RootedTree(_LabeledTree):
                 rep[v] = v
                 kept_left[v] = rl
                 kept_right[v] = rr
-        return rooted_from_arrays(rep[self.root], kept_left, kept_right, labels)
+        return rooted_from_arrays(rep[0], kept_left, kept_right, labels)
 
     def mirror(self) -> "RootedTree":
         """Swap the child order of every internal node."""
-        return RootedTree(list(self.parent), list(self.right), list(self.left),
-                          list(self.labels), self.root, _checked=True)
+        return rooted_from_arrays(0, self.right, self.left, self.labels)
 
     def validate(self) -> None:
-        """Check every structural invariant; raises :class:`TreeError`."""
-        n = len(self.parent)
-        if not (len(self.left) == len(self.right) == len(self.labels) == n):
+        """Check every structural invariant, preorder ids included;
+        raises :class:`TreeError`."""
+        parent, left, right, labels = self.parent, self.left, self.right, self.labels
+        n = len(parent)
+        if not (len(left) == len(right) == len(labels) == n):
             raise TreeError("array length mismatch")
-        if not (0 <= self.root < n) or self.parent[self.root] != -1:
+        if n == 0 or parent[0] != -1:
             raise TreeError("bad root")
-        leaves = 0
-        for v in range(n):
-            l, r = self.left[v], self.right[v]
+        # Children have larger ids, so sizes fill in from the last id.
+        size = [1] * n
+        for v in range(n - 1, -1, -1):
+            l, r = left[v], right[v]
             if (l == -1) != (r == -1):
                 raise TreeError(f"node {v} has exactly one child")
             if l == -1:
-                leaves += 1
-                if self.labels[v] is None:
+                if labels[v] is None:
                     raise TreeError(f"leaf {v} is unlabeled")
-            else:
-                if self.labels[v] is not None:
-                    raise TreeError(f"internal node {v} carries a label")
-                for c in (l, r):
-                    if not (0 <= c < n) or self.parent[c] != v:
-                        raise TreeError(f"child link {v}->{c} inconsistent")
-            if v != self.root and not (0 <= self.parent[v] < n):
-                raise TreeError(f"node {v} has no parent")
-        if n != 2 * leaves - 1:
-            raise TreeError(f"{n} nodes for {leaves} leaves")
-        if len(self.preorder()) != n:
+                continue
+            if labels[v] is not None:
+                raise TreeError(f"internal node {v} carries a label")
+            for c in (l, r):
+                if not (v < c < n) or parent[c] != v:
+                    raise TreeError(f"child link {v}->{c} inconsistent")
+            if l != v + 1 or r != l + size[l]:
+                raise TreeError(f"node ids are not in preorder at {v}")
+            size[v] = 1 + size[l] + size[r]
+        # Every node reached from the root lies in its id range.
+        if size[0] != n:
             raise TreeError("tree is not connected")
 
 
@@ -482,7 +411,7 @@ def rooted_from_arrays(top: int, left: list[int], right: list[int],
             # Push right first so the left child is numbered first.
             stack.append((r, new))
             stack.append((l, new))
-    return RootedTree(n_parent, n_left, n_right, n_labels, 0, _checked=True)
+    return RootedTree(n_parent, n_left, n_right, n_labels, _checked=True)
 
 
 def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
@@ -574,20 +503,21 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
 def deroot(tree: RootedTree) -> UnrootedTree:
     """Suppress the root, joining its two child subtrees by an edge.
 
-    The other nodes keep their id order, and each lists its children
+    Node ``v`` becomes ``v - 1``, and each node lists its children
     before its parent, as the Newick reader does.
     """
     if len(tree) < 2:
         raise TreeError("cannot deroot a single-leaf tree")
-    root, parent, labels = tree.root, tree.parent, tree.labels
-    idx = [v if v < root else v - 1 for v in range(len(labels))]
-    a, b = tree.children(root)
-    # One edge up from each node, in postorder, so that a node's edges to
-    # its children come first; the root's children are joined instead.
-    edges = [(idx[v], idx[a if v == b else parent[v]])
-             for v in tree.postorder() if v != root and v != a]
-    return unrooted_from_edges(len(labels) - 1, edges,
-                               labels[:root] + labels[root + 1:])
+    left, right, labels = tree.left, tree.right, tree.labels
+    # A parent has a smaller id than its children, so walking the ids
+    # down adds each node's child edges before its parent edge.
+    edges = []
+    for v in range(len(labels) - 1, 0, -1):
+        if left[v] != -1:
+            edges.append((left[v] - 1, v - 1))
+            edges.append((right[v] - 1, v - 1))
+    edges.append((left[0] - 1, right[0] - 1))
+    return unrooted_from_edges(len(labels) - 1, edges, labels[1:])
 
 
 # -- shape predicates --------------------------------------------------------
@@ -629,7 +559,7 @@ def _canon_id(tree: RootedTree, table: dict) -> int:
             cached = len(table)
             table[key] = cached
         ids[v] = cached
-    return ids[tree.root]
+    return ids[0]
 
 
 def isomorphic(a, b) -> bool:

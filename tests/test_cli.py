@@ -273,14 +273,16 @@ def test_experiment_json_echoes_rows(capsys, tmp_path):
 
 
 def test_experiment_rejects_bad_grids(capsys, tmp_path):
-    code, _, err = run(capsys, [
-        "experiment", "--n-min", "6", "--n-max", "12",
-        "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_PARSE and "power-of-two" in err
-    code, _, err = run(capsys, [
-        "experiment", "--n-min", "8", "--n-max", "8", "--models", "mystery",
-        "--out", str(tmp_path / "y.csv")])
-    assert code == EXIT_PARSE and "unknown pair model" in err
+    # Usage errors, not parse errors: no text offset is reported.
+    for extra, message in [
+            (["--n-min", "6", "--n-max", "12"], "power-of-two"),
+            (["--n-min", "8", "--n-max", "8", "--models", "mystery"],
+             "unknown pair model"),
+            (["--n-min", "2", "--n-max", "4"], "4 <= n-min <= n-max")]:
+        code, out, err = run(capsys, ["experiment", *extra,
+                                      "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_PARSE and out == ""
+        assert message in err and "offset" not in err
 
 
 @pytest.mark.parametrize("extra", [["--n-min", "0", "--n-max", "8"],
@@ -290,6 +292,7 @@ def test_experiment_grids_that_never_end_exit_2(extra):
     done = run_isolated(["experiment", *extra, "--out", os.devnull])
     assert done.returncode == EXIT_PARSE
     assert done.stdout == "" and "error:" in done.stderr
+    assert "offset" not in done.stderr
 
 
 def test_file_inputs_are_read_from_disk(capsys, tmp_path):
@@ -329,11 +332,29 @@ def test_construct_shrink_constant_range(capsys):
         code, out, _ = run(capsys, argv + ["--algorithm", algorithm,
                                            "--C", "0"])
         assert code == EXIT_OK and out == default
+        floor = "4" if algorithm == "weak" else "2"
         for bad in ("1", "-3"):
             code, out, err = run(capsys, argv + ["--algorithm", algorithm,
                                                  "--C", bad])
             assert code == EXIT_PARSE and out == ""
-            assert "at least 2" in err
+            assert f"at least {floor}" in err
+
+
+# Below C = 4 the weak route's big-subtree pair may be handed a piece
+# holding more than half the core; on these pairs it used to fail its own
+# strict ancestor check.
+@pytest.mark.parametrize("c, t1, t2", [
+    ("2", "(1,(((2,3),(7,8)),(5,6)),4);", "(1,2,(((3,((4,7),6)),8),5));"),
+    ("3", "(1,(((((((2,(5,20)),7),6),24),(3,((9,17),(((((12,16),21),23),"
+          "(13,14)),19)))),15),11),(((4,(18,22)),8),10));",
+          "(1,((((2,(10,(23,24))),(6,(12,14))),7),(((16,22),17),18)),"
+          "(((((3,8),21),(((((4,11),20),9),15),19)),5),13));"),
+])
+def test_weak_route_needs_shrink_constant_4(capsys, c, t1, t2):
+    code, out, err = run(capsys, ["construct", "--algorithm", "weak",
+                                  "--C", c, "--t1", t1, "--t2", t2])
+    assert code == EXIT_PARSE and out == ""
+    assert "at least 4" in err
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

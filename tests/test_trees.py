@@ -119,6 +119,76 @@ def test_validate_rejects_degree_two_internal():
         UnrootedTree([[1], [0, 2], [1]], ["1", None, "2"]).validate()
 
 
+def test_rooted_validate_rejects_ids_out_of_preorder():
+    tree = rooted("((1,2),(3,(4,5)));")
+    assert (tree.left, tree.right) == ([1, 2, -1, -1, 5, -1, 7, -1, -1],
+                                       [4, 3, -1, -1, 6, -1, 8, -1, -1])
+    RootedTree(tree.parent, tree.left, tree.right, tree.labels)
+    # Swapping every child pair keeps a connected binary tree whose
+    # right children now come first in id order.
+    with pytest.raises(TreeError, match="preorder"):
+        RootedTree(tree.parent, tree.right, tree.left, tree.labels)
+
+
+def test_rooted_validate_rejects_disconnected_arrays():
+    # (1,2) at ids 0-2 and a second cherry (3,4) at ids 3-5 with no parent.
+    with pytest.raises(TreeError, match="not connected"):
+        RootedTree([-1, 0, 0, -1, 3, 3], [1, -1, -1, 4, -1, -1],
+                   [2, -1, -1, 5, -1, -1], [None, "1", "2", None, "3", "4"])
+
+
+def _ancestors(tree, v):
+    """The nodes from ``v`` up to the root, read off the parent array."""
+    path = [v]
+    while tree.parent[path[-1]] != -1:
+        path.append(tree.parent[path[-1]])
+    return path
+
+
+def _rooted_sources(n, seed, pick):
+    """Rooted trees from every builder: the Newick reader, root_at_edge
+    (min_label and random, at a chosen edge) and restrict and mirror of
+    each."""
+    base = generate(GenSpec("uniform", n, seed))
+    leaf = base.leaf_node(sorted_labels(base.taxa)[pick % n])
+    edge = (leaf, base.adj[leaf][0])
+    trees = [rooted(write_newick(root_at_edge(base, canonical_root_edge(base)))),
+             root_at_edge(base, edge),
+             root_at_edge(base, edge, orient="random", rng=SplitMix64(seed))]
+    keep = sorted_labels(base.taxa)[pick % n:] or sorted_labels(base.taxa)
+    return trees + [t.restrict(keep) for t in trees] + [t.mirror() for t in trees]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=14), seed=st.integers(0, 2**32),
+       pick=st.integers(0, 2**16))
+def test_rooted_ids_are_preorder_and_answer_ancestry(n, seed, pick):
+    for tree in _rooted_sources(n, seed, pick):
+        tree.validate()
+        walk, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            walk.append(v)
+            if tree.left[v] != -1:
+                stack += (tree.right[v], tree.left[v])
+        assert walk == list(range(tree.num_nodes()))
+        ancestors = [set(_ancestors(tree, v)) for v in range(tree.num_nodes())]
+        for a in range(tree.num_nodes()):
+            below = [b for b in range(tree.num_nodes()) if a in ancestors[b]]
+            for b in range(tree.num_nodes()):
+                assert tree.is_ancestor(a, b) == (b in below)
+            assert tree.leaves_under(a) == tuple(
+                tree.labels[b] for b in below if tree.is_leaf(b))
+        order = tree.seq()
+        for i in range(len(order)):
+            for j in range(i, len(order)):
+                group = order[i:j + 1:2] + order[j:j + 1]
+                common = set.intersection(
+                    *(ancestors[tree.leaf_node(lab)] for lab in group))
+                deepest = max(common, key=lambda v: len(ancestors[v]))
+                assert tree.lca(group) == deepest
+
+
 def test_unrooted_node_counts():
     # 2n-2 nodes for n >= 2, a single node for n = 1.
     assert unrooted("1;").num_nodes() == 1
