@@ -85,24 +85,22 @@ def _tiny_outcome(tree1: UnrootedTree, tree2: UnrootedTree) -> ConstructionOutco
 
 
 def _run_construction(tree1: UnrootedTree, tree2: UnrootedTree,
-                      algorithm: str, c: Optional[int], orient: str,
-                      rng: Optional[SplitMix64]) -> ConstructionOutcome:
+                      algorithm: str, c: Optional[int],
+                      rng: Optional[SplitMix64] = None) -> ConstructionOutcome:
     if len(tree1) < 4:
         return _tiny_outcome(tree1, tree2)
     if algorithm == "weak":
-        state, _, _ = setup(tree1, tree2, orient=orient, rng=rng)
+        state, _, _ = setup(tree1, tree2, rng)
         return weak_construct(state.tree1, state.tree2,
                               n_param=len(tree1), c=c if c else 4)
-    return main_construct(tree1, tree2, c=c if c else 40,
-                          orient=orient, rng=rng)
+    return main_construct(tree1, tree2, c if c else 40, rng)
 
 
 def _cmd_construct(args) -> int:
     tree1 = _load_tree(args.t1, rooted=False)
     tree2 = _load_tree(args.t2, rooted=False)
     rng = SplitMix64(mix64(args.seed, 1)) if args.orient == "random" else None
-    outcome = _run_construction(tree1, tree2, args.algorithm, args.big_c,
-                                args.orient, rng)
+    outcome = _run_construction(tree1, tree2, args.algorithm, args.big_c, rng)
     _emit(args, {
         "n": len(tree1),
         "algorithm": args.algorithm,
@@ -116,7 +114,13 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _check_cap(cap: Optional[int]) -> None:
+    if cap is not None and cap < 0:
+        raise TreeError(f"--cap must be 0 or more, got {cap}")
+
+
 def _cmd_exact(args) -> int:
+    _check_cap(args.cap)
     tree1 = _load_tree(args.t1, rooted=args.rooted)
     tree2 = _load_tree(args.t2, rooted=args.rooted)
     n = len(tree1)
@@ -157,7 +161,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.model == "adversarial":
-        pair = adversarial_pair(args.n, args.seed)
+        pair = adversarial_pair(args.n)
         lines = [write_newick(pair[0]), write_newick(pair[1])]
     else:
         lines = [write_newick(generate(GenSpec(args.model, args.n, args.seed)))]
@@ -187,12 +191,13 @@ def _experiment_grid(args) -> list[int]:
 
 def _make_pair(model: str, n: int, seed: int):
     if model == "adversarial":
-        return adversarial_pair(n, seed)
+        return adversarial_pair(n)
     return (generate(GenSpec("uniform", n, mix64(seed, 1))),
             generate(GenSpec("uniform", n, mix64(seed, 2))))
 
 
 def _cmd_experiment(args) -> int:
+    _check_cap(args.cap)
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     if not models:
         raise TreeError("experiment needs at least one pair model")
@@ -249,8 +254,7 @@ def _run_experiment_row(tree1, tree2, algorithm, n, seed, model,
         kind = result.kind
         branch = "dp"
     else:
-        outcome = _run_construction(tree1, tree2, algorithm, None,
-                                    "min_label", None)
+        outcome = _run_construction(tree1, tree2, algorithm, None)
         size = len(outcome.agreement_set)
         kind = outcome.kind
         branch = outcome.branch

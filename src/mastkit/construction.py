@@ -38,7 +38,6 @@ from .trees import (
     is_caterpillar,
     isomorphic,
     label_key,
-    min_label,
     root_at_edge,
 )
 
@@ -212,13 +211,13 @@ def common_monotone_subsequence(
     return tuple(a[i] for i in picked), direction
 
 
-def setup(tree1: UnrootedTree, tree2: UnrootedTree, *,
-          orient: str = "min_label",
+def setup(tree1: UnrootedTree, tree2: UnrootedTree,
           rng: Optional[SplitMix64] = None,
           ) -> tuple[IterationState, RootedTree, RootedTree]:
     """Root both trees at the pendant edge of their smallest taxon, align
     their leaf orders, and cut down to a common monotone subsequence of
-    size at least ceil(sqrt(n)).
+    size at least ceil(sqrt(n)).  With ``rng``, child pairs are oriented
+    by coin flips instead of by smallest taxon (see :func:`root_at_edge`).
 
     Returns the initial state plus the two rooted trees the state's
     restrictions came from (the second possibly mirrored so that both
@@ -231,8 +230,8 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree, *,
     n = len(tree1)
     if n < 4:
         raise TreeError("setup needs at least 4 taxa")
-    rooted1 = root_at_edge(tree1, canonical_root_edge(tree1), orient=orient, rng=rng)
-    rooted2 = root_at_edge(tree2, canonical_root_edge(tree2), orient=orient, rng=rng)
+    rooted1 = root_at_edge(tree1, canonical_root_edge(tree1), rng)
+    rooted2 = root_at_edge(tree2, canonical_root_edge(tree2), rng)
     common, direction = common_monotone_subsequence(rooted1.seq(), rooted2.seq())
     if direction == "decreasing":
         rooted2 = rooted2.mirror()
@@ -639,7 +638,6 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
 
 
 def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
-                   *, orient: str = "min_label",
                    rng: Optional[SplitMix64] = None) -> ConstructionOutcome:
     """Build an agreement set by peeling singletons and whole blocks.
 
@@ -663,7 +661,7 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
         raise TreeError("construction needs at least 4 taxa")
     if c < 2:  # the claimed bound divides by log2(c)
         raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
-    state, rooted1, rooted2 = setup(tree1, tree2, orient=orient, rng=rng)
+    state, rooted1, rooted2 = setup(tree1, tree2, rng)
     singles = 0
     blocks = 0
     while len(state.taxa) ** 4 >= n:
@@ -702,10 +700,7 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
 
 def _canonically_rooted(tree: UnrootedTree,
                         leaves: frozenset[str]) -> RootedTree:
-    # Rooting at the smallest taxon's pendant edge commutes with any
-    # restriction that keeps that taxon, so only leaves + {x} get rooted.
-    sub = tree.restrict(leaves | {min_label(tree.taxa)})
-    return root_at_edge(sub, canonical_root_edge(sub)).restrict(leaves)
+    return root_at_edge(tree, canonical_root_edge(tree)).restrict(leaves)
 
 
 def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:

@@ -87,16 +87,19 @@ def _agreement_table(tree1: RootedTree, tree2: RootedTree) -> list[list[int]]:
     """
     ns = tree2.num_nodes()
     post2 = tree2.postorder()
-    left2, right2, parent2 = tree2.left, tree2.right, tree2.parent
+    left2, right2 = tree2.left, tree2.right
     table: list[list[int]] = [None] * tree1.num_nodes()  # type: ignore[list-item]
     left1, right1, labels1 = tree1.left, tree1.right, tree1.labels
     for u in tree1.postorder():
         if left1[u] == -1:
             row = [0] * ns
-            v = tree2.leaf_node(labels1[u])
-            while v != -1:
+            x = tree2.leaf_node(labels1[u])
+            # Down from the root, through the child whose id range holds x.
+            v = 0
+            row[0] = 1
+            while v != x:
+                v = left2[v] if x < right2[v] else right2[v]
                 row[v] = 1
-                v = parent2[v]
         else:
             ra = table[left1[u]]
             rb = table[right1[u]]

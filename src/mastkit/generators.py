@@ -88,13 +88,12 @@ def generate(spec: GenSpec) -> UnrootedTree:
     raise TreeError(f"unknown model {spec.model!r}")
 
 
-def adversarial_pair(n: int, seed: int = 0) -> tuple[UnrootedTree, UnrootedTree]:
+def adversarial_pair(n: int) -> tuple[UnrootedTree, UnrootedTree]:
     """The hard instance: a balanced tree against a caterpillar.
 
     Their maximum agreement is O(log n), so constructions can be checked
     against a matching upper bound.  ``n`` must be a power of two, at
-    least 4; ``seed`` is accepted for interface uniformity but the pair
-    is fully determined by ``n``.
+    least 4.
     """
     if n < 4 or n & (n - 1):
         raise TreeError("adversarial pair needs a power-of-two size, at least 4")

@@ -20,9 +20,11 @@ the one way a rooted tree is built from another structure (restriction,
 mirroring, rooting, the Newick reader): it numbers the new nodes in
 preorder, so the root is 0, every left child is its parent plus one and
 every subtree is a contiguous id range.  Every rooted tree keeps that
-numbering, and traversal orders and ancestry are read off the ids.
-:func:`unrooted_from_edges` is the one adjacency builder: each node lists
-its neighbors in the order its edges are given.
+numbering and stores only its child arrays: traversal orders, parents
+and ancestry are read off the ids.  :func:`unrooted_from_edges` is the
+one adjacency builder: each node lists its neighbors in the order its
+edges are given.  Unrooted restriction roots the tree, restricts the
+rooted tree and suppresses the root again.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -30,7 +32,6 @@ interpreter recursion limit.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 
@@ -117,22 +118,22 @@ class _LabeledTree:
 class RootedTree(_LabeledTree):
     """An ordered rooted binary tree over a set of leaf labels.
 
-    The representation is array-based: ``parent``, ``left`` and ``right``
-    map node ids to node ids (-1 where absent) and ``labels`` maps leaf
-    nodes to their taxon (``None`` on internal nodes).  Node ids are the
+    The representation is array-based: ``left`` and ``right`` map node
+    ids to their children (-1 on leaves) and ``labels`` maps leaf nodes
+    to their taxon (``None`` on internal nodes).  Node ids are the
     preorder, left subtree first: the root is 0, a left child is its
     parent plus one, and the subtree at ``v`` with ``k`` leaves is the id
-    range ``v .. v + 2k - 2``.  Order and ancestry are read off the ids.
+    range ``v .. v + 2k - 2``.  Order and ancestry are read off the ids;
+    no parent array is kept.
     """
 
-    __slots__ = ("parent", "left", "right", "_nleaves", "_seq")
+    __slots__ = ("left", "right", "_nleaves", "_seq")
 
     root = 0
 
-    def __init__(self, parent: list[int], left: list[int], right: list[int],
+    def __init__(self, left: list[int], right: list[int],
                  labels: list[Optional[str]], _checked: bool = False):
         super().__init__(labels)
-        self.parent = parent
         self.left = left
         self.right = right
         self._nleaves = None
@@ -148,12 +149,12 @@ class RootedTree(_LabeledTree):
     def postorder(self) -> list[int]:
         """Nodes with children always before their parent: the ids from
         last to first (a list, which loops faster than a range)."""
-        return list(range(len(self.parent) - 1, -1, -1))
+        return list(range(len(self.labels) - 1, -1, -1))
 
     def leaf_counts(self) -> list[int]:
         """Per node, the number of leaves in its subtree."""
         if self._nleaves is None:
-            cnt = [0] * len(self.parent)
+            cnt = [0] * len(self.labels)
             left, right = self.left, self.right
             for v in self.postorder():
                 l = left[v]
@@ -187,13 +188,16 @@ class RootedTree(_LabeledTree):
         nodes = [self.leaf_node(lab) for lab in labels]
         if not nodes:
             raise TreeError("lca of an empty taxon set")
-        # The lca of a set is the lowest ancestor of its first leaf that
-        # spans its last one.
+        # The lca of a set is the lowest node whose id range holds its
+        # first and its last leaf: descend while one child's range does.
         a, b = min(nodes), max(nodes)
-        cnt, parent = self.leaf_counts(), self.parent
-        while b >= a + 2 * cnt[a] - 1:
-            a = parent[a]
-        return a
+        v, left, right = 0, self.left, self.right
+        while left[v] != -1:
+            r = right[v]
+            if a < r <= b:
+                break
+            v = left[v] if b < r else r
+        return v
 
     def restrict(self, keep: Iterable[str]) -> "RootedTree":
         """Restriction to a non-empty subset of taxa.
@@ -237,12 +241,12 @@ class RootedTree(_LabeledTree):
     def validate(self) -> None:
         """Check every structural invariant, preorder ids included;
         raises :class:`TreeError`."""
-        parent, left, right, labels = self.parent, self.left, self.right, self.labels
-        n = len(parent)
-        if not (len(left) == len(right) == len(labels) == n):
+        left, right, labels = self.left, self.right, self.labels
+        n = len(labels)
+        if not (len(left) == len(right) == n):
             raise TreeError("array length mismatch")
-        if n == 0 or parent[0] != -1:
-            raise TreeError("bad root")
+        if n == 0:
+            raise TreeError("empty tree")
         # Children have larger ids, so sizes fill in from the last id.
         size = [1] * n
         for v in range(n - 1, -1, -1):
@@ -255,9 +259,8 @@ class RootedTree(_LabeledTree):
                 continue
             if labels[v] is not None:
                 raise TreeError(f"internal node {v} carries a label")
-            for c in (l, r):
-                if not (v < c < n) or parent[c] != v:
-                    raise TreeError(f"child link {v}->{c} inconsistent")
+            if l >= n or r >= n:
+                raise TreeError(f"child link {v}->{max(l, r)} past the end")
             if l != v + 1 or r != l + size[l]:
                 raise TreeError(f"node ids are not in preorder at {v}")
             size[v] = 1 + size[l] + size[r]
@@ -278,51 +281,22 @@ class UnrootedTree(_LabeledTree):
         if not _checked:
             self.validate()
 
-    def degree(self, node: int) -> int:
-        return len(self.adj[node])
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < len(self.adj) and v in self.adj[u]
 
     def restrict(self, keep: Iterable[str]) -> "UnrootedTree":
         """Restriction to a non-empty taxon subset: the minimal spanning
-        subgraph with all degree-2 nodes suppressed."""
+        subgraph with all degree-2 nodes suppressed, found by restricting
+        the tree rooted at a kept leaf's pendant edge."""
         keepset = self._keep_set(keep)
         if keepset == self._taxa:
             return self
-        adj, labels = self.adj, self.labels
-        n = len(adj)
-        dead = [False] * n
-        deg = [len(a) for a in adj]
-        drop = deque(v for v in range(n)
-                     if labels[v] is not None and labels[v] not in keepset)
-        for v in drop:
-            dead[v] = True
-        while drop:
-            v = drop.popleft()
-            for u in adj[v]:
-                if not dead[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1 and labels[u] is None:
-                        dead[u] = True
-                        drop.append(u)
-        alive = [not d for d in dead]
-        # Nodes kept in the final tree: alive with pruned degree != 2.
-        keep_nodes = [v for v in range(n) if alive[v] and deg[v] != 2]
-        idx = {v: i for i, v in enumerate(keep_nodes)}
-        edges = []
-        for v in keep_nodes:
-            for u in adj[v]:
-                if not alive[u]:
-                    continue
-                prev, cur = v, u
-                while deg[cur] == 2:
-                    nxt = next(w for w in adj[cur] if alive[w] and w != prev)
-                    prev, cur = cur, nxt
-                if v < cur:  # every path is walked from both of its ends
-                    edges.append((idx[v], idx[cur]))
-        return unrooted_from_edges(len(keep_nodes), edges,
-                                   [labels[v] for v in keep_nodes])
+        if len(keepset) == 1:
+            return unrooted_from_edges(1, [], list(keepset))
+        # The smallest id: frozenset order follows the hash seed.
+        leaf = min(self._leaf_node[lab] for lab in keepset)
+        rooted = root_at_edge(self, (leaf, self.adj[leaf][0]))
+        return deroot(rooted.restrict(keepset))
 
     def validate(self) -> None:
         """Check every structural invariant; raises :class:`TreeError`."""
@@ -345,31 +319,18 @@ class UnrootedTree(_LabeledTree):
             else:
                 if d != 3:
                     raise TreeError(f"internal node {v} has degree {d}")
-        if nleaves == 1:
-            expected = 1
-        elif nleaves == 2:
-            expected = 2
-        else:
-            expected = 2 * nleaves - 2
-        if n != expected:
+        if n != (2 * nleaves - 2 if nleaves > 1 else 1):
             raise TreeError(f"{n} nodes for {nleaves} leaves")
         if edge_ends != 2 * (n - 1):
             raise TreeError("edge count is not nodes - 1")
-        # Connectivity.
-        if n > 1:
-            seen = [False] * n
-            seen[0] = True
-            stack = [0]
-            count = 1
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        count += 1
-                        stack.append(u)
-            if count != n:
-                raise TreeError("tree is not connected")
+        seen, stack = {0}, [0]
+        while stack:
+            for u in self.adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != n:
+            raise TreeError("tree is not connected")
 
 
 # -- builders and rootedness conversions ------------------------------------
@@ -386,15 +347,13 @@ def rooted_from_arrays(top: int, left: list[int], right: list[int],
     drawn as its node is numbered.  The arrays must describe a binary
     tree; nothing is re-validated.
     """
-    n_parent: list[int] = []
     n_left: list[int] = []
     n_right: list[int] = []
     n_labels: list[Optional[str]] = []
     stack = [(top, -1)]
     while stack:
         old, par = stack.pop()
-        new = len(n_parent)
-        n_parent.append(par)
+        new = len(n_labels)
         n_left.append(-1)
         n_right.append(-1)
         n_labels.append(labels[old])
@@ -411,7 +370,7 @@ def rooted_from_arrays(top: int, left: list[int], right: list[int],
             # Push right first so the left child is numbered first.
             stack.append((r, new))
             stack.append((l, new))
-    return RootedTree(n_parent, n_left, n_right, n_labels, _checked=True)
+    return RootedTree(n_left, n_right, n_labels, _checked=True)
 
 
 def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
@@ -436,26 +395,21 @@ def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
     return (leaf, tree.adj[leaf][0])
 
 
-def root_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
-                 orient: str = "min_label", rng=None) -> RootedTree:
+def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
+                 rng=None) -> RootedTree:
     """Root an unrooted tree by subdividing ``edge`` with a new root node.
 
-    ``orient`` fixes the left/right order of every child pair:
+    ``rng`` fixes the left/right order of every child pair:
 
-    * ``"min_label"`` (default, deterministic): the child whose subtree
-      contains the smallest taxon becomes the left child;
-    * ``"random"``: a coin flip per node from ``rng`` (an object with a
-      ``randrange`` method), drawn in the new tree's preorder; heads
-      swaps the pair from the order of ``edge`` and of the adjacency
-      lists.
+    * ``None`` (default, deterministic): the child whose subtree contains
+      the smallest taxon becomes the left child;
+    * an object with a ``randrange`` method: a coin flip per node, drawn
+      in the new tree's preorder; heads swaps the pair from the order of
+      ``edge`` and of the adjacency lists.
     """
     a, b = edge
     if not tree.has_edge(a, b):
         raise TreeError(f"no edge {edge!r} in tree")
-    if orient not in ("min_label", "random"):
-        raise TreeError(f"unknown orientation rule {orient!r}")
-    if orient == "random" and rng is None:
-        raise TreeError("random orientation needs an rng")
     adj, labels = tree.adj, tree.labels
     top = len(adj)  # the new root's id
     left = [-1] * (top + 1)
@@ -478,7 +432,7 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
             par[x] = par[y] = v
             order.append(x)
             order.append(y)
-    if orient == "min_label":
+    if rng is None:
         # best[v] is the rank of the smallest taxon below v; children are
         # ranked before their parents, and the new root last.
         best = [0] * (top + 1)
@@ -496,8 +450,7 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
                     best[v] = best[y]
                 else:
                     best[v] = best[x]
-    return rooted_from_arrays(top, left, right, labels + [None],
-                              rng if orient == "random" else None)
+    return rooted_from_arrays(top, left, right, labels + [None], rng)
 
 
 def deroot(tree: RootedTree) -> UnrootedTree:

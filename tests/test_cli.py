@@ -138,6 +138,24 @@ def test_exact_cap_zero_solves_nothing(capsys):
         assert code == EXIT_CAP and out == "" and "cap is 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact"],
+    ["exact", "--rooted"],
+    ["exact", "--method", "brute"],
+    ["experiment", "--n-min", "4", "--n-max", "8"],
+], ids=["dp", "rooted", "brute", "experiment"])
+def test_negative_cap_is_a_usage_error(capsys, tmp_path, argv):
+    # The tree paths do not exist: the cap is refused before they are read.
+    target = tmp_path / "grid.csv"
+    argv = argv + ["--cap", "-1"] + (
+        ["--out", str(target)] if argv[0] == "experiment"
+        else ["--t1", str(tmp_path / "one.nwk"), "--t2", str(tmp_path / "two.nwk")])
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error:") and "--cap" in err
+    assert not target.exists()
+
+
 def test_verify_exit_codes(capsys):
     base = ["verify", "--t1", "((1,2),3);", "--t2", "((1,3),2);", "--rooted"]
     code, out, _ = run(capsys, base + ["--leaves", "1,2"])

@@ -1,14 +1,18 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+function the benchmark tracer wraps still exists.
 
-``__init__.py`` is left out: it imports names only to re-export them.
+``__init__.py`` is left out of the import check: it imports names only to
+re-export them.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mastkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mastkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -31,3 +35,19 @@ def test_module_uses_every_import(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_tracer_targets_resolve():
+    # perfbench is not a package; its tracer is loaded from its file.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, path, _ in tracer.TARGETS:
+        owner = importlib.import_module("mastkit." + module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{path}")
+    assert tracer.TARGETS and not missing, f"tracer targets gone: {missing}"

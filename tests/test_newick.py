@@ -26,7 +26,7 @@ def test_unrooted_quartet_parses_to_six_nodes():
     assert isinstance(tree, UnrootedTree)
     assert len(tree) == 4
     assert tree.num_nodes() == 6
-    degrees = sorted(tree.degree(v) for v in range(tree.num_nodes()))
+    degrees = sorted(len(tree.adj[v]) for v in range(tree.num_nodes()))
     assert degrees == [1, 1, 1, 1, 3, 3]
 
 

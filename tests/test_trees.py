@@ -21,7 +21,7 @@ from mastkit.trees import (
     min_label,
     sorted_labels,
 )
-from mastkit.generators import GenSpec, generate
+from mastkit.generators import MODELS, GenSpec, generate
 
 from conftest import rooted, unrooted
 
@@ -123,25 +123,37 @@ def test_rooted_validate_rejects_ids_out_of_preorder():
     tree = rooted("((1,2),(3,(4,5)));")
     assert (tree.left, tree.right) == ([1, 2, -1, -1, 5, -1, 7, -1, -1],
                                        [4, 3, -1, -1, 6, -1, 8, -1, -1])
-    RootedTree(tree.parent, tree.left, tree.right, tree.labels)
+    RootedTree(tree.left, tree.right, tree.labels)
     # Swapping every child pair keeps a connected binary tree whose
     # right children now come first in id order.
     with pytest.raises(TreeError, match="preorder"):
-        RootedTree(tree.parent, tree.right, tree.left, tree.labels)
+        RootedTree(tree.right, tree.left, tree.labels)
 
 
 def test_rooted_validate_rejects_disconnected_arrays():
     # (1,2) at ids 0-2 and a second cherry (3,4) at ids 3-5 with no parent.
     with pytest.raises(TreeError, match="not connected"):
-        RootedTree([-1, 0, 0, -1, 3, 3], [1, -1, -1, 4, -1, -1],
-                   [2, -1, -1, 5, -1, -1], [None, "1", "2", None, "3", "4"])
+        RootedTree([1, -1, -1, 4, -1, -1], [2, -1, -1, 5, -1, -1],
+                   [None, "1", "2", None, "3", "4"])
+
+
+@pytest.mark.parametrize("left, right, labels", [
+    ([1, -1, -1], [3, -1, -1], [None, "1", "2"]),
+    ([1, -1, 3], [2, -1, 4], [None, "1", None]),
+], ids=["root", "last-node"])
+def test_rooted_validate_rejects_child_ids_past_the_end(left, right, labels):
+    with pytest.raises(TreeError, match="child link"):
+        RootedTree(left, right, labels)
 
 
 def _ancestors(tree, v):
-    """The nodes from ``v`` up to the root, read off the parent array."""
+    """The nodes from ``v`` up to the root, through a parent map built
+    from the child arrays."""
+    parent = {c: u for u in range(tree.num_nodes())
+              for c in (tree.left[u], tree.right[u]) if c != -1}
     path = [v]
-    while tree.parent[path[-1]] != -1:
-        path.append(tree.parent[path[-1]])
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
     return path
 
 
@@ -154,7 +166,7 @@ def _rooted_sources(n, seed, pick):
     edge = (leaf, base.adj[leaf][0])
     trees = [rooted(write_newick(root_at_edge(base, canonical_root_edge(base)))),
              root_at_edge(base, edge),
-             root_at_edge(base, edge, orient="random", rng=SplitMix64(seed))]
+             root_at_edge(base, edge, rng=SplitMix64(seed))]
     keep = sorted_labels(base.taxa)[pick % n:] or sorted_labels(base.taxa)
     return trees + [t.restrict(keep) for t in trees] + [t.mirror() for t in trees]
 
@@ -216,6 +228,82 @@ def test_restriction_drops_exactly_the_asked_taxa(n, seed, drop):
     cut = tree.restrict(keep)
     assert cut.taxa == keep
     cut.validate()
+
+
+def _splits(tree, keep):
+    """Every edge's bipartition of ``keep`` with two or more taxa on
+    each side, found by walking the tree from both ends of the edge."""
+    out = set()
+    for u in range(tree.num_nodes()):
+        for v in tree.adj[u]:
+            side, stack, seen = set(), [v], {u, v}
+            while stack:
+                w = stack.pop()
+                if tree.is_leaf(w):
+                    side.add(tree.labels[w])
+                for x in tree.adj[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+            a = frozenset(side) & keep
+            if len(a) >= 2 and len(keep - a) >= 2:
+                out.add(frozenset((a, keep - a)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), size=st.integers(1, 24),
+       seed=st.integers(0, 2**32), pick=st.integers(0, 2**32))
+def test_unrooted_restriction_keeps_exactly_the_cut_splits(model, size, seed,
+                                                           pick):
+    n = 1 << (size.bit_length() - 1) if model == "balanced" else size
+    tree = generate(GenSpec(model, n, seed))
+    rng = SplitMix64(pick)
+    order = sorted_labels(tree.taxa)
+    rng.shuffle(order)
+    keep = frozenset(order[:1 + rng.randrange(n)])
+    cut = tree.restrict(keep)
+    UnrootedTree(cut.adj, cut.labels)
+    assert cut.taxa == keep
+    assert cut.num_nodes() == (2 * len(keep) - 2 if len(keep) >= 2 else 1)
+    assert _splits(cut, keep) == _splits(tree, keep)
+
+
+# Unrooted restrictions written as Newick, recorded before the unrooted
+# restriction went through the rooted one.  Keys: model, n (seed 5), and
+# the kept taxa.
+FROZEN_RESTRICTIONS = {
+    ('uniform', 9, '3'): '3;',
+    ('uniform', 9, '1 4'): '(1,4);',
+    ('uniform', 9, '3 5 8'): '(3,5,8);',
+    ('uniform', 9, '1 4 5 7 8'): '(1,(4,8),(5,7));',
+    ('uniform', 9, '1 2 3 4 5 6 7 8'): '(1,((2,5),(3,7)),(4,(6,8)));',
+    ('uniform', 24, '1'): '1;',
+    ('uniform', 24, '11 14'): '(11,14);',
+    ('uniform', 24, '7 9 22'): '(7,9,22);',
+    ('uniform', 24, '11 13 15 20 24'): '(11,((13,15),20),24);',
+    ('uniform', 24, '1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 21 22 23 24'):
+        ('(1,(((((((((((2,(18,24)),5),8),14),12),(((((4,(17,21)),6),(16,23)),'
+         '22),19)),(9,11)),15),7),13),3),10);'),
+    ('caterpillar', 9, '3'): '3;',
+    ('caterpillar', 9, '1 9'): '(1,9);',
+    ('caterpillar', 9, '2 5 9'): '(2,5,9);',
+    ('caterpillar', 9, '1 2 4 5 8'): '(1,2,(4,(5,8)));',
+    ('caterpillar', 9, '1 3 4 5 6 7 8 9'): '(1,3,(4,(5,(6,(7,(8,9))))));',
+    ('balanced', 16, '2'): '2;',
+    ('balanced', 16, '2 9'): '(2,9);',
+    ('balanced', 16, '8 9 16'): '(8,9,16);',
+    ('balanced', 16, '4 5 6 9 12'): '(4,(5,6),(9,12));',
+    ('balanced', 16, '1 2 3 4 5 6 7 8 9 10 11 12 14 15 16'):
+        ('(1,2,((3,4),(((5,6),(7,8)),(((9,10),(11,12)),(14,(15,16))))));'),
+}
+
+
+@pytest.mark.parametrize("model, n, keep", list(FROZEN_RESTRICTIONS))
+def test_unrooted_restriction_is_frozen(model, n, keep):
+    tree = generate(GenSpec(model, n, 5))
+    cut = tree.restrict(keep.split())
+    assert write_newick(cut) == FROZEN_RESTRICTIONS[model, n, keep]
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,8 +389,8 @@ FROZEN_ROOTINGS = {
 @pytest.mark.parametrize("model, n, orient", list(FROZEN_ROOTINGS))
 def test_canonical_rooting_is_frozen(model, n, orient):
     tree = generate(GenSpec(model, n, 5))
-    back = root_at_edge(tree, canonical_root_edge(tree), orient=orient,
-                        rng=SplitMix64(11))
+    back = root_at_edge(tree, canonical_root_edge(tree),
+                        SplitMix64(11) if orient == "random" else None)
     assert write_newick(back) == FROZEN_ROOTINGS[model, n, orient]
 
 
