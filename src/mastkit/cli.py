@@ -33,7 +33,15 @@ from .construction import (
     verify_outcome,
     weak_construct,
 )
-from .exact import EXACT, SizeCapExceeded, brute_force_mast, rooted_mast, unrooted_mast
+from .exact import (
+    EXACT,
+    ROOTED_DP_CAP,
+    UNROOTED_DP_CAP,
+    SizeCapExceeded,
+    brute_force_mast,
+    rooted_mast,
+    unrooted_mast,
+)
 from .generators import GenSpec, MODELS, adversarial_pair, generate
 from .newick import NewickError, parse_newick, write_newick
 from .rng import SplitMix64, mix64
@@ -128,7 +136,8 @@ def _cmd_exact(args) -> int:
         cap = 10 if args.cap is None else args.cap
         result = brute_force_mast(tree1, tree2, cap=cap)
     else:
-        cap = (2048 if args.rooted else 512) if args.cap is None else args.cap
+        default = ROOTED_DP_CAP if args.rooted else UNROOTED_DP_CAP
+        cap = default if args.cap is None else args.cap
         if n > cap:
             raise SizeCapExceeded(n, cap)
         if args.rooted:
@@ -301,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("dp", "brute"), default="dp")
     p.add_argument("--rooted", action="store_true")
     p.add_argument("--cap", type=int, default=None,
-                   help="largest n solved (default: dp 512 unrooted / "
-                   "2048 rooted, brute 10; 0 solves none)")
+                   help=f"largest n solved (default: dp {UNROOTED_DP_CAP} "
+                   f"unrooted / {ROOTED_DP_CAP} rooted, brute 10; 0 solves none)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exact)
 

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .exact import EXACT, rooted_agreement_leaves
+from .exact import EXACT, ROOTED_DP_CAP, rooted_agreement_leaves
 from .rng import SplitMix64
 from .trees import (
     RootedTree,
@@ -652,7 +652,9 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     window stops it; either way one exact rooted step on the remaining
     core closes the chain, and the branch is tagged ``final-exact`` if
     that step drops taxa, or ``degenerate-exact`` after a degenerate
-    window.
+    window.  A core of more than ``ROOTED_DP_CAP`` taxa is closed by
+    :func:`weak_construct` instead, as a nucleus is, and tagged
+    ``degenerate-weak``.
     """
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
@@ -678,24 +680,44 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
                 split.claimed_bound))
         if isinstance(split, SplitDegenerate):
             break
-        nested = weak_construct(state.tree1.restrict(split.nucleus),
-                                state.tree2.restrict(split.nucleus),
-                                n_param=len(split.nucleus) ** 2)
+        nested = _nested_weak(state, split.nucleus)
         if nested.kind == UNROOTED_CATERPILLAR:
-            return certified(rooted1, rooted2, ConstructionOutcome(
-                nested.agreement_set, UNROOTED_CATERPILLAR,
-                "nested:" + nested.branch, nested.claimed_bound))
+            return _nested_exit(rooted1, rooted2, nested)
         _peel(state, nested.agreement_set, split.survivors)
         blocks += 1
-    exact = rooted_agreement_leaves(state.tree1, state.tree2)
     branch = f"block-chain(singles={singles} blocks={blocks})"
-    if len(state.taxa) ** 4 >= n:  # only a degenerate window leaves early
-        branch += ";degenerate-exact"
-    elif len(exact) < len(state.taxa):
-        branch += ";final-exact"
+    if len(state.taxa) > ROOTED_DP_CAP:
+        # Too big for the exact table (only a degenerate window leaves
+        # such a core): a weak chain closes it instead.
+        nested = _nested_weak(state, state.taxa)
+        if nested.kind == UNROOTED_CATERPILLAR:
+            return _nested_exit(rooted1, rooted2, nested)
+        last = nested.agreement_set
+        branch += ";degenerate-weak"
+    else:
+        last = rooted_agreement_leaves(state.tree1, state.tree2)
+        if len(state.taxa) ** 4 >= n:  # only a degenerate window leaves early
+            branch += ";degenerate-exact"
+        elif len(last) < len(state.taxa):
+            branch += ";final-exact"
     return certified(rooted1, rooted2, ConstructionOutcome(
-        frozenset(state.agreed).union(exact), BLOCK_TREE, branch,
+        frozenset(state.agreed).union(last), BLOCK_TREE, branch,
         math.log2(n) / (4 * math.log2(c))))
+
+
+def _nested_weak(state: IterationState,
+                 taxa: frozenset[str]) -> ConstructionOutcome:
+    # Weak construction on part of the core, sized by that part alone.
+    return weak_construct(state.tree1.restrict(taxa),
+                          state.tree2.restrict(taxa), n_param=len(taxa) ** 2)
+
+
+def _nested_exit(rooted1: RootedTree, rooted2: RootedTree,
+                 nested: ConstructionOutcome) -> ConstructionOutcome:
+    # A nested caterpillar agrees on the whole trees and is returned as is.
+    return certified(rooted1, rooted2, ConstructionOutcome(
+        nested.agreement_set, UNROOTED_CATERPILLAR,
+        "nested:" + nested.branch, nested.claimed_bound))
 
 
 def _canonically_rooted(tree: UnrootedTree,

@@ -2,9 +2,13 @@
 
 Two independent routes to ground truth:
 
-* a dynamic program over node pairs (:func:`rooted_mast`, lifted to
-  unrooted trees by :func:`unrooted_mast`), polynomial and usable to a few
-  hundred leaves;
+* a dynamic program that fills one table over pairs of rooted subtrees,
+  one from each tree, and backtracks one optimal set from it.  For
+  :func:`rooted_mast` the subtrees are those of the nodes.  For
+  :func:`unrooted_mast` they are the far sides of the directed edges, so
+  one table covers every way to root both trees (Steel and Warnow,
+  "Kaikoura tree theorems", Inf. Process. Lett. 48, 1993).  Both tables
+  have O(n^2) cells;
 * a brute-force subset scan (:func:`brute_force_mast`) that is exact by
   exhaustion and only feasible for tiny inputs.
 
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .trees import (
     RootedTree,
@@ -25,7 +29,6 @@ from .trees import (
     TreeError,
     UnrootedTree,
     isomorphic,
-    root_at_edge,
     sorted_labels,
 )
 
@@ -34,6 +37,11 @@ Tree = Union[RootedTree, UnrootedTree]
 # The kind of every exact result: the set agrees on the two trees as
 # given, rooted or unrooted, with no shape promised.
 EXACT = "exact"
+
+# The largest inputs the DP takes by default: (2n-1)^2 node pairs rooted
+# and (4n-6)^2 directed-edge pairs unrooted, about 16.8M cells either way.
+ROOTED_DP_CAP = 2048
+UNROOTED_DP_CAP = 1024
 
 
 class SizeCapExceeded(TreeError):
@@ -77,34 +85,132 @@ def _check_pair(tree1: Tree, tree2: Tree, rooted: bool) -> None:
             f"taxon sets differ: {sorted_labels(tree1.taxa ^ tree2.taxa)} not shared")
 
 
-def _agreement_table(tree1: RootedTree, tree2: RootedTree) -> list[list[int]]:
-    """table[u][v] = size of a maximum agreement of the subtrees at u, v.
+class _Side(NamedTuple):
+    """One input tree as the DP table sees it: a family of rooted
+    subtrees, each with an integer id.
+
+    ``order`` lists the ids with children before parents; ``left`` and
+    ``right`` give each id's two child ids (-1 on leaves); ``labels``
+    gives each leaf's taxon (``None`` elsewhere); ``leaf_row(label)`` is
+    a fresh row over the ids, 1 where the subtree holds that taxon and 0
+    elsewhere.
+    """
+
+    order: list[int]
+    left: list[int]
+    right: list[int]
+    labels: list[Optional[str]]
+    leaf_row: Callable[[str], list[int]]
+
+
+def _node_side(tree: RootedTree) -> _Side:
+    """The node subtrees of a rooted tree, in its own child order."""
+    left, right = tree.left, tree.right
+    size = len(left)
+
+    def leaf_row(label: str) -> list[int]:
+        # 1 on the ancestors: down from the root, through the child whose
+        # id range holds x.
+        row = [0] * size
+        x = tree.leaf_node(label)
+        v = 0
+        row[0] = 1
+        while v != x:
+            v = left[v] if x < right[v] else right[v]
+            row[v] = 1
+        return row
+
+    return _Side(tree.postorder(), left, right, tree.labels, leaf_row)
+
+
+def _edge_side(tree: UnrootedTree,
+               rank: dict[str, int]) -> tuple[_Side, dict[str, int]]:
+    """The directed edges of an unrooted tree on four or more taxa, and
+    per taxon the id of the edge from its leaf to the leaf's neighbor.
+
+    Edge p->c stands for the far side of the edge, rooted at c: a leaf
+    edge carries c's taxon, any other edge has the children c->a and
+    c->b, the one with the smaller ``rank`` below it first, as
+    :func:`~mastkit.trees.root_at_edge` orders them.  So the subtree of
+    the edge leaving x's leaf is the tree rooted at x's pendant edge and
+    restricted to the other taxa, child order included.
+    """
+    adj, labels = tree.adj, tree.labels
+    top = len(adj)
+    # Hang the tree from node 0.  Edge par[v] -> v gets id v and edge
+    # v -> par[v] id top + v; node 0 has no parent, so ids 0 and top
+    # stand for no edge and are never filled.
+    par = [-1] * top
+    hung = [0]
+    for v in hung:
+        for w in adj[v]:
+            if w != par[v]:
+                par[w] = v
+                hung.append(w)
+
+    def edge(p: int, c: int) -> int:
+        return c if par[c] == p else top + p
+
+    left, right = [-1] * (2 * top), [-1] * (2 * top)
+    side_labels: list[Optional[str]] = [None] * (2 * top)
+    for p, nbrs in enumerate(adj):
+        for c in nbrs:
+            e = edge(p, c)
+            if labels[c] is not None:
+                side_labels[e] = labels[c]
+            else:
+                left[e], right[e] = (edge(c, w) for w in adj[c] if w != p)
+    # Down edges from the bottom up, then up edges from the top down:
+    # either way an edge's children come before it.
+    order = hung[:0:-1] + [top + v for v in hung[1:]]
+    low = [0] * (2 * top)  # rank of the smallest taxon beyond each edge
+    for e in order:
+        a = left[e]
+        if a == -1:
+            low[e] = rank[side_labels[e]]
+        else:
+            b = right[e]
+            if low[b] < low[a]:
+                left[e], right[e] = b, a
+                a = b
+            low[e] = low[a]
+
+    def leaf_row(label: str) -> list[int]:
+        # The edges down the path from node 0 to the taxon's leaf hold
+        # it, and every edge up except those back along that path.
+        row = [0] * top + [1] * top
+        v = tree.leaf_node(label)
+        while v != 0:
+            row[v] = 1
+            row[top + v] = 0
+            v = par[v]
+        return row
+
+    outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
+               if labels[v] is not None}
+    return _Side(order, left, right, side_labels, leaf_row), outward
+
+
+def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
+    """table[u][v] = size of a maximum agreement of the subtrees u, v.
 
     Internal-pair cells take the best of matching the two child pairs
     straight or crossed and of the four one-sided descents.  Rows for
-    leaves of ``tree1`` are 1 exactly on the ancestor path of the equally
-    labeled leaf in ``tree2``.
+    leaves of ``one`` are 1 exactly on the ids of ``two`` that hold the
+    same taxon.
     """
-    ns = tree2.num_nodes()
-    post2 = tree2.postorder()
-    left2, right2 = tree2.left, tree2.right
-    table: list[list[int]] = [None] * tree1.num_nodes()  # type: ignore[list-item]
-    left1, right1, labels1 = tree1.left, tree1.right, tree1.labels
-    for u in tree1.postorder():
+    ns = len(two.left)
+    order2, left2, right2, leaf_row = two.order, two.left, two.right, two.leaf_row
+    left1, right1, labels1 = one.left, one.right, one.labels
+    table: list[list[int]] = [None] * len(left1)  # type: ignore[list-item]
+    for u in one.order:
         if left1[u] == -1:
-            row = [0] * ns
-            x = tree2.leaf_node(labels1[u])
-            # Down from the root, through the child whose id range holds x.
-            v = 0
-            row[0] = 1
-            while v != x:
-                v = left2[v] if x < right2[v] else right2[v]
-                row[v] = 1
+            row = leaf_row(labels1[u])
         else:
             ra = table[left1[u]]
             rb = table[right1[u]]
             row = [0] * ns
-            for v in post2:
+            for v in order2:
                 x = ra[v]
                 y = rb[v]
                 best = x if x >= y else y
@@ -128,28 +234,29 @@ def _agreement_table(tree1: RootedTree, tree2: RootedTree) -> list[list[int]]:
     return table
 
 
-def _backtrack(tree1: RootedTree, tree2: RootedTree,
-               table: list[list[int]]) -> list[str]:
-    """Recover one optimal agreement set from a filled table.
+def _backtrack(one: _Side, two: _Side, table: list[list[int]],
+               start: tuple[int, int]) -> list[str]:
+    """Recover one optimal agreement set of the subtrees in ``start``
+    from a filled table.
 
     Ties are broken by a fixed preference (straight pairing, crossed
     pairing, then the four descents in order), so the recovered set is
     deterministic for given inputs.
     """
-    left1, right1 = tree1.left, tree1.right
-    left2, right2 = tree2.left, tree2.right
+    left1, right1 = one.left, one.right
+    left2, right2 = two.left, two.right
     out: list[str] = []
-    stack = [(tree1.root, tree2.root)]
+    stack = [start]
     while stack:
         u, v = stack.pop()
         m = table[u][v]
         if m == 0:
             continue
         if left1[u] == -1:
-            out.append(tree1.labels[u])
+            out.append(one.labels[u])
             continue
         if left2[v] == -1:
-            out.append(tree2.labels[v])
+            out.append(two.labels[v])
             continue
         a, b = left1[u], right1[u]
         c, d = left2[v], right2[v]
@@ -168,6 +275,8 @@ def _backtrack(tree1: RootedTree, tree2: RootedTree,
             stack.append((u, c))
         else:
             stack.append((u, d))
+    if len(out) != table[start[0]][start[1]]:
+        raise TreeError("internal error: backtracking lost leaves")
     return out
 
 
@@ -175,11 +284,8 @@ def rooted_agreement_leaves(tree1: RootedTree, tree2: RootedTree) -> list[str]:
     """One maximum agreement set of two rooted trees on the same taxa,
     uncertified: callers certify the result they build from it.
     """
-    table = _agreement_table(tree1, tree2)
-    leaves = _backtrack(tree1, tree2, table)
-    if len(leaves) != table[tree1.root][tree2.root]:
-        raise TreeError("internal error: backtracking lost leaves")
-    return leaves
+    one, two = _node_side(tree1), _node_side(tree2)
+    return _backtrack(one, two, _agreement_table(one, two), (0, 0))
 
 
 def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
@@ -192,34 +298,33 @@ def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
     return _certified(tree1, tree2, rooted_agreement_leaves(tree1, tree2))
 
 
-def _rooted_residual(tree: UnrootedTree, label: str) -> RootedTree:
-    # Deleting leaf x turns its neighbor into the natural root of the rest.
-    leaf = tree.leaf_node(label)
-    rooted = root_at_edge(tree, (leaf, tree.adj[leaf][0]))
-    return rooted.restrict(tree.taxa - {label})
-
-
 def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
     """Maximum agreement of two unrooted trees on the same taxa.
 
-    An agreement set containing leaf x is exactly a rooted agreement of
-    the two trees with x deleted and the cut point taken as root, so the
-    maximum is found by trying every leaf as x.  Any maximum agreement set
-    is non-empty and thus contains some leaf, which makes the sweep
-    exhaustive.  Ties go to the smallest x by label.  Only the winner is
+    An agreement set containing taxon x is x plus an agreement of the two
+    rooted trees left when x's leaf is cut off, each rooted at the
+    leaf's neighbor.  Those trees are the far sides of the directed edges
+    leaving x's leaf, so one table over pairs of directed edges, with
+    O(n^2) cells filled in O(n^2) time, holds the best set for every x.
+    Any maximum agreement set contains some taxon, so the best x gives
+    the maximum.  Ties go to the smallest x by label.  Only the winner is
     certified.
     """
     _check_pair(tree1, tree2, rooted=False)
     if len(tree1) <= 3:
         # At most one topology exists, so the trees agree everywhere.
         return _certified(tree1, tree2, tree1.taxa)
-    best: list[str] = []
-    for label in sorted_labels(tree1.taxa):
-        sub = rooted_agreement_leaves(_rooted_residual(tree1, label),
-                                      _rooted_residual(tree2, label))
-        if len(sub) + 1 > len(best):
-            best = sub + [label]
-    return _certified(tree1, tree2, best)
+    taxa = sorted_labels(tree1.taxa)
+    rank = {label: i for i, label in enumerate(taxa)}
+    (one, out1), (two, out2) = _edge_side(tree1, rank), _edge_side(tree2, rank)
+    table = _agreement_table(one, two)
+    size, pick = -1, taxa[0]
+    for label in taxa:
+        m = table[out1[label]][out2[label]]
+        if m > size:
+            size, pick = m, label
+    leaves = _backtrack(one, two, table, (out1[pick], out2[pick]))
+    return _certified(tree1, tree2, leaves + [pick])
 
 
 def brute_force_mast(tree1: Tree, tree2: Tree, cap: int = 10) -> MastResult:

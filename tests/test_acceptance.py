@@ -171,7 +171,7 @@ def test_05_adversarial_upper_bound_sandwich():
     started = time.perf_counter()
     rows = []
     ok = True
-    for n in (8, 16, 32, 64, 128, 256):
+    for n in (8, 16, 32, 64, 128, 256, 512, 1024):
         one, two = adversarial_pair(n)
         exact = unrooted_mast(one, two).size
         built = len(main_construct(one, two).agreement_set)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from mastkit import GenSpec, adversarial_pair, generate, write_newick
 from mastkit.cli import (
     CSV_FIELDS,
     EXIT_CAP,
@@ -23,6 +24,8 @@ from mastkit.cli import (
     EXIT_VERIFY,
     main,
 )
+
+from conftest import left_deep
 
 CAT11 = "(1,2,(3,(4,(5,(6,(7,(8,(9,(10,11)))))))));"
 
@@ -43,17 +46,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-
-def run_isolated(argv):
+def run_isolated(argv, memory=512 << 20, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "mastkit", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env=env, preexec_fn=_limit_memory)
+    return subprocess.run(
+        [sys.executable, "-m", "mastkit", *argv], capture_output=True,
+        text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (memory, memory)))
 
 
 def test_construct_five_leaf_example(capsys):
@@ -128,6 +129,13 @@ def test_exact_dp_cap_exit(capsys):
     code, _, err = run(capsys, [
         "exact", "--t1", CAT11, "--t2", CAT11, "--cap", "10"])
     assert code == EXIT_CAP and "cap is 10" in err
+    # The default caps, one taxon past each.
+    unrooted = write_newick(generate(GenSpec("caterpillar", 1025, 0)))
+    rooted = left_deep([str(i) for i in range(1, 2050)]) + ";"
+    for text, extra, cap in [(unrooted, [], 1024), (rooted, ["--rooted"], 2048)]:
+        code, out, err = run(capsys, ["exact", "--t1", text, "--t2", text,
+                                      *extra])
+        assert code == EXIT_CAP and out == "" and f"cap is {cap}" in err
 
 
 def test_exact_cap_zero_solves_nothing(capsys):
@@ -311,6 +319,20 @@ def test_experiment_grids_that_never_end_exit_2(extra):
     assert done.returncode == EXIT_PARSE
     assert done.stdout == "" and "error:" in done.stderr
     assert "offset" not in done.stderr
+
+
+def test_construct_closes_a_core_past_the_exact_cap(tmp_path):
+    # A degenerate window keeps all 8192 taxa of the adversarial pair in
+    # the core, whose exact table would not fit in memory.
+    paths = []
+    for i, tree in enumerate(adversarial_pair(8192)):
+        paths.append(str(tmp_path / f"t{i}.nwk"))
+        Path(paths[-1]).write_text(write_newick(tree) + "\n")
+    done = run_isolated(["construct", "--t1", paths[0], "--t2", paths[1],
+                         "--C", "2"], memory=1 << 30, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "verified: true" in done.stdout
+    assert "branch: block-chain(singles=0 blocks=0);degenerate-weak" in done.stdout
 
 
 def test_file_inputs_are_read_from_disk(capsys, tmp_path):
