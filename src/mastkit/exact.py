@@ -8,7 +8,9 @@ Two independent routes to ground truth:
   :func:`unrooted_mast` they are the far sides of the directed edges, so
   one table covers every way to root both trees (Steel and Warnow,
   "Kaikoura tree theorems", Inf. Process. Lett. 48, 1993).  Both tables
-  have O(n^2) cells;
+  have O(n^2) cells.  The unrooted table is filled in full; the rooted
+  one only where the two subtrees share a taxon, since every other cell
+  is 0;
 * a brute-force subset scan (:func:`brute_force_mast`) that is exact by
   exhaustion and only feasible for tiny inputs.
 
@@ -91,16 +93,17 @@ class _Side(NamedTuple):
 
     ``order`` lists the ids with children before parents; ``left`` and
     ``right`` give each id's two child ids (-1 on leaves); ``labels``
-    gives each leaf's taxon (``None`` elsewhere); ``leaf_row(label)`` is
-    a fresh row over the ids, 1 where the subtree holds that taxon and 0
-    elsewhere.
+    gives each leaf's taxon (``None`` elsewhere); ``leaf_row(label)``
+    returns a fresh row over the ids, 1 where the subtree holds that
+    taxon and 0 elsewhere, and the row's support: the ids where it is 1,
+    in fill order, or ``None``, meaning every id.
     """
 
     order: list[int]
     left: list[int]
     right: list[int]
     labels: list[Optional[str]]
-    leaf_row: Callable[[str], list[int]]
+    leaf_row: Callable[[str], tuple[list[int], Optional[list[int]]]]
 
 
 def _node_side(tree: RootedTree) -> _Side:
@@ -108,17 +111,21 @@ def _node_side(tree: RootedTree) -> _Side:
     left, right = tree.left, tree.right
     size = len(left)
 
-    def leaf_row(label: str) -> list[int]:
+    def leaf_row(label: str) -> tuple[list[int], list[int]]:
         # 1 on the ancestors: down from the root, through the child whose
-        # id range holds x.
+        # id range holds x.  Fill order is descending id, so the support
+        # is that path read back up.
         row = [0] * size
         x = tree.leaf_node(label)
         v = 0
         row[0] = 1
+        path = [0]
         while v != x:
             v = left[v] if x < right[v] else right[v]
             row[v] = 1
-        return row
+            path.append(v)
+        path.reverse()
+        return row, path
 
     return _Side(tree.postorder(), left, right, tree.labels, leaf_row)
 
@@ -175,16 +182,17 @@ def _edge_side(tree: UnrootedTree,
                 a = b
             low[e] = low[a]
 
-    def leaf_row(label: str) -> list[int]:
+    def leaf_row(label: str) -> tuple[list[int], None]:
         # The edges down the path from node 0 to the taxon's leaf hold
-        # it, and every edge up except those back along that path.
+        # it, and every edge up except those back along that path.  No
+        # support: these rows are about half ones.
         row = [0] * top + [1] * top
         v = tree.leaf_node(label)
         while v != 0:
             row[v] = 1
             row[top + v] = 0
             v = par[v]
-        return row
+        return row, None
 
     outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
                if labels[v] is not None}
@@ -197,20 +205,32 @@ def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
     Internal-pair cells take the best of matching the two child pairs
     straight or crossed and of the four one-sided descents.  Rows for
     leaves of ``one`` are 1 exactly on the ids of ``two`` that hold the
-    same taxon.
+    same taxon.  A cell is 0 unless its two subtrees share a taxon, so an
+    internal row is filled only on the union of its children's supports,
+    unless the two together are as long as a full sweep.
     """
     ns = len(two.left)
     order2, left2, right2, leaf_row = two.order, two.left, two.right, two.leaf_row
     left1, right1, labels1 = one.left, one.right, one.labels
     table: list[list[int]] = [None] * len(left1)  # type: ignore[list-item]
+    # Supports other than None, each kept until its parent reads it.
+    # Only node sides have them: one parent each, and descending id is
+    # their fill order.
+    supports: dict[int, list[int]] = {}
     for u in one.order:
         if left1[u] == -1:
-            row = leaf_row(labels1[u])
+            row, support = leaf_row(labels1[u])
         else:
             ra = table[left1[u]]
             rb = table[right1[u]]
+            sa = supports.pop(left1[u], None)
+            sb = supports.pop(right1[u], None)
+            if sa is None or sb is None or len(sa) + len(sb) >= len(order2):
+                support = None
+            else:
+                support = sorted(set(sa).union(sb), reverse=True)
             row = [0] * ns
-            for v in order2:
+            for v in order2 if support is None else support:
                 x = ra[v]
                 y = rb[v]
                 best = x if x >= y else y
@@ -231,6 +251,8 @@ def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
                         best = z
                 row[v] = best
         table[u] = row
+        if support is not None:
+            supports[u] = support
     return table
 
 
@@ -292,7 +314,10 @@ def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
     """Maximum agreement of two rooted trees on the same taxa.
 
     Child order never matters for agreement; only the ancestor structure
-    does.  Runs in O(|tree1| * |tree2|) time and space.
+    does.  Takes O(|tree1| * |tree2|) space.  The fill loop visits only
+    the node pairs whose subtrees share a taxon: all |tree1| * |tree2|
+    of them at worst (two caterpillars), about an eighth on two uniform
+    trees of 2048 taxa.
     """
     _check_pair(tree1, tree2, rooted=True)
     return _certified(tree1, tree2, rooted_agreement_leaves(tree1, tree2))

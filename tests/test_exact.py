@@ -17,6 +17,8 @@ from mastkit import (
 )
 from mastkit.exact import (
     SizeCapExceeded,
+    _agreement_table,
+    _node_side,
     brute_force_mast,
     rooted_mast,
     unrooted_mast,
@@ -180,6 +182,159 @@ def test_unrooted_mast_is_frozen(model, n, swapped):
         re.findall(r"[^(),;]+", witness))
 
 
+# Witnesses of rooted_mast recorded while every row of the table was
+# filled over all of the second tree's nodes, before rows were filled
+# only where the two subtrees share a taxon.  Backtracking breaks ties by
+# table values, so equal witnesses mean equal tables along the way.
+# Keys: the first tree's model (canonically rooted, against a uniform
+# tree; "adversarial" is the balanced tree against the caterpillar), n,
+# and whether the pair is passed swapped.
+FROZEN_ROOTED = {
+    ('uniform', 4, False): '(1,(2,3));',
+    ('uniform', 4, True): '(1,(2,3));',
+    ('uniform', 5, False): '(1,(2,3));',
+    ('uniform', 5, True): '(1,(2,3));',
+    ('uniform', 7, False): '(1,((2,5),7));',
+    ('uniform', 7, True): '(1,((2,5),7));',
+    ('uniform', 12, False): '(1,(((((2,8),11),10),9),7));',
+    ('uniform', 12, True): '(1,(((((2,8),11),5),9),7));',
+    ('uniform', 23, False): '(1,(((((23,21),6),12),(11,20)),16));',
+    ('uniform', 23, True): '(1,((((6,(21,23)),12),(11,20)),16));',
+    ('uniform', 47, False):
+        '(1,(((((((11,32),22),(9,47)),33),35),37),(16,18)));',
+    ('uniform', 47, True):
+        '(1,((16,18),(((((47,9),((11,32),22)),33),35),37)));',
+    ('uniform', 96, False):
+        '(1,(((((((81,(51,94)),(29,45)),65),59),75),((76,96),(42,91))),69));',
+    ('uniform', 96, True):
+        '(1,((((96,76),(42,91)),(((((81,(51,94)),(45,29)),65),59),75)),69));',
+    ('uniform', 256, False):
+        '(1,((((((186,52),195),((202,218),169)),(((((175,201),125),132),151),'
+        '(188,((((29,(243,225)),(227,(159,246))),203),(129,204))))),((121,'
+        '177),139)),176));',
+    ('uniform', 256, True):
+        '(1,(((((((129,204),(((29,(243,225)),((159,246),227)),203)),188),'
+        '(151,(((175,201),125),132))),(((202,218),169),((52,186),195))),'
+        '((177,121),139)),176));',
+    ('caterpillar', 4, False): '(1,(2,(3,4)));',
+    ('caterpillar', 4, True): '(1,(2,(3,4)));',
+    ('caterpillar', 5, False): '(1,(3,(4,5)));',
+    ('caterpillar', 5, True): '(1,((4,5),3));',
+    ('caterpillar', 7, False): '(1,(2,(3,4)));',
+    ('caterpillar', 7, True): '(1,(2,(3,4)));',
+    ('caterpillar', 12, False): '(1,(3,(4,(5,(8,11)))));',
+    ('caterpillar', 12, True): '(1,((((8,11),5),4),3));',
+    ('caterpillar', 23, False): '(1,(8,(10,(11,(12,(13,(21,23)))))));',
+    ('caterpillar', 23, True): '(1,(2,((((13,(21,23)),12),11),7)));',
+    ('caterpillar', 47, False):
+        '(1,(3,(8,(16,(20,(35,(36,(44,(45,47)))))))));',
+    ('caterpillar', 47, True): '(1,(((16,(((((47,45),44),36),35),20)),8),3));',
+    ('caterpillar', 96, False):
+        '(1,(5,(8,(11,(20,(33,(37,(44,(48,(57,(72,(74,87))))))))))));',
+    ('caterpillar', 96, True):
+        '(1,((((20,(((44,((57,((87,74),72)),48)),37),33)),11),8),5));',
+    ('caterpillar', 256, False):
+        '(1,(7,(34,(42,(64,(68,(106,(113,(120,(125,(155,(161,(187,(188,(200,'
+        '(203,(219,(227,(233,(235,241))))))))))))))))))));',
+    ('caterpillar', 256, True):
+        '(1,((((((((((((((((219,(((241,235),233),227)),203),200),188),187),'
+        '161),155),125),120),113),106),68),64),42),34),7));',
+    ('balanced', 4, False): '(1,(2,(3,4)));',
+    ('balanced', 4, True): '(1,(2,(3,4)));',
+    ('balanced', 8, False): '(1,(3,(5,7)));',
+    ('balanced', 8, True): '(1,((7,5),3));',
+    ('balanced', 16, False): '(1,(3,(((5,6),7),(10,12))));',
+    ('balanced', 16, True): '(1,((((6,5),7),(10,12)),3));',
+    ('balanced', 64, False):
+        '(1,((((17,19),22),27),(((35,36),(43,((45,46),47))),(54,64))));',
+    ('balanced', 64, True):
+        '(1,(((64,54),(((47,(45,46)),43),(35,36))),((22,(19,17)),27)));',
+    ('balanced', 256, False):
+        '(1,(7,(22,(((50,56),58),((95,((99,(102,103)),(124,128))),(((143,'
+        '151),((166,(171,175)),179)),(221,((238,239),(245,((249,252),(253,'
+        '255)))))))))));',
+    ('balanced', 256, True):
+        '(1,((((((((((253,255),(252,249)),245),(239,238)),221),((143,151),'
+        '(((175,171),166),179))),(((124,128),((102,103),99)),95)),((56,50),'
+        '58)),22),7));',
+    ('adversarial', 4, False): '(1,(2,(3,4)));',
+    ('adversarial', 4, True): '(1,(2,(3,4)));',
+    ('adversarial', 16, False): '(1,(2,(3,(5,(9,(13,(15,16)))))));',
+    ('adversarial', 16, True): '(1,(2,(3,(5,(9,(13,(15,16)))))));',
+    ('adversarial', 64, False):
+        '(1,(2,(3,(5,(9,(17,(33,(49,(57,(61,(63,64)))))))))));',
+    ('adversarial', 64, True):
+        '(1,(2,(3,(5,(9,(17,(33,(49,(57,(61,(63,64)))))))))));',
+    ('adversarial', 256, False):
+        '(1,(2,(3,(5,(9,(17,(33,(65,(129,(193,(225,(241,(249,(253,(255,'
+        '256)))))))))))))));',
+    ('adversarial', 256, True):
+        '(1,(2,(3,(5,(9,(17,(33,(65,(129,(193,(225,(241,(249,(253,(255,'
+        '256)))))))))))))));',
+}
+
+
+@pytest.mark.parametrize("model, n, swapped", list(FROZEN_ROOTED))
+def test_rooted_mast_is_frozen(model, n, swapped):
+    if model == "adversarial":
+        one, two = adversarial_pair(n)
+    else:
+        one = generate(GenSpec(model, n, 41))
+        two = generate(GenSpec("uniform", n, 42))
+    one = root_at_edge(one, canonical_root_edge(one))
+    two = root_at_edge(two, canonical_root_edge(two))
+    if swapped:
+        one, two = two, one
+    res = rooted_mast(one, two)
+    witness = FROZEN_ROOTED[model, n, swapped]
+    assert write_newick(res.witness) == witness
+    assert sorted_labels(res.agreement_set) == sorted_labels(
+        re.findall(r"[^(),;]+", witness))
+
+
+def _shaped(model, n, seed):
+    """A rooted tree of the model's shape, rooted at an edge the seed
+    picks."""
+    tree = generate(GenSpec(model, n, seed))
+    edges = [(v, w) for v, nbrs in enumerate(tree.adj) for w in nbrs if v < w]
+    return root_at_edge(tree, edges[seed % len(edges)])
+
+
+def _dense_table(tree1, tree2):
+    """The rooted table with every cell filled: leaf rows from the taxa
+    below each node, internal rows over every node of ``tree2``."""
+    below = [None] * len(tree2.labels)
+    for v in tree2.postorder():
+        c = tree2.left[v]
+        below[v] = ({tree2.labels[v]} if c == -1
+                    else below[c] | below[tree2.right[v]])
+    table = [None] * len(tree1.labels)
+    for u in tree1.postorder():
+        a, b = tree1.left[u], tree1.right[u]
+        if a == -1:
+            table[u] = [int(tree1.labels[u] in s) for s in below]
+            continue
+        ra, rb, row = table[a], table[b], [0] * len(below)
+        for v in tree2.postorder():
+            c, d = tree2.left[v], tree2.right[v]
+            row[v] = max(ra[v], rb[v]) if c == -1 else max(
+                ra[v], rb[v], row[c], row[d], ra[c] + rb[d], ra[d] + rb[c])
+        table[u] = row
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(model1=st.sampled_from(MODELS), model2=st.sampled_from(MODELS),
+       n=st.integers(min_value=2, max_value=40), seed=st.integers(0, 2**32))
+def test_rooted_table_equals_dense_fill(model1, model2, n, seed):
+    if "balanced" in (model1, model2):
+        n = 1 << (n.bit_length() - 1)
+    tree1 = _shaped(model1, n, seed)
+    tree2 = _shaped(model2, n, seed ^ 0x9E3779B97F4A7C15)
+    assert _agreement_table(_node_side(tree1), _node_side(tree2)) == (
+        _dense_table(tree1, tree2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=st.sampled_from(MODELS), n=st.integers(min_value=4, max_value=9),
        seed=st.integers(0, 2**32))
@@ -192,27 +347,16 @@ def test_unrooted_dp_equals_brute_force(model, n, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=3, max_value=7), seed=st.integers(0, 2**32))
-def test_rooted_dp_equals_brute_force(n, seed):
-    a = generate(GenSpec("uniform", n, seed))
+@given(model=st.sampled_from(MODELS), n=st.integers(min_value=3, max_value=9),
+       seed=st.integers(0, 2**32))
+def test_rooted_dp_equals_brute_force(model, n, seed):
+    if model == "balanced":
+        n = 1 << (n.bit_length() - 1)
+    a = generate(GenSpec(model, n, seed))
     b = generate(GenSpec("uniform", n, seed + 1))
     ra = root_at_edge(a, canonical_root_edge(a))
     rb = root_at_edge(b, canonical_root_edge(b))
-    dp = rooted_mast(ra, rb)
-    best = dp.size
-    # Brute force over the rooted restrictions directly.
-    from itertools import combinations
-    labels = sorted(ra.taxa)
-    found = 0
-    for k in range(n, 0, -1):
-        for sub in combinations(labels, k):
-            cut = frozenset(sub)
-            if isomorphic(ra.restrict(cut), rb.restrict(cut)):
-                found = k
-                break
-        if found:
-            break
-    assert best == found
+    assert rooted_mast(ra, rb).size == brute_force_mast(ra, rb).size
 
 
 @settings(max_examples=40, deadline=None)
