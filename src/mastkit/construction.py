@@ -37,8 +37,8 @@ from .trees import (
     deroot,
     is_caterpillar,
     isomorphic,
-    label_key,
     root_at_edge,
+    sorted_labels,
 )
 
 ROOTED_CATERPILLAR = "rooted_caterpillar"
@@ -631,7 +631,7 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
     transversal = tuple(order[max(p.lo, pick.lo) - 1] for p in partners)
     sub = rooted_agreement_leaves(state.tree1.restrict(transversal),
                                   state.tree2.restrict(transversal))
-    leaves = tuple(sorted(sub, key=label_key))
+    leaves = tuple(sorted_labels(sub))
     return SweepFallback(
         leaves, lg / 48,
         f"transversal-exact(step={state.step} partners={len(partners)})")

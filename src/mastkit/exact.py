@@ -339,7 +339,7 @@ def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
     if len(tree1) <= 3:
         # At most one topology exists, so the trees agree everywhere.
         return _certified(tree1, tree2, tree1.taxa)
-    taxa = sorted_labels(tree1.taxa)
+    taxa = tree1.sorted_taxa()
     rank = {label: i for i, label in enumerate(taxa)}
     (one, out1), (two, out2) = _edge_side(tree1, rank), _edge_side(tree2, rank)
     table = _agreement_table(one, two)

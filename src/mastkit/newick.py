@@ -4,8 +4,8 @@ The accepted grammar is the classic one: nested parenthesized groups with
 comma-separated children, optional branch lengths (``:0.42``) and optional
 internal-node labels, terminated by ``;``.  Branch lengths and internal
 labels are parsed and discarded; only the shape and the leaf labels matter
-here.  Labels are unquoted runs of characters other than ``( ) , : ;`` and
-whitespace.
+here.  Labels are unquoted runs of characters other than ``( ) , : ; ' "
+[ ]`` and whitespace.
 
 Rooted trees require every group to have exactly two children.  Unrooted
 trees require the outermost group to have three children (two are accepted
@@ -15,6 +15,7 @@ group to have two.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .trees import (
@@ -25,10 +26,13 @@ from .trees import (
     deroot,
     root_at_edge,
     rooted_from_arrays,
-    unrooted_from_edges,
 )
 
-_LABEL_STOP = set("(),:;'\"[]")
+# ``\s`` is exactly ``str.isspace`` and ``\d`` exactly ``str.isdecimal``.
+_SPACE = re.compile(r"\s*")
+# What follows a subtree: a label (group 1), then optionally ':' and a
+# branch length (group 2), with the whitespace around each.
+_TAIL = re.compile(r"\s*([^\s(),:;'\"\[\]]*)\s*(?::([\d+\-.eE]*)\s*)?")
 
 
 class NewickError(TreeError):
@@ -41,49 +45,34 @@ class NewickError(TreeError):
         self.position = position
 
 
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
-
-
-def _read_label(text: str, i: int) -> tuple[str, int]:
-    j = i
-    n = len(text)
-    while j < n and text[j] not in _LABEL_STOP and not text[j].isspace():
+def _past_tail(text: str, tail: re.Match) -> int:
+    """The offset after ``tail``, checking its branch length if it has one."""
+    if tail.group(2) is None:
+        return tail.end()
+    start, j = tail.span(2)
+    # A length's digits are those of ``str.isdigit``, which also takes
+    # digits such as '²' that ``\d`` leaves to this loop.
+    while j < len(text) and (text[j].isdigit() or text[j] in "+-.eE"):
         j += 1
-    return text[i:j], j
-
-
-def _skip_length(text: str, i: int) -> int:
-    """Consume ``:<number>``, returning the index after the number."""
-    i += 1  # the ':'
-    j = i
-    n = len(text)
-    while j < n and (text[j].isdigit() or text[j] in "+-.eE"):
-        j += 1
-    if j == i:
-        raise NewickError("expected a branch length after ':'", i)
-    return j
+    if j == start:
+        raise NewickError("expected a branch length after ':'", start)
+    return _SPACE.match(text, j).end()
 
 
 def parse_newick(text: str, rooted: bool):
-    """Parse one tree; returns :class:`RootedTree` or :class:`UnrootedTree`."""
-    children: list[list[int]] = []
+    """Parse one tree; returns :class:`RootedTree` or :class:`UnrootedTree`.
+
+    Nodes are numbered as they close, leaves and groups alike, and each
+    lists its children, then its parent.
+    """
+    adj: list[list[int]] = []
     labels: list[Optional[str]] = []
     seen: set[str] = set()
-
-    def new_node(kids: list[int], lab: Optional[str]) -> int:
-        children.append(kids)
-        labels.append(lab)
-        return len(children) - 1
-
-    stack: list[list[int]] = []
+    stack: list[list[int]] = []  # the children of each open group
     open_pos: list[int] = []
-    i = _skip_ws(text, 0)
+    wide = None  # (id, arity) of the first group with over two children
     n = len(text)
-    last = -1
+    i = _SPACE.match(text).end()
     expecting_subtree = True
     while True:
         if i >= n:
@@ -93,83 +82,76 @@ def parse_newick(text: str, rooted: bool):
             if c == "(":
                 stack.append([])
                 open_pos.append(i)
-                i = _skip_ws(text, i + 1)
+                i = _SPACE.match(text, i + 1).end()
                 continue
-            lab, j = _read_label(text, i)
+            tail = _TAIL.match(text, i)
+            lab = tail.group(1)
             if not lab:
                 raise NewickError(f"expected a subtree, found {c!r}", i)
             if lab in seen:
                 raise NewickError(f"duplicate leaf label {lab!r}", i)
             seen.add(lab)
-            last = new_node([], lab)
-            i = _skip_ws(text, j)
-            if i < n and text[i] == ":":
-                i = _skip_ws(text, _skip_length(text, i))
-            if stack:
-                stack[-1].append(last)
+            node = len(adj)
+            adj.append([])
+            labels.append(lab)
             expecting_subtree = False
-            continue
-        if c == ",":
+        elif c == ",":
             if not stack:
                 raise NewickError("',' outside any group", i)
-            i = _skip_ws(text, i + 1)
+            i = _SPACE.match(text, i + 1).end()
             expecting_subtree = True
             continue
-        if c == ")":
+        elif c == ")":
             if not stack:
                 raise NewickError("unbalanced ')'", i)
             kids = stack.pop()
             at = open_pos.pop()
             if len(kids) < 2:
                 raise NewickError("group with fewer than two children", at)
-            last = new_node(kids, None)
-            i = _skip_ws(text, i + 1)
-            ignored, j = _read_label(text, i)  # internal label, discarded
-            i = _skip_ws(text, j)
-            if i < n and text[i] == ":":
-                i = _skip_ws(text, _skip_length(text, i))
-            if stack:
-                stack[-1].append(last)
-            continue
-        if c == ";":
+            node = len(adj)
+            if len(kids) > 2 and wide is None:
+                wide = (node, len(kids))
+            for kid in kids:
+                adj[kid].append(node)
+            adj.append(kids)
+            labels.append(None)
+            tail = _TAIL.match(text, i + 1)  # the internal label is discarded
+        elif c == ";":
             if stack:
                 raise NewickError("unbalanced '('", open_pos[-1])
-            i = _skip_ws(text, i + 1)
+            i = _SPACE.match(text, i + 1).end()
             if i < n:
                 raise NewickError("trailing text after ';'", i)
             break
-        raise NewickError(f"unexpected character {c!r}", i)
+        else:
+            raise NewickError(f"unexpected character {c!r}", i)
+        i = _past_tail(text, tail)
+        if stack:
+            stack[-1].append(node)
 
-    return _to_rooted(children, labels, last) if rooted \
-        else _to_unrooted(children, labels, last)
-
-
-def _to_rooted(children: list[list[int]], labels: list[Optional[str]],
-               top: int) -> RootedTree:
-    for kids in children:
-        if len(kids) not in (0, 2):
+    top = len(adj) - 1  # the outermost subtree closes last
+    if rooted:
+        if wide:
             raise NewickError(
-                f"rooted trees are binary; found a group with {len(kids)} children")
-    left = [kids[0] if kids else -1 for kids in children]
-    right = [kids[1] if kids else -1 for kids in children]
-    return rooted_from_arrays(top, left, right, labels)
-
-
-def _to_unrooted(children: list[list[int]], labels: list[Optional[str]],
-                 top: int) -> UnrootedTree:
-    top_kids = children[top]
-    if len(top_kids) not in (0, 2, 3):
+                f"rooted trees are binary; found a group with {wide[1]} children")
+        return _to_rooted(adj, labels, top)
+    if len(adj[top]) not in (0, 2, 3):
         raise NewickError(
-            f"the outermost group of an unrooted tree needs 3 children, got {len(top_kids)}")
-    for v, kids in enumerate(children):
-        if v != top and len(kids) not in (0, 2):
-            raise NewickError(
-                f"unrooted trees are binary; found a group with {len(kids)} children")
-    if len(top_kids) == 2:
-        return deroot(_to_rooted(children, labels, top))
-    return unrooted_from_edges(
-        len(children), [(v, c) for v, kids in enumerate(children) for c in kids],
-        labels)
+            f"the outermost group of an unrooted tree needs 3 children, got {len(adj[top])}")
+    if wide and wide[0] != top:
+        raise NewickError(
+            f"unrooted trees are binary; found a group with {wide[1]} children")
+    if len(adj[top]) == 2:
+        return deroot(_to_rooted(adj, labels, top))
+    return UnrootedTree(adj, labels, _checked=True)
+
+
+def _to_rooted(adj: list[list[int]], labels: list[Optional[str]],
+               top: int) -> RootedTree:
+    # A group's list starts with its two children.
+    left = [a[0] if lab is None else -1 for a, lab in zip(adj, labels)]
+    right = [a[1] if lab is None else -1 for a, lab in zip(adj, labels)]
+    return rooted_from_arrays(top, left, right, labels)
 
 
 def _emit(tree: RootedTree, stack: list) -> str:

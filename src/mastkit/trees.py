@@ -12,8 +12,8 @@ Two flavors are distinguished by type:
 Nodes are small integers that are stable within one tree value.  Trees are
 immutable after construction: every operation that changes shape (restrict,
 mirror, rooting) returns a fresh tree and never aliases node ids of the
-source.  Because instances never change, subtree leaf counts and the leaf
-order are computed once on demand and cached.
+source.  Because instances never change, subtree leaf counts, the leaf
+order and the taxa in label order are computed once on demand and cached.
 
 Node arrays are made in one of two ways.  :func:`rooted_from_arrays` is
 the one way a rooted tree is built from another structure (restriction,
@@ -21,10 +21,12 @@ mirroring, rooting, the Newick reader): it numbers the new nodes in
 preorder, so the root is 0, every left child is its parent plus one and
 every subtree is a contiguous id range.  Every rooted tree keeps that
 numbering and stores only its child arrays: traversal orders, parents
-and ancestry are read off the ids.  :func:`unrooted_from_edges` is the
-one adjacency builder: each node lists its neighbors in the order its
-edges are given.  Unrooted restriction roots the tree, restricts the
-rooted tree and suppresses the root again.
+and ancestry are read off the ids.  :func:`unrooted_from_edges` builds
+the adjacency of generated and derooted trees: each node lists its
+neighbors in the order its edges are given.  The Newick reader builds its
+own as groups close, in the same children-then-parent order.  Unrooted
+restriction roots the tree, restricts the rooted tree and suppresses the
+root again.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -32,6 +34,7 @@ interpreter recursion limit.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable, Optional
 
 
@@ -49,7 +52,7 @@ def label_key(label: str):
     Decimal labels sort before non-decimal ones; ties between distinct
     spellings of the same number ("7" vs "07") fall back to the text.
     """
-    if label.isdigit():
+    if label.isdecimal():
         return (0, int(label), label)
     return (1, 0, label)
 
@@ -59,7 +62,12 @@ def min_label(labels: Iterable[str]) -> str:
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:
-    return sorted(labels, key=label_key)
+    """``labels`` in :func:`label_key` order, without a Python key call:
+    text order, then the decimal labels first, stably ordered by value."""
+    text = sorted(labels)
+    decimal = list(filter(str.isdecimal, text))
+    decimal.sort(key=int)
+    return decimal + list(filterfalse(str.isdecimal, text))
 
 
 class _LabeledTree:
@@ -68,7 +76,7 @@ class _LabeledTree:
     ``labels`` maps leaf nodes to their taxon (``None`` on internal nodes).
     """
 
-    __slots__ = ("labels", "_leaf_node", "_taxa")
+    __slots__ = ("labels", "_leaf_node", "_taxa", "_sorted_taxa")
 
     def __init__(self, labels: list[Optional[str]]):
         self.labels = labels
@@ -80,6 +88,7 @@ class _LabeledTree:
                 leaf_node[lab] = node
         self._leaf_node = leaf_node
         self._taxa = frozenset(leaf_node)
+        self._sorted_taxa = None
 
     def __len__(self) -> int:
         """Number of leaves."""
@@ -91,6 +100,12 @@ class _LabeledTree:
     @property
     def taxa(self) -> frozenset[str]:
         return self._taxa
+
+    def sorted_taxa(self) -> tuple[str, ...]:
+        """The taxa in label order (see :func:`sorted_labels`)."""
+        if self._sorted_taxa is None:
+            self._sorted_taxa = tuple(sorted_labels(self._leaf_node))
+        return self._sorted_taxa
 
     def num_nodes(self) -> int:
         return len(self.labels)
@@ -342,35 +357,33 @@ def rooted_from_arrays(top: int, left: list[int], right: list[int],
 
     ``left`` and ``right`` give each reachable internal node's ordered
     children and are -1 on leaves; ``labels`` gives the leaves' taxa.
-    Other entries are never read.  With ``rng`` (an object with a
-    ``randrange`` method), each child pair is swapped on a coin flip,
-    drawn as its node is numbered.  The arrays must describe a binary
-    tree; nothing is re-validated.
+    Other entries are never read, and none is written.  With ``rng`` (an
+    object with a ``randrange`` method), each child pair is swapped on a
+    coin flip, drawn as its node is numbered.  The arrays must describe a
+    binary tree; nothing is re-validated.
     """
-    n_left: list[int] = []
-    n_right: list[int] = []
-    n_labels: list[Optional[str]] = []
-    stack = [(top, -1)]
+    if rng is not None:
+        left, right = left[:], right[:]  # the flips swap pairs in copies
+    order = []
+    stack = [top]
     while stack:
-        old, par = stack.pop()
-        new = len(n_labels)
-        n_left.append(-1)
-        n_right.append(-1)
-        n_labels.append(labels[old])
-        if par != -1:
-            if n_left[par] == -1:
-                n_left[par] = new
-            else:
-                n_right[par] = new
-        l = left[old]
+        v = stack.pop()
+        order.append(v)
+        l = left[v]
         if l != -1:
-            r = right[old]
+            r = right[v]
             if rng is not None and rng.randrange(2):
-                l, r = r, l
+                left[v], right[v] = l, r = r, l
             # Push right first so the left child is numbered first.
-            stack.append((r, new))
-            stack.append((l, new))
-    return RootedTree(n_left, n_right, n_labels, _checked=True)
+            stack.append(r)
+            stack.append(l)
+    # new[v] is v's preorder id; the extra last slot maps -1 to -1.
+    new = [-1] * (len(labels) + 1)
+    for i, v in enumerate(order):
+        new[v] = i
+    return RootedTree([new[left[v]] for v in order],
+                      [new[right[v]] for v in order],
+                      [labels[v] for v in order], _checked=True)
 
 
 def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
@@ -391,7 +404,7 @@ def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
     """The edge incident to the leaf with the smallest label."""
     if len(tree) < 2:
         raise TreeError("a single-leaf tree has no edges")
-    leaf = tree.leaf_node(min_label(tree.taxa))
+    leaf = tree.leaf_node(tree.sorted_taxa()[0])
     return (leaf, tree.adj[leaf][0])
 
 
@@ -437,7 +450,7 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
         # ranked before their parents, and the new root last.
         best = [0] * (top + 1)
         leaf_node = tree._leaf_node
-        for rank, label in enumerate(sorted_labels(leaf_node)):
+        for rank, label in enumerate(tree.sorted_taxa()):
             best[leaf_node[label]] = rank
         order.reverse()
         order.append(top)

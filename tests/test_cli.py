@@ -418,6 +418,18 @@ def test_full_output_device_exits_2(capsys):
     assert err.startswith("error: cannot write")
 
 
+def test_non_decimal_digit_labels_run(capsys):
+    # str.isdigit holds for '\u00b2' but int() rejects it, so label order
+    # must not convert it to a number.
+    tree = "(1,2,(\u00b2,(4,5)));"
+    for command, line in (("construct", "verified: true"),
+                          ("exact", "agreement: 1 2 4 5 \u00b2")):
+        done = run_isolated([command, "--t1", tree, "--t2", tree])
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "Traceback" not in done.stderr
+        assert line in done.stdout
+
+
 def test_non_utf8_tree_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.nwk"
     bad.write_bytes(b"\xff\xfe;")

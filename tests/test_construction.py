@@ -48,6 +48,7 @@ from mastkit.construction import (
     strong_split,
     weak_construct,
 )
+from mastkit import trees
 from mastkit.exact import EXACT
 from mastkit.generators import GenSpec, generate
 from mastkit.rng import SplitMix64, mix64
@@ -148,6 +149,24 @@ def test_setup_invariants_hold_on_random_pairs(n, seed):
     pos = {lab: i for i, lab in enumerate(rooted1.seq())}
     order = [pos[lab] for lab in state.tree1.seq()]
     assert order == sorted(order)
+
+
+def test_setup_calls_no_label_key(monkeypatch):
+    """Taxa are ranked by whole-list sorts, never by a per-label key call."""
+    calls = []
+    key = trees.label_key
+
+    def counting_key(label):
+        calls.append(label)
+        return key(label)
+
+    monkeypatch.setattr(trees, "label_key", counting_key)
+    one = generate(GenSpec("uniform", 1024, 1))
+    two = generate(GenSpec("uniform", 1024, 2))
+    setup(one, two)
+    assert calls == []
+    trees.min_label(["1", "2"])  # the patch is seen where trees calls it
+    assert calls == ["1", "2"]
 
 
 # -- path decomposition -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Parser and writer checks: frozen strings first, round trips second."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,11 +9,15 @@ from mastkit import (
     NewickError,
     RootedTree,
     UnrootedTree,
+    canonical_root_edge,
+    deroot,
     isomorphic,
     parse_newick,
+    root_at_edge,
     write_newick,
 )
 from mastkit.generators import GenSpec, generate
+from mastkit.trees import rooted_from_arrays, unrooted_from_edges
 
 
 def test_rooted_parse_preserves_child_order():
@@ -61,19 +67,40 @@ def test_unrooted_rejects_four_child_top():
         parse_newick("(1,(2,3),(4,5),6);", rooted=False)
 
 
-@pytest.mark.parametrize("text,position", [
-    ("((1,2);", 0),
-    ("(1,2));", 5),
-    ("(1,,2);", 3),
-    ("(1,1);", 3),
-    ("(1,2)", 5),
-    ("(1,2);x", 6),
-    ("", 0),
-])
-def test_error_positions(text, position):
+# One case per raise site of the parser: text, rootedness, offset, message.
+ERRORS = [
+    ("((1,2);", False, 0, "unbalanced '('"),
+    ("(1,2));", False, 5, "unbalanced ')'"),
+    ("(1,,2);", False, 3, "expected a subtree, found ','"),
+    ("(1,1);", False, 3, "duplicate leaf label '1'"),
+    ("(1,2)", False, 5, "unexpected end of input"),
+    ("(1,2);x", False, 6, "trailing text after ';'"),
+    ("", False, 0, "unexpected end of input"),
+    ("(1:,2);", False, 3, "expected a branch length after ':'"),
+    ("((1,2): 3,4);", False, 7, "expected a branch length after ':'"),
+    ("1,2;", False, 1, "',' outside any group"),
+    ("((1),2,3);", False, 1, "group with fewer than two children"),
+    ("(1 2,3);", False, 3, "unexpected character '2'"),
+    ("(1,2,3,4);", False, None,
+     "the outermost group of an unrooted tree needs 3 children, got 4"),
+    ("(1,2,(3,4,5));", False, None,
+     "unrooted trees are binary; found a group with 3 children"),
+    ("((1,2,3),4);", True, None,
+     "rooted trees are binary; found a group with 3 children"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,rooted,position,message", ERRORS,
+    ids=[f"{t}-{p}" + ("-rooted" if r else "") for t, r, p, _ in ERRORS])
+def test_error_positions(text, rooted, position, message):
     with pytest.raises(NewickError) as err:
-        parse_newick(text, rooted=False)
+        parse_newick(text, rooted=rooted)
     assert err.value.position == position
+    suffix = "" if position is None else f" (at offset {position})"
+    assert str(err.value) == message + suffix
+    assert _outcome(_oracle_parse, text, rooted) == _outcome(
+        parse_newick, text, rooted)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,3 +122,224 @@ def test_rooted_round_trip_is_exact(n, seed):
     # Rooted writing preserves child order, so the string is a fixed point.
     assert back.seq() == tree.seq()
     assert write_newick(back) == write_newick(tree)
+
+
+# -- the character-by-character parser the regex reader replaced ------------
+# Kept as the oracle of the differential tests below.
+
+_ORACLE_STOP = set("(),:;'\"[]")
+
+
+def _oracle_skip_ws(text, i):
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    return i
+
+
+def _oracle_read_label(text, i):
+    j = i
+    n = len(text)
+    while j < n and text[j] not in _ORACLE_STOP and not text[j].isspace():
+        j += 1
+    return text[i:j], j
+
+
+def _oracle_skip_length(text, i):
+    i += 1  # the ':'
+    j = i
+    n = len(text)
+    while j < n and (text[j].isdigit() or text[j] in "+-.eE"):
+        j += 1
+    if j == i:
+        raise NewickError("expected a branch length after ':'", i)
+    return j
+
+
+def _oracle_parse(text, rooted):
+    children = []
+    labels = []
+    seen = set()
+
+    def new_node(kids, lab):
+        children.append(kids)
+        labels.append(lab)
+        return len(children) - 1
+
+    stack = []
+    open_pos = []
+    i = _oracle_skip_ws(text, 0)
+    n = len(text)
+    last = -1
+    expecting_subtree = True
+    while True:
+        if i >= n:
+            raise NewickError("unexpected end of input", n)
+        c = text[i]
+        if expecting_subtree:
+            if c == "(":
+                stack.append([])
+                open_pos.append(i)
+                i = _oracle_skip_ws(text, i + 1)
+                continue
+            lab, j = _oracle_read_label(text, i)
+            if not lab:
+                raise NewickError(f"expected a subtree, found {c!r}", i)
+            if lab in seen:
+                raise NewickError(f"duplicate leaf label {lab!r}", i)
+            seen.add(lab)
+            last = new_node([], lab)
+            i = _oracle_skip_ws(text, j)
+            if i < n and text[i] == ":":
+                i = _oracle_skip_ws(text, _oracle_skip_length(text, i))
+            if stack:
+                stack[-1].append(last)
+            expecting_subtree = False
+            continue
+        if c == ",":
+            if not stack:
+                raise NewickError("',' outside any group", i)
+            i = _oracle_skip_ws(text, i + 1)
+            expecting_subtree = True
+            continue
+        if c == ")":
+            if not stack:
+                raise NewickError("unbalanced ')'", i)
+            kids = stack.pop()
+            at = open_pos.pop()
+            if len(kids) < 2:
+                raise NewickError("group with fewer than two children", at)
+            last = new_node(kids, None)
+            i = _oracle_skip_ws(text, i + 1)
+            ignored, j = _oracle_read_label(text, i)
+            i = _oracle_skip_ws(text, j)
+            if i < n and text[i] == ":":
+                i = _oracle_skip_ws(text, _oracle_skip_length(text, i))
+            if stack:
+                stack[-1].append(last)
+            continue
+        if c == ";":
+            if stack:
+                raise NewickError("unbalanced '('", open_pos[-1])
+            i = _oracle_skip_ws(text, i + 1)
+            if i < n:
+                raise NewickError("trailing text after ';'", i)
+            break
+        raise NewickError(f"unexpected character {c!r}", i)
+
+    return _oracle_to_rooted(children, labels, last) if rooted \
+        else _oracle_to_unrooted(children, labels, last)
+
+
+def _oracle_to_rooted(children, labels, top):
+    for kids in children:
+        if len(kids) not in (0, 2):
+            raise NewickError(
+                f"rooted trees are binary; found a group with {len(kids)} children")
+    left = [kids[0] if kids else -1 for kids in children]
+    right = [kids[1] if kids else -1 for kids in children]
+    return rooted_from_arrays(top, left, right, labels)
+
+
+def _oracle_to_unrooted(children, labels, top):
+    top_kids = children[top]
+    if len(top_kids) not in (0, 2, 3):
+        raise NewickError(
+            f"the outermost group of an unrooted tree needs 3 children, got {len(top_kids)}")
+    for v, kids in enumerate(children):
+        if v != top and len(kids) not in (0, 2):
+            raise NewickError(
+                f"unrooted trees are binary; found a group with {len(kids)} children")
+    if len(top_kids) == 2:
+        return deroot(_oracle_to_rooted(children, labels, top))
+    return unrooted_from_edges(
+        len(children), [(v, c) for v, kids in enumerate(children) for c in kids],
+        labels)
+
+
+def _arrays(tree):
+    """Everything a parsed tree holds, node ids included."""
+    if isinstance(tree, RootedTree):
+        return ("rooted", tree.left, tree.right, tree.labels)
+    return ("unrooted", tree.adj, tree.labels)
+
+
+def _outcome(parser, text, rooted):
+    """The parsed arrays, or the error message and offset."""
+    try:
+        return _arrays(parser(text, rooted=rooted))
+    except NewickError as err:
+        return ("error", str(err), err.position)
+
+
+_SYMBOLS = list("()[],:;'\"") + list("0123456789") + list("abxyE") + [
+    "\u00b2", ".", "e", "+", "-", " ", "\t", "\n", "\u00a0"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(_SYMBOLS), max_size=24))
+def test_parser_matches_the_character_oracle(text):
+    for rooted in (True, False):
+        assert _outcome(parse_newick, text, rooted) == _outcome(
+            _oracle_parse, text, rooted)
+
+
+_SPACES = [" ", "\t", "\n", "\u00a0", "  \n"]
+_LENGTHS = ["1", "0.25", "2.5e-3", "1E+2", "-0.5", "\u00b23", "7."]
+_INTERNAL = ["x", "node7", "0.95", "100"]
+
+
+def _decorate(compact: str, rng: random.Random) -> str:
+    """``compact`` with whitespace between tokens, and branch lengths and
+    internal labels after subtrees."""
+    out = []
+    i = 0
+    while i < len(compact):
+        c = compact[i]
+        if c in "(),;":
+            token, i = c, i + 1
+        else:
+            j = i
+            while compact[j] not in "(),;":
+                j += 1
+            token, i = compact[i:j], j
+        out.append(token)
+        if token == ")" and rng.random() < 0.5:
+            out.append(rng.choice(_SPACES) if rng.random() < 0.5 else "")
+            out.append(rng.choice(_INTERNAL))
+        if token not in "(,;" and rng.random() < 0.5:
+            out.append(rng.choice(_SPACES) if rng.random() < 0.5 else "")
+            out.append(":" + rng.choice(_LENGTHS))
+        if rng.random() < 0.4:
+            out.append(rng.choice(_SPACES))
+    lead = rng.choice(_SPACES) if rng.random() < 0.5 else ""
+    return lead + "".join(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**32))
+def test_decorated_text_parses_to_the_compact_tree(n, seed):
+    rng = random.Random(seed)
+    tree = generate(GenSpec("uniform", n, seed))
+    texts = [(write_newick(tree), False)]
+    if n >= 2:
+        texts.append(
+            (write_newick(root_at_edge(tree, canonical_root_edge(tree))), True))
+    for compact, rooted in texts:
+        plain = _arrays(parse_newick(compact, rooted=rooted))
+        for _ in range(3):
+            text = _decorate(compact, rng)
+            assert _arrays(parse_newick(text, rooted=rooted)) == plain, text
+            assert _outcome(_oracle_parse, text, rooted) == plain, text
+            # A few edits make text that fails, or parses, deep inside.
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                if rng.random() < 0.5 and at < len(chars):
+                    del chars[at]
+                else:
+                    chars.insert(at, rng.choice(_SYMBOLS))
+            edited = "".join(chars)
+            for either in (True, False):
+                assert _outcome(parse_newick, edited, either) == _outcome(
+                    _oracle_parse, edited, either), edited

@@ -19,6 +19,7 @@ from mastkit.trees import (
     is_caterpillar,
     label_key,
     min_label,
+    rooted_from_arrays,
     sorted_labels,
 )
 from mastkit.generators import MODELS, GenSpec, generate
@@ -31,6 +32,27 @@ def test_label_ordering_is_numeric_aware():
     assert sorted_labels(labels) == ["2", "9", "10", "x10", "x2"]
     assert min_label(labels) == "2"
     assert label_key("10") > label_key("9")
+    # '²' and '①' are digits to str.isdigit but not decimal: int() rejects
+    # them, so they sort as text.
+    labels += ["\u2460", "\u00b2", "07", "7"]
+    assert sorted_labels(labels) == [
+        "2", "07", "7", "9", "10", "x10", "x2", "\u00b2", "\u2460"]
+    assert min_label(["\u00b2", "x"]) == "x"
+    assert label_key("\u2460") > label_key("10")
+
+
+_LABELS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 999).map(lambda v: f"{v:05d}"),
+    st.text("abxyzAB_", min_size=1, max_size=4),
+    st.text("0123456789\u00b2\u00b3\u2460\u0663\u096b", min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(_LABELS, max_size=30))
+def test_sorted_labels_is_the_label_key_sort(labels):
+    assert sorted_labels(labels) == sorted(labels, key=label_key)
 
 
 def test_rooted_restriction_suppresses_pass_through_nodes():
@@ -409,3 +431,62 @@ def test_unrooted_newick_ignores_node_numbering(n, seed, shuffle):
         rng.shuffle(adj[new_id[v]])
         labels[new_id[v]] = tree.labels[v]
     assert write_newick(UnrootedTree(adj, labels)) == write_newick(tree)
+
+
+def _append_and_patch(top, left, right, labels, rng=None):
+    """The builder ``rooted_from_arrays`` replaced: number each node as it
+    is popped and patch it into its parent's child slot."""
+    n_left, n_right, n_labels = [], [], []
+    stack = [(top, -1)]
+    while stack:
+        old, par = stack.pop()
+        new = len(n_labels)
+        n_left.append(-1)
+        n_right.append(-1)
+        n_labels.append(labels[old])
+        if par != -1:
+            if n_left[par] == -1:
+                n_left[par] = new
+            else:
+                n_right[par] = new
+        l = left[old]
+        if l != -1:
+            r = right[old]
+            if rng is not None and rng.randrange(2):
+                l, r = r, l
+            stack.append((r, new))
+            stack.append((l, new))
+    return n_left, n_right, n_labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32),
+       extra=st.integers(0, 5), flips=st.booleans())
+def test_rooted_from_arrays_matches_append_and_patch(n, seed, extra, flips):
+    """Arrays in a shuffled numbering with unreachable slots, as restrict
+    and root_at_edge pass them: same tree, same coin draws, and the
+    caller's arrays left as they were."""
+    base = generate(GenSpec("uniform", n, seed))
+    tree = root_at_edge(base, canonical_root_edge(base)) if n >= 2 \
+        else rooted("1;")
+    size = tree.num_nodes() + extra
+    ids = list(range(size))
+    SplitMix64(seed).shuffle(ids)
+    left, right = [-1] * size, [-1] * size
+    labels = [None] * size
+    for v in range(tree.num_nodes()):
+        labels[ids[v]] = tree.labels[v]
+        if tree.left[v] != -1:
+            left[ids[v]], right[ids[v]] = ids[tree.left[v]], ids[tree.right[v]]
+    for slot in ids[tree.num_nodes():]:
+        left[slot] = right[slot] = ids[0]  # never read
+    before = (left[:], right[:], labels[:])
+    rng_new = SplitMix64(seed + 1) if flips else None
+    rng_old = SplitMix64(seed + 1) if flips else None
+    built = rooted_from_arrays(ids[0], left, right, labels, rng_new)
+    assert (built.left, built.right, built.labels) == _append_and_patch(
+        ids[0], left, right, labels, rng_old)
+    built.validate()
+    assert (left, right, labels) == before
+    if flips:
+        assert rng_new.next_u64() == rng_old.next_u64()
