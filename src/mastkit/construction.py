@@ -722,7 +722,9 @@ def _nested_exit(rooted1: RootedTree, rooted2: RootedTree,
 
 def _canonically_rooted(tree: UnrootedTree,
                         leaves: frozenset[str]) -> RootedTree:
-    return root_at_edge(tree, canonical_root_edge(tree)).restrict(leaves)
+    # Isomorphism and shape ignore child order, so none is ranked.
+    return root_at_edge(tree, canonical_root_edge(tree),
+                        ranked=False).restrict(leaves)
 
 
 def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:

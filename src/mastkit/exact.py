@@ -8,9 +8,10 @@ Two independent routes to ground truth:
   :func:`unrooted_mast` they are the far sides of the directed edges, so
   one table covers every way to root both trees (Steel and Warnow,
   "Kaikoura tree theorems", Inf. Process. Lett. 48, 1993).  Both tables
-  have O(n^2) cells.  The unrooted table is filled in full; the rooted
-  one only where the two subtrees share a taxon, since every other cell
-  is 0;
+  have O(n^2) cells.  The unrooted table is filled and stored in full.
+  The rooted one is filled only where the two subtrees share a taxon,
+  since every other cell is 0, and a finished row with few such cells
+  is stored as those cells alone;
 * a brute-force subset scan (:func:`brute_force_mast`) that is exact by
   exhaustion and only feasible for tiny inputs.
 
@@ -199,7 +200,23 @@ def _edge_side(tree: UnrootedTree,
     return _Side(order, left, right, side_labels, leaf_row), outward
 
 
-def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
+# A finished row is stored as its support cells only when the row is
+# more than this many times as long as its support: a dict entry costs
+# several list slots, so longer supports take less memory as lists.
+_SPARSE_RATIO = 8
+
+
+class _SparseRow(dict):
+    """A finished table row kept as ``{id: value}`` on its support; any
+    other id reads 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        return 0
+
+
+def _agreement_table(one: _Side, two: _Side) -> list:
     """table[u][v] = size of a maximum agreement of the subtrees u, v.
 
     Internal-pair cells take the best of matching the two child pairs
@@ -207,12 +224,15 @@ def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
     leaves of ``one`` are 1 exactly on the ids of ``two`` that hold the
     same taxon.  A cell is 0 unless its two subtrees share a taxon, so an
     internal row is filled only on the union of its children's supports,
-    unless the two together are as long as a full sweep.
+    unless the two together are as long as a full sweep.  Once its parent
+    is filled, a row with a short support is replaced by a
+    :class:`_SparseRow` of that support, so rows are read by index
+    either way.
     """
     ns = len(two.left)
     order2, left2, right2, leaf_row = two.order, two.left, two.right, two.leaf_row
     left1, right1, labels1 = one.left, one.right, one.labels
-    table: list[list[int]] = [None] * len(left1)  # type: ignore[list-item]
+    table: list = [None] * len(left1)
     # Supports other than None, each kept until its parent reads it.
     # Only node sides have them: one parent each, and descending id is
     # their fill order.
@@ -250,13 +270,17 @@ def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
                     if z > best:
                         best = z
                 row[v] = best
+            # Nothing reads the children's rows again but the backtrack.
+            for c, s, r in ((left1[u], sa, ra), (right1[u], sb, rb)):
+                if s is not None and len(s) * _SPARSE_RATIO < ns:
+                    table[c] = _SparseRow(zip(s, map(r.__getitem__, s)))
         table[u] = row
         if support is not None:
             supports[u] = support
     return table
 
 
-def _backtrack(one: _Side, two: _Side, table: list[list[int]],
+def _backtrack(one: _Side, two: _Side, table: list,
                start: tuple[int, int]) -> list[str]:
     """Recover one optimal agreement set of the subtrees in ``start``
     from a filled table.
@@ -314,10 +338,12 @@ def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
     """Maximum agreement of two rooted trees on the same taxa.
 
     Child order never matters for agreement; only the ancestor structure
-    does.  Takes O(|tree1| * |tree2|) space.  The fill loop visits only
-    the node pairs whose subtrees share a taxon: all |tree1| * |tree2|
-    of them at worst (two caterpillars), about an eighth on two uniform
-    trees of 2048 taxa.
+    does.  The fill loop visits only the node pairs whose subtrees share
+    a taxon: all |tree1| * |tree2| of them at worst (two caterpillars),
+    about an eighth on two uniform trees of 2048 taxa.  Space is
+    O(|tree1| * |tree2|) at worst; a finished row whose support is under
+    an eighth of |tree2| keeps only its support, so the table stores
+    about 14% of the cells on two uniform trees of 2048 taxa.
     """
     _check_pair(tree1, tree2, rooted=True)
     return _certified(tree1, tree2, rooted_agreement_leaves(tree1, tree2))

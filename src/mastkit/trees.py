@@ -46,6 +46,17 @@ class TaxaMismatch(TreeError):
     """Two trees that must share a taxon set do not."""
 
 
+def _magnitude(label: str) -> tuple[int, str]:
+    """A decimal label's value as (digit count, ASCII digits), leading
+    zeros dropped: ordered as the numbers are, without ``int()``, which
+    refuses more than 4300 digits."""
+    if not label.isascii():
+        import unicodedata  # here: only non-ASCII digits need its tables
+        label = "".join([str(unicodedata.decimal(c)) for c in label])
+    digits = label.lstrip("0")
+    return len(digits), digits
+
+
 def label_key(label: str):
     """Sort key giving numeric labels numeric order and others lexicographic.
 
@@ -53,7 +64,7 @@ def label_key(label: str):
     spellings of the same number ("7" vs "07") fall back to the text.
     """
     if label.isdecimal():
-        return (0, int(label), label)
+        return (0, _magnitude(label), label)
     return (1, 0, label)
 
 
@@ -62,11 +73,16 @@ def min_label(labels: Iterable[str]) -> str:
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:
-    """``labels`` in :func:`label_key` order, without a Python key call:
-    text order, then the decimal labels first, stably ordered by value."""
+    """``labels`` in :func:`label_key` order: text order, then the
+    decimal labels first, stably ordered by value."""
     text = sorted(labels)
     decimal = list(filter(str.isdecimal, text))
-    decimal.sort(key=int)
+    # Among ASCII digits with no leading zero, a longer label is larger
+    # and text order is value order: the stable length sort, in C, is
+    # the value sort.
+    joined = "\n" + "\n".join(decimal)
+    plain = joined.isascii() and "\n0" not in joined
+    decimal.sort(key=len if plain else _magnitude)
     return decimal + list(filterfalse(str.isdecimal, text))
 
 
@@ -302,7 +318,8 @@ class UnrootedTree(_LabeledTree):
     def restrict(self, keep: Iterable[str]) -> "UnrootedTree":
         """Restriction to a non-empty taxon subset: the minimal spanning
         subgraph with all degree-2 nodes suppressed, found by restricting
-        the tree rooted at a kept leaf's pendant edge."""
+        the tree rooted at a kept leaf's pendant edge, in any child
+        order."""
         keepset = self._keep_set(keep)
         if keepset == self._taxa:
             return self
@@ -310,7 +327,7 @@ class UnrootedTree(_LabeledTree):
             return unrooted_from_edges(1, [], list(keepset))
         # The smallest id: frozenset order follows the hash seed.
         leaf = min(self._leaf_node[lab] for lab in keepset)
-        rooted = root_at_edge(self, (leaf, self.adj[leaf][0]))
+        rooted = root_at_edge(self, (leaf, self.adj[leaf][0]), ranked=False)
         return deroot(rooted.restrict(keepset))
 
     def validate(self) -> None:
@@ -409,13 +426,15 @@ def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
 
 
 def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
-                 rng=None) -> RootedTree:
+                 rng=None, *, ranked: bool = True) -> RootedTree:
     """Root an unrooted tree by subdividing ``edge`` with a new root node.
 
     ``rng`` fixes the left/right order of every child pair:
 
     * ``None`` (default, deterministic): the child whose subtree contains
-      the smallest taxon becomes the left child;
+      the smallest taxon becomes the left child; with ``ranked=False``,
+      for callers that discard child order, no taxon is ranked and each
+      pair keeps the order of ``edge`` and of the adjacency lists;
     * an object with a ``randrange`` method: a coin flip per node, drawn
       in the new tree's preorder; heads swaps the pair from the order of
       ``edge`` and of the adjacency lists.
@@ -445,7 +464,7 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
             par[x] = par[y] = v
             order.append(x)
             order.append(y)
-    if rng is None:
+    if rng is None and ranked:
         # best[v] is the rank of the smallest taxon below v; children are
         # ranked before their parents, and the new root last.
         best = [0] * (top + 1)
@@ -539,8 +558,9 @@ def isomorphic(a, b) -> bool:
             return False
         if len(a) <= 2:
             return True
-        a = root_at_edge(a, canonical_root_edge(a))
-        b = root_at_edge(b, canonical_root_edge(b))
+        # The canonical ids ignore child order, so none is ranked.
+        a = root_at_edge(a, canonical_root_edge(a), ranked=False)
+        b = root_at_edge(b, canonical_root_edge(b), ranked=False)
     elif not (isinstance(a, RootedTree) and isinstance(b, RootedTree)):
         raise TypeError("isomorphism needs two trees of the same rootedness")
     elif a.taxa != b.taxa:

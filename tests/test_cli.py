@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from mastkit import GenSpec, adversarial_pair, generate, write_newick
+from mastkit import (
+    GenSpec,
+    adversarial_pair,
+    canonical_root_edge,
+    generate,
+    root_at_edge,
+    write_newick,
+)
 from mastkit.cli import (
     CSV_FIELDS,
     EXIT_CAP,
@@ -46,13 +53,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_isolated(argv, memory=512 << 20, timeout=60):
+def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_isolated(argv, memory=512 << 20, timeout=60):
     return subprocess.run(
         [sys.executable, "-m", "mastkit", *argv], capture_output=True,
-        text=True, timeout=timeout, env=env,
+        text=True, timeout=timeout, env=_child_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (memory, memory)))
 
@@ -335,6 +346,29 @@ def test_construct_closes_a_core_past_the_exact_cap(tmp_path):
     assert "branch: block-chain(singles=0 blocks=0);degenerate-weak" in done.stdout
 
 
+def test_rooted_exact_at_the_cap_stays_small(tmp_path):
+    # Short rows of the rooted table are stored on their support only;
+    # with every row a full list, this run peaks near 150 MB.
+    paths = []
+    for i in range(2):
+        tree = generate(GenSpec("uniform", 2048, 70 + i))
+        paths.append(str(tmp_path / f"t{i}.nwk"))
+        Path(paths[-1]).write_text(
+            write_newick(root_at_edge(tree, canonical_root_edge(tree))) + "\n")
+    # A fresh parent, so that RUSAGE_CHILDREN covers this one run alone.
+    probe = ("import resource, subprocess, sys; "
+             "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)"
+             ".returncode; "
+             "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "mastkit",
+         "exact", "--rooted", "--t1", paths[0], "--t2", paths[1]],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    code, maxrss_kb = map(int, done.stdout.split())
+    assert code == EXIT_OK, done.stderr
+    assert maxrss_kb < 100 << 10
+
+
 def test_file_inputs_are_read_from_disk(capsys, tmp_path):
     one = tmp_path / "one.nwk"
     two = tmp_path / "two.nwk"
@@ -424,6 +458,18 @@ def test_non_decimal_digit_labels_run(capsys):
     tree = "(1,2,(\u00b2,(4,5)));"
     for command, line in (("construct", "verified: true"),
                           ("exact", "agreement: 1 2 4 5 \u00b2")):
+        done = run_isolated([command, "--t1", tree, "--t2", tree])
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "Traceback" not in done.stderr
+        assert line in done.stdout
+
+
+def test_labels_past_int_digit_limit_run():
+    # int() refuses more than 4300 digits, so label order must not call it.
+    big = "1" * 5000
+    tree = f"(1,2,({big},(4,5)));"
+    for command, line in (("construct", "verified: true"),
+                          ("exact", f"agreement: 1 2 4 5 {big}")):
         done = run_isolated([command, "--t1", tree, "--t2", tree])
         assert done.returncode == EXIT_OK, done.stderr
         assert "Traceback" not in done.stderr

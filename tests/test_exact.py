@@ -331,8 +331,35 @@ def test_rooted_table_equals_dense_fill(model1, model2, n, seed):
         n = 1 << (n.bit_length() - 1)
     tree1 = _shaped(model1, n, seed)
     tree2 = _shaped(model2, n, seed ^ 0x9E3779B97F4A7C15)
-    assert _agreement_table(_node_side(tree1), _node_side(tree2)) == (
-        _dense_table(tree1, tree2))
+    _assert_same_cells(_agreement_table(_node_side(tree1), _node_side(tree2)),
+                       _dense_table(tree1, tree2))
+
+
+def _assert_same_cells(table, dense):
+    """Every cell equal, read by index: rows may be lists or sparse."""
+    ns = len(dense[0])
+    assert len(table) == len(dense)
+    for row, want in zip(table, dense):
+        assert [row[v] for v in range(ns)] == want
+
+
+@pytest.mark.parametrize("model", ["uniform", "caterpillar"])
+def test_rooted_table_stores_short_rows_on_their_support(model):
+    tree1 = _shaped(model, 256, 5)
+    tree2 = _shaped("uniform", 256, 6)
+    table = _agreement_table(_node_side(tree1), _node_side(tree2))
+    _assert_same_cells(table, _dense_table(tree1, tree2))
+    # A row's support: the nodes of tree2 holding a taxon below its node.
+    sparse = 0
+    for u, row in enumerate(table):
+        if isinstance(row, list):
+            continue
+        sparse += 1
+        taxa = set(tree1.leaves_under(u))
+        support = {v for v in range(tree2.num_nodes())
+                   if taxa.intersection(tree2.leaves_under(v))}
+        assert set(row) <= support
+    assert sparse > 0
 
 
 @settings(max_examples=60, deadline=None)

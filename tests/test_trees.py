@@ -14,6 +14,7 @@ from mastkit import (
     root_at_edge,
     write_newick,
 )
+from mastkit.construction import _canonically_rooted
 from mastkit.rng import SplitMix64
 from mastkit.trees import (
     is_caterpillar,
@@ -39,6 +40,9 @@ def test_label_ordering_is_numeric_aware():
         "2", "07", "7", "9", "10", "x10", "x2", "\u00b2", "\u2460"]
     assert min_label(["\u00b2", "x"]) == "x"
     assert label_key("\u2460") > label_key("10")
+    # Decimal digits of other scripts count by value: Arabic-Indic
+    # three and nine around an ASCII five.
+    assert sorted_labels(["\u0669", "5", "\u0663"]) == ["\u0663", "5", "\u0669"]
 
 
 _LABELS = st.one_of(
@@ -53,6 +57,37 @@ _LABELS = st.one_of(
 @given(labels=st.lists(_LABELS, max_size=30))
 def test_sorted_labels_is_the_label_key_sort(labels):
     assert sorted_labels(labels) == sorted(labels, key=label_key)
+
+
+def _int_key(label):
+    """The label order as it was defined through int()."""
+    return (0, int(label), label) if label.isdecimal() else (1, 0, label)
+
+
+# Decimal digits of several scripts: ASCII, Arabic-Indic, Devanagari,
+# fullwidth and mathematical bold.
+_DIGITS = ("0123456789\u0660\u0663\u0669\u0966\u096b\uff10\uff17"
+           "\U0001d7ce\U0001d7d7")
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.one_of(
+    _LABELS,
+    st.text(_DIGITS, min_size=1, max_size=40),
+    st.integers(0, 10**30).map(lambda v: "0" * (v % 3) + str(v)),
+), max_size=30))
+def test_label_order_is_the_int_order(labels):
+    assert sorted(labels, key=label_key) == sorted(labels, key=_int_key)
+    assert sorted_labels(labels) == sorted(labels, key=_int_key)
+
+
+def test_labels_past_int_digit_limit_sort_by_value():
+    big = "1" * 5000
+    labels = [big, "0" + big, "9" * 4301, "2", "x", "\uff12" + "0" * 4400]
+    want = ["2", "9" * 4301, "\uff12" + "0" * 4400, "0" + big, big, "x"]
+    assert sorted_labels(labels) == want
+    assert sorted(labels, key=label_key) == want
+    assert min_label(labels) == "2"
 
 
 def test_rooted_restriction_suppresses_pass_through_nodes():
@@ -326,6 +361,31 @@ def test_unrooted_restriction_is_frozen(model, n, keep):
     tree = generate(GenSpec(model, n, 5))
     cut = tree.restrict(keep.split())
     assert write_newick(cut) == FROZEN_RESTRICTIONS[model, n, keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), size=st.integers(2, 40),
+       seed=st.integers(0, 2**32), pick=st.integers(0, 2**32))
+def test_unranked_rootings_match_the_ranked_route(model, size, seed, pick):
+    # Restriction and canonical rooting for verification skip ranking
+    # the taxa; the ranked rooting must give the same trees.
+    n = 1 << (size.bit_length() - 1) if model == "balanced" else size
+    tree = generate(GenSpec(model, n, seed))
+    rng = SplitMix64(pick)
+    order = sorted_labels(tree.taxa)
+    rng.shuffle(order)
+    keep = frozenset(order[:2 + rng.randrange(n - 1)])
+    leaf = min(tree.leaf_node(x) for x in keep)
+    ranked = deroot(root_at_edge(tree, (leaf, tree.adj[leaf][0])).restrict(keep))
+    cut = tree.restrict(keep)
+    UnrootedTree(cut.adj, cut.labels)
+    assert write_newick(cut) == write_newick(ranked)
+    assert isomorphic(cut, ranked)
+    edge = canonical_root_edge(tree)
+    assert isomorphic(root_at_edge(tree, edge, ranked=False),
+                      root_at_edge(tree, edge))
+    assert isomorphic(_canonically_rooted(tree, keep),
+                      root_at_edge(tree, edge).restrict(keep))
 
 
 @settings(max_examples=30, deadline=None)
