@@ -54,7 +54,6 @@ from .trees import (
     is_caterpillar,
     isomorphic,
     label_key,
-    min_label,
     root_at_edge,
     sorted_labels,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "isomorphic",
     "label_key",
     "main_construct",
-    "min_label",
     "mix64",
     "parse_newick",
     "path_decomposition",

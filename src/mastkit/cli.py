@@ -66,7 +66,7 @@ def _load_tree(value: str, rooted: bool):
         try:
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as err:
+        except (OSError, ValueError) as err:  # NUL in the path, bad UTF-8
             raise NewickError(f"cannot read tree file {value!r}: {err}", 0)
     return parse_newick(text, rooted=rooted)
 

@@ -75,11 +75,12 @@ class GoodPair:
 class IterationState:
     """The shrinking core shared by both construction loops.
 
-    ``tree1`` and ``tree2`` are the two rooted trees restricted to
-    ``taxa`` and listing their leaves in the same order.  ``agreed``
-    collects everything peeled off so far, oldest first.  ``n_param`` is
-    the size parameter all logarithmic thresholds refer to; it stays
-    fixed while the core shrinks.
+    ``tree1`` and ``tree2`` list their leaves in the same order and stay
+    fixed; the core ``taxa`` is a run of that order, which each step
+    shrinks.  ``flipped``, set only by :func:`path_decomposition`, means
+    the loop reads both trees mirrored.  ``agreed`` collects everything
+    peeled off so far, oldest first.  ``n_param`` is the size parameter
+    all logarithmic thresholds refer to; it stays fixed as the core shrinks.
     """
 
     taxa: frozenset[str]
@@ -88,17 +89,16 @@ class IterationState:
     agreed: list[str]
     n_param: int
     step: int = 1
+    flipped: bool = False
 
 
 @dataclass(frozen=True)
 class Piece:
     """A leaf interval hanging off a spine, as positions in the common
-    leaf order (1-based, inclusive) plus the subtree root node id."""
+    leaf order of the core (1-based, inclusive)."""
 
     lo: int
     hi: int
-    root: int
-    leaves: tuple[str, ...]
 
     def size(self) -> int:
         return self.hi - self.lo + 1
@@ -106,7 +106,8 @@ class Piece:
 
 @dataclass(frozen=True)
 class PathDecomposition:
-    """Both trees cut along a spine into consecutive leaf intervals.
+    """Both trees, cut down to the core, split along a spine into
+    consecutive leaf intervals.
 
     Both lists come from one walk: from the root down through one child
     of each node, listing the subtrees that hang off the other side
@@ -115,7 +116,8 @@ class PathDecomposition:
     subtree and ends with the right-most leaf.  ``first`` is the walk on
     tree1 through left children, reversed, so it starts with the
     left-most leaf and ends with the root's right subtree.  Each list
-    partitions positions 1..n of ``order``.
+    partitions positions 1..n of ``order``.  All of it is read mirrored
+    when the state is ``flipped``.
     """
 
     first: tuple[Piece, ...]
@@ -247,58 +249,62 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     return state, rooted1, rooted2
 
 
-def _spine_pieces(tree: RootedTree, along: list[int], off: list[int],
-                  positions: dict[str, int]) -> list[Piece]:
-    # Walk from the root through the ``along`` children; list the subtrees
-    # hanging off the ``off`` side top-down, then the leaf reached.
-    nodes = []
-    node = tree.root
-    while along[node] != -1:
-        nodes.append(off[node])
-        node = along[node]
-    nodes.append(node)
-    pieces = []
-    for node in nodes:
-        leaves = tree.leaves_under(node)
-        lo = positions[leaves[0]]
-        hi = positions[leaves[-1]]
-        if hi - lo + 1 != len(leaves):
-            raise TreeError("internal error: spine subtree is not an interval")
-        pieces.append(Piece(lo, hi, node, leaves))
-    return pieces
+def _spine_pieces(tree: RootedTree, lo: int, hi: int, right_spine: bool,
+                  flipped: bool) -> list[Piece]:
+    # The subtrees hanging off the left (or right) spine of ``tree`` cut
+    # down to leaf positions lo..hi (0-based), top-down, then the leaf
+    # reached, as pieces of the frame.  Nodes with one child outside
+    # lo..hi are suppressed by the cut, so the walk passes through them.
+    counts, left, right = tree.leaf_counts(), tree.left, tree.right
+    down_right = right_spine != flipped
+    spans = []
+    v, start = tree.root, 0
+    while left[v] != -1:
+        mid = start + counts[left[v]]  # first position under right[v]
+        if mid > hi:
+            v = left[v]
+        elif mid <= lo:
+            v, start = right[v], mid
+        elif down_right:
+            spans.append((max(start, lo), mid - 1))
+            v, start = right[v], mid
+        else:
+            spans.append((mid, min(start + counts[v] - 1, hi)))
+            v = left[v]
+    spans.append((start, start))
+    if flipped:
+        return [Piece(hi - b + 1, hi - a + 1) for a, b in spans]
+    return [Piece(a - lo + 1, b - lo + 1) for a, b in spans]
 
 
 def path_decomposition(state: IterationState) -> PathDecomposition:
-    """Cut both trees of the state along their spines into leaf intervals.
+    """Split both trees of the state, cut down to its core, along their
+    spines into leaf intervals.
 
-    First normalizes the state in place: if tree1's left root subtree is
-    smaller than its right one, both trees are mirrored (they keep equal
-    leaf orders, and agreements are unaffected since child order never
-    matters for isomorphism).  Afterwards tree1's left subtree holds at
-    least half the leaves.  Then ranks the common leaf order once and
-    walks tree1's left spine and tree2's right spine against it, as
+    The core must be a run of the trees' common leaf order.  First
+    normalizes the state in place: if tree1's left root subtree is
+    smaller than its right one, ``flipped`` toggles (agreements are
+    unaffected since child order never matters for isomorphism).
+    Afterwards tree1's left subtree holds at least half the core.  Then
+    walks the spines of the fixed trees, read in that frame, as
     :class:`PathDecomposition` describes.
     """
     tree1, tree2 = state.tree1, state.tree2
-    if len(tree1) >= 2:
-        counts = tree1.leaf_counts()
-        root = tree1.root
-        if counts[tree1.left[root]] < counts[tree1.right[root]]:
-            state.tree1 = tree1.mirror()
-            state.tree2 = tree2.mirror()
-            tree1, tree2 = state.tree1, state.tree2
-    order = tree1.seq()
-    if order != tree2.seq():
-        raise TreeError("state trees disagree on their leaf order")
-    positions = {lab: i + 1 for i, lab in enumerate(order)}
-    first = _spine_pieces(tree1, tree1.left, tree1.right, positions)[::-1]
-    second = _spine_pieces(tree2, tree2.right, tree2.left, positions)
-    for pieces in (first, second):
-        if [p.lo for p in pieces] != [1] + [p.hi + 1 for p in pieces[:-1]]:
-            raise TreeError("internal error: pieces do not tile the order")
-        if pieces[-1].hi != len(order):
-            raise TreeError("internal error: pieces do not cover the order")
-    return PathDecomposition(tuple(first), tuple(second), order)
+    base = tree1.seq()
+    ids = [tree1.leaf_node(lab) for lab in state.taxa]
+    lo = base.index(tree1.labels[min(ids)])
+    hi = base.index(tree1.labels[max(ids)])
+    if hi - lo + 1 != len(ids) or base != tree2.seq():
+        raise TreeError("the core is not a run of a common leaf order")
+    # Down tree1's left spine, the first piece is its right root subtree.
+    first = _spine_pieces(tree1, lo, hi, False, state.flipped)
+    if len(first) > 1 and 2 * first[0].size() > len(ids):
+        state.flipped = not state.flipped
+        first = _spine_pieces(tree1, lo, hi, False, state.flipped)
+    second = _spine_pieces(tree2, lo, hi, True, state.flipped)
+    order = base[lo:hi + 1]
+    return PathDecomposition(tuple(first[::-1]), tuple(second),
+                             order[::-1] if state.flipped else order)
 
 
 def check_good_pair(state: IterationState, pair: GoodPair, c: int) -> None:
@@ -497,10 +503,6 @@ def _peel(state: IterationState, peeled: Iterable[str],
     # Add ``peeled`` to the output and shrink the core to ``survivors``.
     state.agreed.extend(peeled)
     state.taxa = survivors
-    state.tree1 = state.tree1.restrict(survivors)
-    state.tree2 = state.tree2.restrict(survivors)
-    if state.tree1.seq() != state.tree2.seq():
-        raise TreeError("internal error: restriction broke the leaf order")
     state.step += 1
 
 
@@ -625,7 +627,7 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
         cut_hi = min(partner.hi, pick.hi)
         if (cut_hi - cut_lo + 1) ** 16 >= n_param:
             split = IncomparableSplit(_span(order, cut_lo, cut_hi),
-                                      frozenset(anchor.leaves))
+                                      _span(order, anchor.lo, anchor.hi))
             _check_split(state, split)
             return split
     transversal = tuple(order[max(p.lo, pick.lo) - 1] for p in partners)
@@ -695,7 +697,8 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
         last = nested.agreement_set
         branch += ";degenerate-weak"
     else:
-        last = rooted_agreement_leaves(state.tree1, state.tree2)
+        last = rooted_agreement_leaves(state.tree1.restrict(state.taxa),
+                                       state.tree2.restrict(state.taxa))
         if len(state.taxa) ** 4 >= n:  # only a degenerate window leaves early
             branch += ";degenerate-exact"
         elif len(last) < len(state.taxa):
@@ -707,9 +710,12 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
 
 def _nested_weak(state: IterationState,
                  taxa: frozenset[str]) -> ConstructionOutcome:
-    # Weak construction on part of the core, sized by that part alone.
-    return weak_construct(state.tree1.restrict(taxa),
-                          state.tree2.restrict(taxa), n_param=len(taxa) ** 2)
+    # Weak construction on part of the core, sized by that part alone,
+    # read in the loop's frame, which its first step keeps on a tie.
+    one, two = state.tree1.restrict(taxa), state.tree2.restrict(taxa)
+    if state.flipped:
+        one, two = one.mirror(), two.mirror()
+    return weak_construct(one, two, n_param=len(taxa) ** 2)
 
 
 def _nested_exit(rooted1: RootedTree, rooted2: RootedTree,

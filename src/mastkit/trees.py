@@ -68,10 +68,6 @@ def label_key(label: str):
     return (1, 0, label)
 
 
-def min_label(labels: Iterable[str]) -> str:
-    return min(labels, key=label_key)
-
-
 def sorted_labels(labels: Iterable[str]) -> list[str]:
     """``labels`` in :func:`label_key` order: text order, then the
     decimal labels first, stably ordered by value."""
@@ -200,11 +196,6 @@ class RootedTree(_LabeledTree):
         if self._seq is None:
             self._seq = tuple(lab for lab in self.labels if lab is not None)
         return self._seq
-
-    def leaves_under(self, node: int) -> tuple[str, ...]:
-        """Leaf labels of the subtree at ``node``, in seq order."""
-        end = node + 2 * self.leaf_counts()[node] - 1
-        return tuple(lab for lab in self.labels[node:end] if lab is not None)
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff ``a`` lies on the path from ``b`` to the root (or a == b)."""

@@ -39,6 +39,13 @@ def right_comb(parts):
     return text
 
 
+def leaves_under(tree, node):
+    """Leaf labels of the subtree at ``node`` of a rooted tree, in seq
+    order: its preorder id range."""
+    end = node + 2 * tree.leaf_counts()[node] - 1
+    return tuple(lab for lab in tree.labels[node:end] if lab is not None)
+
+
 def rooted(text):
     return parse_newick(text, rooted=True)
 

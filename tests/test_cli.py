@@ -13,13 +13,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mastkit import (
+    ConstructionOutcome,
     GenSpec,
     adversarial_pair,
     canonical_root_edge,
     generate,
+    parse_newick,
     root_at_edge,
+    verify_outcome,
     write_newick,
 )
 from mastkit.cli import (
@@ -483,3 +487,72 @@ def test_non_utf8_tree_file_exits_2(capsys, tmp_path):
                                   "--t2", "(1,2,3);"])
     assert code == EXIT_PARSE and out == ""
     assert "cannot read tree file" in err
+
+
+@pytest.mark.parametrize("command", ["construct", "exact"])
+def test_nul_byte_tree_argument_exits_2(capsys, command):
+    # No ';', so the value is taken as a path, which open() refuses.
+    code, out, err = run(capsys, [command, "--t1", "(1,2,\x00(3,4))",
+                                  "--t2", "(1,2,(3,4));"])
+    assert code == EXIT_PARSE and out == ""
+    assert "cannot read tree file" in err
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+_SEED_TREES = [CAT11, PAIR3[0], PAIR3[1], PAIR2[0], "(1,2,(3,(4,5)));",
+               "((1,2),((3,4),5));", "(a,b,(c,d));", "(1,2,3);"]
+_NOISE = st.text("(),;:'[] \t\n\x00_.-0123456789ab\u00b2\u00e9", max_size=4)
+
+
+@st.composite
+def _mutated_newick(draw):
+    text = draw(st.sampled_from(_SEED_TREES))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(_NOISE) + text[j:]
+    return text
+
+
+@st.composite
+def _cli_calls(draw):
+    t1 = draw(_mutated_newick())
+    t2 = draw(st.one_of(st.just(t1), _mutated_newick()))
+    command = draw(st.sampled_from(["construct", "exact", "verify"]))
+    argv = [command, f"--t1={t1}", f"--t2={t2}"]
+    if command == "construct":
+        argv += ["--json", "--algorithm",
+                 draw(st.sampled_from(["main", "weak"]))]
+        argv += draw(st.sampled_from([[], ["--C", "2"], ["--C", "4"],
+                                      ["--C", "40"], ["--C", "1"]]))
+        argv += draw(st.sampled_from([[], ["--orient", "random"]]))
+    elif command == "exact":
+        argv += draw(st.sampled_from([[], ["--rooted"],
+                                      ["--method", "brute"]]))
+        argv += draw(st.sampled_from([[], ["--cap", "0"], ["--cap", "6"]]))
+    else:
+        leaves = draw(st.lists(st.sampled_from(["1", "2", "3", "5", "a", ""]),
+                               max_size=4))
+        argv += [f"--leaves={','.join(leaves)}"]
+        argv += draw(st.sampled_from([[], ["--rooted"]]))
+    return argv, t1, t2
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_cli_calls())
+def test_mutated_inputs_exit_with_a_documented_code(capsys, monkeypatch,
+                                                   tmp_path, call):
+    # Values without ';' are paths: an empty working directory keeps them
+    # from naming real files.
+    monkeypatch.chdir(tmp_path)
+    argv, t1, t2 = call
+    code, out, _ = run(capsys, argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_TAXA, EXIT_CAP, EXIT_VERIFY)
+    if code == EXIT_OK and argv[0] == "construct":
+        report = json.loads(out)
+        outcome = ConstructionOutcome(frozenset(report["agreement"]),
+                                      report["kind"], report["branch"], 0.0)
+        assert verify_outcome(parse_newick(t1, rooted=False),
+                              parse_newick(t2, rooted=False), outcome)

@@ -47,14 +47,25 @@ from mastkit.construction import (
     setup,
     strong_split,
     weak_construct,
+    _nested_weak,
+    _peel,
 )
 from mastkit import trees
-from mastkit.exact import EXACT
-from mastkit.generators import GenSpec, generate
+from mastkit.exact import EXACT, ROOTED_DP_CAP, rooted_agreement_leaves
+from mastkit.generators import GenSpec, adversarial_pair, generate
 from mastkit.rng import SplitMix64, mix64
 from mastkit.trees import is_caterpillar, label_key
 
-from conftest import block_comb_pair, left_comb, left_deep, right_comb, right_deep, rooted, unrooted
+from conftest import (
+    block_comb_pair,
+    leaves_under,
+    left_comb,
+    left_deep,
+    right_comb,
+    right_deep,
+    rooted,
+    unrooted,
+)
 
 
 def make_state(parts1, parts2, n_param):
@@ -165,8 +176,8 @@ def test_setup_calls_no_label_key(monkeypatch):
     two = generate(GenSpec("uniform", 1024, 2))
     setup(one, two)
     assert calls == []
-    trees.min_label(["1", "2"])  # the patch is seen where trees calls it
-    assert calls == ["1", "2"]
+    trees.label_key("1")  # the patch is in place
+    assert calls == ["1"]
 
 
 # -- path decomposition -------------------------------------------------------
@@ -177,21 +188,35 @@ def test_path_decomposition_frozen_five_leaf_example():
     state = IterationState(frozenset(tree.taxa), tree, tree, [], 5)
     decomp = path_decomposition(state)
     # The left root subtree held one leaf of five, so the state mirrored.
+    assert state.flipped
     assert decomp.order == ("5", "2", "1", "3", "4")
     assert [(p.lo, p.hi) for p in decomp.first] == \
         [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
-    assert [p.leaves for p in decomp.first] == \
-        [("5",), ("2",), ("1",), ("3",), ("4",)]
     assert [(p.lo, p.hi) for p in decomp.second] == [(1, 4), (5, 5)]
-    assert decomp.second[0].leaves == ("5", "2", "1", "3")
+    assert decomp.order[:4] == ("5", "2", "1", "3")
 
 
 def test_path_decomposition_normalizes_towards_a_heavy_left():
     tree = rooted("(1,((2,3),(4,5)));")
     state = IterationState(frozenset(tree.taxa), tree, tree, [], 5)
     decomp = path_decomposition(state)
-    assert state.tree1.seq() == decomp.order == ("5", "4", "3", "2", "1")
+    assert state.flipped
+    assert decomp.order == ("5", "4", "3", "2", "1")
     assert decomp.first[-1].size() <= len(decomp.order) // 2
+    # The trees stay as given; a second call keeps the frame.
+    assert state.tree1 is tree and state.tree2 is tree
+    assert path_decomposition(state) == decomp and state.flipped
+
+
+def test_path_decomposition_needs_a_run_of_a_common_order():
+    tree = rooted("(4,(3,(1,(2,5))));")
+    with pytest.raises(TreeError):
+        path_decomposition(IterationState(frozenset({"4", "1"}), tree, tree,
+                                          [], 5))
+    other = rooted("(3,(4,(1,(2,5))));")
+    with pytest.raises(TreeError):
+        path_decomposition(IterationState(frozenset(tree.taxa), tree, other,
+                                          [], 5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,13 +227,16 @@ def test_path_decomposition_tiles_the_order(n, seed):
     state, _, _ = setup(a, b)
     decomp = path_decomposition(state)
     total = len(decomp.order)
-    for pieces in (decomp.first, decomp.second):
+    for pieces, tree in ((decomp.first, state.tree1),
+                         (decomp.second, state.tree2)):
         spans = [(p.lo, p.hi) for p in pieces]
         assert spans[0][0] == 1 and spans[-1][1] == total
         assert all(b_lo == a_hi + 1 for (_, a_hi), (b_lo, _) in
                    zip(spans, spans[1:]))
         for piece in pieces:
-            assert piece.leaves == decomp.order[piece.lo - 1:piece.hi]
+            # Every piece is the leaf set of one subtree.
+            span = decomp.order[piece.lo - 1:piece.hi]
+            assert set(leaves_under(tree, tree.lca(span))) == set(span)
     # Normalization: tree1's right root subtree is the smaller half.
     assert decomp.first[-1].size() <= total // 2
 
@@ -351,7 +379,7 @@ def test_structural_pairs_self_verify_on_random_states(n, seed):
 def synthetic_decomposition():
     order = tuple(str(i) for i in range(1, 9))
     def pieces(spans):
-        return tuple(Piece(lo, hi, -1, order[lo - 1:hi]) for lo, hi in spans)
+        return tuple(Piece(lo, hi) for lo, hi in spans)
     return PathDecomposition(
         pieces([(1, 2), (3, 4), (5, 6), (7, 8)]),
         pieces([(1, 1), (2, 3), (4, 5), (6, 8)]), order)
@@ -556,11 +584,15 @@ def test_main_appends_a_nested_block():
     assert verify_outcome(one, two, out)
 
 
-def test_main_returns_a_nested_caterpillar_directly():
-    labels = [str(i) for i in range(2, 202)]
-    blocks = blocks_of(labels, 8)
+def _nested_caterpillar_pair():
+    blocks = blocks_of([str(i) for i in range(2, 202)], 8)
     one = deroot(rooted(f"(1,{left_comb([left_deep(b) for b in blocks])});"))
     two = deroot(rooted(f"(1,{right_comb([right_deep(b) for b in blocks])});"))
+    return one, two
+
+
+def test_main_returns_a_nested_caterpillar_directly():
+    one, two = _nested_caterpillar_pair()
     out = main_construct(one, two)
     assert out.kind == UNROOTED_CATERPILLAR
     assert out.branch == "nested:greedy-caterpillar(step=1)"
@@ -602,6 +634,171 @@ def test_main_outcomes_always_verify(n, seed):
     assert verify_outcome(a, b, out)
     assert out.kind in (BLOCK_TREE, UNROOTED_CATERPILLAR)
     assert len(out.agreement_set) >= 1
+
+
+# -- the restricting loop as an oracle ----------------------------------------
+#
+# The loop once restricted both core trees after every step and mirrored
+# them in place to normalize.  These copies of that decomposition and peel
+# drive the same pair finders and splits, step by step, beside the loop
+# that keeps the trees fixed and only narrows the core.
+
+
+def _oracle_spine_pieces(tree, along, off, positions):
+    nodes = []
+    node = tree.root
+    while along[node] != -1:
+        nodes.append(off[node])
+        node = along[node]
+    nodes.append(node)
+    pieces = []
+    for node in nodes:
+        leaves = leaves_under(tree, node)
+        lo = positions[leaves[0]]
+        hi = positions[leaves[-1]]
+        assert hi - lo + 1 == len(leaves)
+        pieces.append(Piece(lo, hi))
+    return pieces
+
+
+def oracle_path_decomposition(state):
+    tree1, tree2 = state.tree1, state.tree2
+    if len(tree1) >= 2:
+        counts = tree1.leaf_counts()
+        root = tree1.root
+        if counts[tree1.left[root]] < counts[tree1.right[root]]:
+            state.tree1 = tree1.mirror()
+            state.tree2 = tree2.mirror()
+            tree1, tree2 = state.tree1, state.tree2
+    order = tree1.seq()
+    assert order == tree2.seq()
+    positions = {lab: i + 1 for i, lab in enumerate(order)}
+    first = _oracle_spine_pieces(tree1, tree1.left, tree1.right, positions)
+    first.reverse()
+    second = _oracle_spine_pieces(tree2, tree2.right, tree2.left, positions)
+    return PathDecomposition(tuple(first), tuple(second), order)
+
+
+def oracle_peel(state, peeled, survivors):
+    state.agreed.extend(peeled)
+    state.taxa = survivors
+    state.tree1 = state.tree1.restrict(survivors)
+    state.tree2 = state.tree2.restrict(survivors)
+    assert state.tree1.seq() == state.tree2.seq()
+    state.step += 1
+
+
+def main_steps(state, c, decompose, peel):
+    """main_construct's loop and closing step, run with ``decompose`` and
+    ``peel``: every decomposition, pair, split and nested outcome, then
+    the agreement set."""
+    log = []
+    while len(state.taxa) ** 4 >= state.n_param:
+        decomp = decompose(state)
+        log.append(decomp)
+        pair = find_good_pair_structural(state, decomp, c)
+        if pair is not None:
+            log.append(pair)
+            peel(state, [pair.pivot], pair.survivors)
+            continue
+        split = strong_split(state, decomp, c)
+        log.append(split)
+        if isinstance(split, SweepFallback):
+            return log, frozenset(split.leaves)
+        if isinstance(split, SplitDegenerate):
+            break
+        nested = _nested_weak(state, split.nucleus)
+        log.append(nested)
+        if nested.kind == UNROOTED_CATERPILLAR:
+            return log, nested.agreement_set
+        peel(state, nested.agreement_set, split.survivors)
+    assert len(state.taxa) <= ROOTED_DP_CAP
+    last = rooted_agreement_leaves(state.tree1.restrict(state.taxa),
+                                   state.tree2.restrict(state.taxa))
+    return log, frozenset(state.agreed).union(last)
+
+
+def weak_steps(state, c, decompose, peel):
+    """weak_construct's loop, run the same way."""
+    log = []
+    while len(state.taxa) > 1:
+        decomp = decompose(state)
+        branch, payload = classify_iteration(state, decomp, c)
+        log += [decomp, payload]
+        if branch == "caterpillar":
+            return log, frozenset(payload)
+        peel(state, [payload.pivot], payload.survivors)
+    return log, frozenset(state.agreed) | state.taxa
+
+
+def both_loops(state, steps, c):
+    """``steps`` on a copy of ``state`` with the oracle and on ``state``
+    itself; asserts both logs agree and returns the agreement set."""
+    one, two = state.tree1, state.tree2
+    oracle = IterationState(state.taxa, one, two, [], state.n_param)
+    expected = steps(oracle, c, oracle_path_decomposition, oracle_peel)
+    assert steps(state, c, path_decomposition, _peel) == expected
+    assert state.tree1 is one and state.tree2 is two
+    return expected[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(["uniform", "adversarial"]),
+       size=st.integers(16, 400), seed=st.integers(0, 2**32),
+       c=st.sampled_from([2, 4, 40]), orient=st.booleans())
+def test_fixed_tree_loop_matches_the_restricting_loop(model, size, seed, c,
+                                                      orient):
+    if model == "adversarial":
+        size = 1 << (size.bit_length() - 1)
+        a, b = adversarial_pair(size)
+    else:
+        a = generate(GenSpec("uniform", size, seed))
+        b = generate(GenSpec("uniform", size, seed ^ 0x0DDBA11))
+    rng = (lambda: SplitMix64(seed)) if orient else (lambda: None)
+    state, _, _ = setup(a, b, rng())
+    got = both_loops(state, main_steps, c)
+    assert main_construct(a, b, c, rng()).agreement_set == got
+    if c >= 4:
+        state, _, _ = setup(a, b, rng())
+        got = both_loops(state, weak_steps, c)
+        assert weak_construct(state.tree1, state.tree2, size, c
+                              ).agreement_set == got
+
+
+def _fixture_states():
+    labels = [str(i) for i in range(1, 201)]
+    parts = [left_deep(b) for b in blocks_of(labels, 10)]
+    yield make_state(parts, parts, 200)
+    yield make_state(labels, labels, 200)
+    labels = labels[:100]
+    window = [left_deep(b) for b in blocks_of(labels[40:60], 2)]
+    yield make_state(labels[:40] + window + labels[60:],
+                     labels[:40] + window + labels[60:], 100)
+    yield make_state(labels[:16] + [left_deep(labels[16:20])] + labels[20:40]
+                     + window + labels[60:],
+                     labels[:40] + window + labels[60:], 100)
+    # Balanced blocks on a right comb: the loop is flipped when it splits,
+    # and the nucleus's root splits evenly, so nested weak must start in
+    # the loop's frame.
+    parts = ["((({},{}),({},{})),(({},{}),({},{})))".format(*b)
+             for b in blocks_of([str(i) for i in range(1, 321)], 8)]
+    one, two = rooted(right_comb(parts) + ";"), rooted(left_comb(parts) + ";")
+    yield IterationState(frozenset(one.taxa), one, two, [], 320)
+    for param in PAIR_RULES:
+        t1, t2, n_param = param.values[:3]
+        one, two = rooted(t1), rooted(t2)
+        yield IterationState(frozenset(one.taxa), one, two, [], n_param)
+
+
+def test_fixed_tree_loop_matches_on_hand_built_blocks():
+    for steps, c in ((main_steps, 40), (main_steps, 4), (weak_steps, 4)):
+        for state in _fixture_states():
+            both_loops(state, steps, c)
+    for one, two in (block_comb_pair(200, 8), _nested_caterpillar_pair()):
+        for c in (4, 40):
+            state, _, _ = setup(one, two)
+            assert both_loops(state, main_steps, c) == \
+                main_construct(one, two, c).agreement_set
 
 
 # -- verification -------------------------------------------------------------

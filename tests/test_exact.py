@@ -20,12 +20,13 @@ from mastkit.exact import (
     _agreement_table,
     _node_side,
     brute_force_mast,
+    rooted_agreement_leaves,
     rooted_mast,
     unrooted_mast,
 )
 from mastkit.generators import MODELS, GenSpec, generate
 
-from conftest import rooted, unrooted
+from conftest import leaves_under, rooted, unrooted
 
 
 def test_three_leaf_rooted_disagreement():
@@ -300,6 +301,20 @@ def _shaped(model, n, seed):
     return root_at_edge(tree, edges[seed % len(edges)])
 
 
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(MODELS), n=st.integers(2, 40),
+       seed=st.integers(0, 2**32))
+def test_rooted_agreement_set_ignores_mirroring(model, n, seed):
+    # The construction loop reads its trees mirrored without rebuilding
+    # them, and hands the exact step the unmirrored restrictions.  The
+    # backtrack's tie order is mirror-symmetric, so the set is the same.
+    if model == "balanced":
+        n = 1 << (n.bit_length() - 1)
+    one, two = _shaped(model, n, seed), _shaped("uniform", n, seed ^ 0xF00D)
+    assert set(rooted_agreement_leaves(one, two)) == \
+        set(rooted_agreement_leaves(one.mirror(), two.mirror()))
+
+
 def _dense_table(tree1, tree2):
     """The rooted table with every cell filled: leaf rows from the taxa
     below each node, internal rows over every node of ``tree2``."""
@@ -355,9 +370,9 @@ def test_rooted_table_stores_short_rows_on_their_support(model):
         if isinstance(row, list):
             continue
         sparse += 1
-        taxa = set(tree1.leaves_under(u))
+        taxa = set(leaves_under(tree1, u))
         support = {v for v in range(tree2.num_nodes())
-                   if taxa.intersection(tree2.leaves_under(v))}
+                   if taxa.intersection(leaves_under(tree2, v))}
         assert set(row) <= support
     assert sparse > 0
 

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-function the benchmark tracer wraps still exists.
+"""Every module of the package uses each name it imports, every name the
+package exports exists, and every function the benchmark tracer wraps
+still exists.
 
 ``__init__.py`` is left out of the import check: it imports names only to
 re-export them.
@@ -35,6 +36,16 @@ def test_module_uses_every_import(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_package_exports_resolve_once():
+    import mastkit
+
+    missing = [name for name in mastkit.__all__ if not hasattr(mastkit, name)]
+    twice = sorted({name for name in mastkit.__all__
+                    if mastkit.__all__.count(name) > 1})
+    assert not missing, f"__all__ names nothing at: {missing}"
+    assert not twice, f"__all__ lists more than once: {twice}"
 
 
 def test_tracer_targets_resolve():

@@ -19,26 +19,23 @@ from mastkit.rng import SplitMix64
 from mastkit.trees import (
     is_caterpillar,
     label_key,
-    min_label,
     rooted_from_arrays,
     sorted_labels,
 )
 from mastkit.generators import MODELS, GenSpec, generate
 
-from conftest import rooted, unrooted
+from conftest import leaves_under, rooted, unrooted
 
 
 def test_label_ordering_is_numeric_aware():
     labels = ["10", "9", "x2", "x10", "2"]
     assert sorted_labels(labels) == ["2", "9", "10", "x10", "x2"]
-    assert min_label(labels) == "2"
     assert label_key("10") > label_key("9")
     # '²' and '①' are digits to str.isdigit but not decimal: int() rejects
     # them, so they sort as text.
     labels += ["\u2460", "\u00b2", "07", "7"]
     assert sorted_labels(labels) == [
         "2", "07", "7", "9", "10", "x10", "x2", "\u00b2", "\u2460"]
-    assert min_label(["\u00b2", "x"]) == "x"
     assert label_key("\u2460") > label_key("10")
     # Decimal digits of other scripts count by value: Arabic-Indic
     # three and nine around an ASCII five.
@@ -87,7 +84,6 @@ def test_labels_past_int_digit_limit_sort_by_value():
     want = ["2", "9" * 4301, "\uff12" + "0" * 4400, "0" + big, big, "x"]
     assert sorted_labels(labels) == want
     assert sorted(labels, key=label_key) == want
-    assert min_label(labels) == "2"
 
 
 def test_rooted_restriction_suppresses_pass_through_nodes():
@@ -123,12 +119,12 @@ def test_seq_is_preorder_leaf_order():
 def test_lca_and_ancestry():
     tree = rooted("(4,(3,(1,(2,5))));")
     pair = tree.lca({"2", "5"})
-    assert sorted(tree.leaves_under(pair)) == ["2", "5"]
+    assert sorted(leaves_under(tree, pair)) == ["2", "5"]
     assert tree.is_ancestor(tree.root, pair)
     assert not tree.is_ancestor(pair, tree.root)
     assert tree.is_comparable(pair, tree.root)
     inner = tree.lca({"1", "2"})
-    assert sorted(tree.leaves_under(inner)) == ["1", "2", "5"]
+    assert sorted(leaves_under(tree, inner)) == ["1", "2", "5"]
 
 
 def test_mirror_reverses_seq_and_is_an_involution():
@@ -246,7 +242,7 @@ def test_rooted_ids_are_preorder_and_answer_ancestry(n, seed, pick):
             below = [b for b in range(tree.num_nodes()) if a in ancestors[b]]
             for b in range(tree.num_nodes()):
                 assert tree.is_ancestor(a, b) == (b in below)
-            assert tree.leaves_under(a) == tuple(
+            assert leaves_under(tree, a) == tuple(
                 tree.labels[b] for b in below if tree.is_leaf(b))
         order = tree.seq()
         for i in range(len(order)):
@@ -281,7 +277,7 @@ def test_restriction_drops_exactly_the_asked_taxa(n, seed, drop):
     tree = generate(GenSpec("uniform", n, seed))
     keep = frozenset(lab for lab in tree.taxa if (hash((lab, drop)) & 3) != 0)
     if len(keep) < 1:
-        keep = frozenset([min_label(tree.taxa)])
+        keep = frozenset(sorted_labels(tree.taxa)[:1])
     cut = tree.restrict(keep)
     assert cut.taxa == keep
     cut.validate()
