@@ -71,6 +71,13 @@ def _load_tree(value: str, rooted: bool):
     return parse_newick(text, rooted=rooted)
 
 
+def _open_out(path: str, newline: Optional[str] = None):
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except ValueError as err:  # a NUL byte: ValueError, not OSError
+        raise OSError(f"{path!r}: {err}") from None
+
+
 def _emit(args, report: dict) -> None:
     if getattr(args, "json", False):
         print(json.dumps(report, sort_keys=True))
@@ -176,7 +183,7 @@ def _cmd_gen(args) -> int:
         lines = [write_newick(generate(GenSpec(args.model, args.n, args.seed)))]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -222,8 +229,7 @@ def _cmd_experiment(args) -> int:
                 raise TreeError(
                     f"adversarial model needs power-of-two sizes, got {n}")
     rows: list[dict] = []
-    out = sys.stdout if args.out == "-" else open(args.out, "w",
-                                                  encoding="utf-8", newline="")
+    out = sys.stdout if args.out == "-" else _open_out(args.out, newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_FIELDS)

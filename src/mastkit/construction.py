@@ -5,7 +5,8 @@ explicit agreement set of logarithmic size.  The pipeline:
 
 * :func:`setup` roots both trees at an edge and keeps a common monotone
   leaf subsequence (at least sqrt(n) taxa), so both restrictions list
-  their leaves in the same order;
+  their leaves in one order; the loops keep these trees fixed and hold
+  their core, pairs and splits as runs of positions in that order;
 * :func:`weak_construct` peels one taxon per round off a shrinking core,
   or exits early with a greedy caterpillar, and guarantees an agreement
   of size about log n / log log n;
@@ -56,46 +57,9 @@ class CertificationError(TreeError):
 
 
 @dataclass(frozen=True)
-class GoodPair:
-    """One peel step: ``pivot`` joins the output, ``survivors`` carry on.
-
-    In both current trees the ancestor of the survivors is strictly below
-    the ancestor of survivors plus pivot, which is what lets the pivot sit
-    on top of whatever the survivors later produce.  ``tier`` records the
-    size floor the pair was found under: ``"large"`` keeps at least a 1/C
-    fraction of the core, ``"regular"`` at least 1/(2 log2 n).
-    """
-
-    pivot: str
-    survivors: frozenset[str]
-    tier: str
-
-
-@dataclass
-class IterationState:
-    """The shrinking core shared by both construction loops.
-
-    ``tree1`` and ``tree2`` list their leaves in the same order and stay
-    fixed; the core ``taxa`` is a run of that order, which each step
-    shrinks.  ``flipped``, set only by :func:`path_decomposition`, means
-    the loop reads both trees mirrored.  ``agreed`` collects everything
-    peeled off so far, oldest first.  ``n_param`` is the size parameter
-    all logarithmic thresholds refer to; it stays fixed as the core shrinks.
-    """
-
-    taxa: frozenset[str]
-    tree1: RootedTree
-    tree2: RootedTree
-    agreed: list[str]
-    n_param: int
-    step: int = 1
-    flipped: bool = False
-
-
-@dataclass(frozen=True)
 class Piece:
-    """A leaf interval hanging off a spine, as positions in the common
-    leaf order of the core (1-based, inclusive)."""
+    """A run of the core: positions ``lo..hi`` (1-based, inclusive) of the
+    decomposition's ``order``, off a spine or named by a pair or split."""
 
     lo: int
     hi: int
@@ -105,9 +69,60 @@ class Piece:
 
 
 @dataclass(frozen=True)
+class GoodPair:
+    """One peel step: the taxon at position ``pivot`` joins the output, the
+    run ``survivors`` carries on (both in the decomposition's frame).
+
+    In both trees the ancestor of the survivors is strictly below the
+    ancestor of survivors plus pivot, which is what lets the pivot sit on
+    top of whatever the survivors later produce.  ``tier`` records the
+    size floor the pair was found under: ``"large"`` keeps at least a 1/C
+    fraction of the core, ``"regular"`` at least 1/(2 log2 n).
+    """
+
+    pivot: int
+    survivors: Piece
+    tier: str
+
+
+@dataclass
+class IterationState:
+    """The shrinking core shared by both construction loops.
+
+    ``tree1`` and ``tree2`` must list their leaves in one order and stay
+    fixed; the core is the run ``lo..hi`` (0-based, inclusive) of that
+    order, which each step shrinks.  ``flipped``, set only by
+    :func:`path_decomposition`, means the loop reads both trees mirrored,
+    and ``taxa`` lists the core's labels in that frame.  ``agreed`` lists
+    the peeled taxa, oldest first.  ``n_param`` is the size parameter all
+    logarithmic thresholds refer to; it stays fixed as the core shrinks.
+    """
+
+    lo: int
+    hi: int
+    tree1: RootedTree
+    tree2: RootedTree
+    agreed: list[str]
+    n_param: int
+    step: int = 1
+    flipped: bool = False
+
+    def __post_init__(self) -> None:
+        if self.tree1.seq() != self.tree2.seq():
+            raise TreeError("the trees must list their leaves in one order")
+
+    def size(self) -> int:
+        return self.hi - self.lo + 1
+
+    @property
+    def taxa(self) -> tuple[str, ...]:
+        order = self.tree1.seq()[self.lo:self.hi + 1]
+        return order[::-1] if self.flipped else order
+
+@dataclass(frozen=True)
 class PathDecomposition:
     """Both trees, cut down to the core, split along a spine into
-    consecutive leaf intervals.
+    consecutive runs of the core.
 
     Both lists come from one walk: from the root down through one child
     of each node, listing the subtrees that hang off the other side
@@ -116,8 +131,8 @@ class PathDecomposition:
     subtree and ends with the right-most leaf.  ``first`` is the walk on
     tree1 through left children, reversed, so it starts with the
     left-most leaf and ends with the root's right subtree.  Each list
-    partitions positions 1..n of ``order``.  All of it is read mirrored
-    when the state is ``flipped``.
+    partitions positions 1..n of ``order``, the core's labels in the
+    loop's frame: mirrored when the state is ``flipped``.
     """
 
     first: tuple[Piece, ...]
@@ -127,11 +142,11 @@ class PathDecomposition:
 
 @dataclass(frozen=True)
 class IncomparableSplit:
-    """Two disjoint taxon sets whose ancestors are incomparable in both
-    trees: ``nucleus`` is recursed on, ``survivors`` is iterated on."""
+    """Two disjoint runs of the core whose ancestors are incomparable in
+    both trees: ``nucleus`` is recursed on, ``survivors`` is iterated on."""
 
-    nucleus: frozenset[str]
-    survivors: frozenset[str]
+    nucleus: Piece
+    survivors: Piece
 
 
 @dataclass(frozen=True)
@@ -242,10 +257,8 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     keep = frozenset(common)
     core1 = rooted1.restrict(keep)
     core2 = rooted2.restrict(keep)
-    if core1.seq() != core2.seq():
-        raise TreeError("internal error: leaf orders failed to align")
-    state = IterationState(taxa=keep, tree1=core1, tree2=core2,
-                           agreed=[], n_param=n)
+    state = IterationState(lo=0, hi=len(common) - 1, tree1=core1,
+                           tree2=core2, agreed=[], n_param=n)
     return state, rooted1, rooted2
 
 
@@ -279,7 +292,7 @@ def _spine_pieces(tree: RootedTree, lo: int, hi: int, right_spine: bool,
 
 def path_decomposition(state: IterationState) -> PathDecomposition:
     """Split both trees of the state, cut down to its core, along their
-    spines into leaf intervals.
+    spines into runs of the core.
 
     The core must be a run of the trees' common leaf order.  First
     normalizes the state in place: if tree1's left root subtree is
@@ -289,49 +302,43 @@ def path_decomposition(state: IterationState) -> PathDecomposition:
     walks the spines of the fixed trees, read in that frame, as
     :class:`PathDecomposition` describes.
     """
-    tree1, tree2 = state.tree1, state.tree2
+    tree1, tree2, lo, hi = state.tree1, state.tree2, state.lo, state.hi
     base = tree1.seq()
-    ids = [tree1.leaf_node(lab) for lab in state.taxa]
-    lo = base.index(tree1.labels[min(ids)])
-    hi = base.index(tree1.labels[max(ids)])
-    if hi - lo + 1 != len(ids) or base != tree2.seq():
+    if not 0 <= lo <= hi < len(base) or base != tree2.seq():
         raise TreeError("the core is not a run of a common leaf order")
     # Down tree1's left spine, the first piece is its right root subtree.
     first = _spine_pieces(tree1, lo, hi, False, state.flipped)
-    if len(first) > 1 and 2 * first[0].size() > len(ids):
+    if len(first) > 1 and 2 * first[0].size() > hi - lo + 1:
         state.flipped = not state.flipped
         first = _spine_pieces(tree1, lo, hi, False, state.flipped)
     second = _spine_pieces(tree2, lo, hi, True, state.flipped)
-    order = base[lo:hi + 1]
-    return PathDecomposition(tuple(first[::-1]), tuple(second),
-                             order[::-1] if state.flipped else order)
+    return PathDecomposition(tuple(first[::-1]), tuple(second), state.taxa)
 
 
 def check_good_pair(state: IterationState, pair: GoodPair, c: int) -> None:
     """Re-derive every promise a pair makes; raise if any fails.
 
     Checks membership, the strict ancestor step in both trees, and the
-    tier's size floor.
+    tier's size floor.  Both trees list a run of the core in one block, so
+    its ancestor is that of its two ends.
     """
-    if pair.pivot in pair.survivors:
+    run, core = pair.survivors, state.size()
+    if not 1 <= run.lo <= run.hi <= core or not 1 <= pair.pivot <= core:
+        raise TreeError("pair needs a non-empty run and a pivot in the core")
+    if run.lo <= pair.pivot <= run.hi:
         raise TreeError("pivot may not survive itself")
-    if pair.pivot not in state.taxa or not pair.survivors <= state.taxa:
-        raise TreeError("pair mentions taxa outside the core")
-    if not pair.survivors:
-        raise TreeError("survivor set is empty")
-    joined = pair.survivors | {pair.pivot}
+    order = state.taxa
+    ends = [order[run.lo - 1], order[run.hi - 1], order[pair.pivot - 1]]
     for tree in (state.tree1, state.tree2):
-        low = tree.lca(pair.survivors)
-        high = tree.lca(joined)
+        low = tree.lca(ends[:2])
+        high = tree.lca(ends)
         if low == high or not tree.is_ancestor(high, low):
             raise TreeError("pivot fails the strict ancestor step")
-    size = len(pair.survivors)
-    core = len(state.taxa)
     if pair.tier == "large":
-        if size * c < core:
+        if run.size() * c < core:
             raise TreeError("large pair below its 1/C size floor")
     elif pair.tier == "regular":
-        if size * 2 * math.log2(state.n_param) < core:
+        if run.size() * 2 * math.log2(state.n_param) < core:
             raise TreeError("regular pair below its 1/(2 log n) size floor")
     else:
         raise TreeError(f"unknown pair tier {pair.tier!r}")
@@ -341,10 +348,6 @@ def _overlap(piece: Piece, lo: int, hi: int) -> int:
     a = piece.lo if piece.lo > lo else lo
     b = piece.hi if piece.hi < hi else hi
     return b - a + 1 if b >= a else 0
-
-
-def _span(order: tuple[str, ...], lo: int, hi: int) -> frozenset[str]:
-    return frozenset(order[lo - 1:hi])
 
 
 def _first_piece(decomp: PathDecomposition, test: Callable[[Piece], bool]
@@ -365,14 +368,14 @@ def _first_oversized(decomp: PathDecomposition,
     return _first_piece(decomp, lambda p: p.size() > 1 and p.size() * c > 2 * n)
 
 
-def _cut_pair(state: IterationState, order: tuple[str, ...], lo: int, hi: int,
+def _cut_pair(state: IterationState, n: int, lo: int, hi: int,
               cut: int, prefix: bool, tier: str, c: int) -> GoodPair:
-    # Survivors are positions lo..hi up to ``cut``, with the last taxon of
-    # the order as pivot, or past ``cut``, with the first taxon as pivot.
+    # Survivors are positions lo..hi up to ``cut``, with the last position
+    # n as pivot, or past ``cut``, with the first position as pivot.
     if prefix:
-        pair = GoodPair(order[-1], _span(order, lo, min(hi, cut)), tier)
+        pair = GoodPair(n, Piece(lo, min(hi, cut)), tier)
     else:
-        pair = GoodPair(order[0], _span(order, max(lo, cut + 1), hi), tier)
+        pair = GoodPair(1, Piece(max(lo, cut + 1), hi), tier)
     check_good_pair(state, pair, c)
     return pair
 
@@ -392,8 +395,7 @@ def find_good_pair_structural(
     if found is None:
         return None
     in_first, idx, piece = found
-    order = decomp.order
-    n = len(order)
+    n = len(decomp.order)
     lo, hi = piece.lo, piece.hi
     if not in_first:
         # For tree2's left root subtree (index 0), normalization keeps
@@ -411,7 +413,7 @@ def find_good_pair_structural(
                 # Both left root subtrees are large; their leaf intervals
                 # are prefixes, so they overlap in a long prefix.
                 lo, hi = 1, piece.lo - 1
-    return _cut_pair(state, order, lo, hi, cut, prefix, "large", c)
+    return _cut_pair(state, n, lo, hi, cut, prefix, "large", c)
 
 
 def find_good_pair_big_subtree(
@@ -423,8 +425,7 @@ def find_good_pair_big_subtree(
     root subtree of the other tree, which keeps at least a 1/(2 log2 n)
     fraction.  Raises if no piece reaches the floor.
     """
-    order = decomp.order
-    n = len(order)
+    n = len(decomp.order)
     if n < 2:
         raise TreeError("need at least two taxa to form a pair")
     floor = n / math.log2(state.n_param)
@@ -446,7 +447,7 @@ def find_good_pair_big_subtree(
     else:
         cut = decomp.first[-1].lo - 1        # tree1's left root subtree
         prefix = 2 * _overlap(piece, cut + 1, n) < size
-    return _cut_pair(state, order, lo, hi, cut, prefix, "regular", 0)
+    return _cut_pair(state, n, lo, hi, cut, prefix, "regular", 0)
 
 
 def greedy_caterpillar(decomp: PathDecomposition, lo: int = 1,
@@ -499,68 +500,67 @@ def classify_iteration(
 
 
 def _peel(state: IterationState, peeled: Iterable[str],
-          survivors: frozenset[str]) -> None:
-    # Add ``peeled`` to the output and shrink the core to ``survivors``.
+          survivors: Piece) -> None:
+    # Output ``peeled``; the core shrinks to ``survivors``, a run of the frame.
     state.agreed.extend(peeled)
-    state.taxa = survivors
+    a, b = survivors.lo, survivors.hi
+    if state.flipped:
+        a, b = state.size() + 1 - b, state.size() + 1 - a
+    state.lo, state.hi = state.lo - 1 + a, state.lo - 1 + b
     state.step += 1
 
 
 def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
-                   c: int = 4,
-                   observer: Optional[Callable[..., None]] = None,
-                   ) -> ConstructionOutcome:
+                   c: int = 4) -> ConstructionOutcome:
     """Peel pivots until one taxon remains or a greedy caterpillar pays.
 
     Inputs are two rooted trees with identical leaf orders (as produced
     by :func:`setup`).  Each pair step keeps at least a 1/(2 log2 n_param)
     fraction, so starting from at least sqrt(n_param) taxa the rooted
     exit has size >= log2(n_param) / (2 log2(2 log2 n_param)) + 1; the
-    caterpillar exit has size >= log2(n_param).  ``observer``, if given,
-    is called with (state, decomposition, branch) before each move.
+    caterpillar exit has size >= log2(n_param).
     """
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
-    if tree1.seq() != tree2.seq():
-        raise TreeError("input trees must list their leaves identically")
     if n_param < 4:
         raise TreeError("size parameter must be at least 4")
     if c < 4:  # below 4 a piece may hold more than half the core
         raise TreeError(f"shrink-fraction constant C must be at least 4, got {c}")
-    state = IterationState(taxa=tree1.taxa, tree1=tree1, tree2=tree2,
+    state = IterationState(lo=0, hi=len(tree1) - 1, tree1=tree1, tree2=tree2,
                            agreed=[], n_param=n_param)
     tallies = {"large": 0, "regular": 0}
-    while len(state.taxa) > 1:
+    while state.size() > 1:
         decomp = path_decomposition(state)
         branch, payload = classify_iteration(state, decomp, c)
-        if observer is not None:
-            observer(state, decomp, branch)
         if branch == "caterpillar":
             return certified(tree1, tree2, ConstructionOutcome(
                 frozenset(payload), UNROOTED_CATERPILLAR,
                 f"greedy-caterpillar(step={state.step})",
                 math.log2(n_param)))
         tallies[branch] += 1
-        _peel(state, [payload.pivot], payload.survivors)
+        _peel(state, [decomp.order[payload.pivot - 1]], payload.survivors)
     lg = math.log2(n_param)
     return certified(tree1, tree2, ConstructionOutcome(
-        frozenset(state.agreed) | state.taxa, ROOTED_CATERPILLAR,
+        frozenset(state.agreed).union(state.taxa), ROOTED_CATERPILLAR,
         f"pair-chain(large={tallies['large']} regular={tallies['regular']})",
         0.5 * lg / math.log2(2 * lg) + 1))
 
 
 def _check_split(state: IterationState, split: IncomparableSplit) -> None:
-    if split.nucleus & split.survivors:
-        raise TreeError("split sets overlap")
-    if not split.nucleus or not split.survivors:
-        raise TreeError("split sets must be non-empty")
-    if len(split.nucleus) ** 16 < state.n_param:
+    nucleus, survivors, core = split.nucleus, split.survivors, state.size()
+    for run in (nucleus, survivors):
+        if not 1 <= run.lo <= run.hi <= core:
+            raise TreeError("split runs must be non-empty and inside the core")
+    if nucleus.lo <= survivors.hi and survivors.lo <= nucleus.hi:
+        raise TreeError("split runs overlap")
+    if nucleus.size() ** 16 < state.n_param:
         raise TreeError("split nucleus below its size floor")
-    if len(split.survivors) * 10 * math.log2(state.n_param) < len(state.taxa):
+    if survivors.size() * 10 * math.log2(state.n_param) < core:
         raise TreeError("split survivors below their size floor")
+    order = state.taxa
     for tree in (state.tree1, state.tree2):
-        a = tree.lca(split.nucleus)
-        b = tree.lca(split.survivors)
+        a = tree.lca((order[nucleus.lo - 1], order[nucleus.hi - 1]))
+        b = tree.lca((order[survivors.lo - 1], order[survivors.hi - 1]))
         if tree.is_comparable(a, b):
             raise TreeError("split ancestors are comparable")
 
@@ -586,7 +586,7 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
     n_param = state.n_param
     if _first_oversized(decomp, c) is not None:
         raise TreeError("oversized piece: structural pair applies")
-    if len(state.taxa) ** 4 < n_param:
+    if state.size() ** 4 < n_param:
         raise TreeError("core below the fourth-root floor")
     lg = math.log2(n_param)
     win_lo = (8 * n + 19) // 20
@@ -626,8 +626,7 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
         cut_lo = max(partner.lo, pick.lo)
         cut_hi = min(partner.hi, pick.hi)
         if (cut_hi - cut_lo + 1) ** 16 >= n_param:
-            split = IncomparableSplit(_span(order, cut_lo, cut_hi),
-                                      _span(order, anchor.lo, anchor.hi))
+            split = IncomparableSplit(Piece(cut_lo, cut_hi), anchor)
             _check_split(state, split)
             return split
     transversal = tuple(order[max(p.lo, pick.lo) - 1] for p in partners)
@@ -668,11 +667,11 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     state, rooted1, rooted2 = setup(tree1, tree2, rng)
     singles = 0
     blocks = 0
-    while len(state.taxa) ** 4 >= n:
+    while state.size() ** 4 >= n:
         decomp = path_decomposition(state)
         pair = find_good_pair_structural(state, decomp, c)
         if pair is not None:
-            _peel(state, [pair.pivot], pair.survivors)
+            _peel(state, [decomp.order[pair.pivot - 1]], pair.survivors)
             singles += 1
             continue
         split = strong_split(state, decomp, c)
@@ -682,13 +681,14 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
                 split.claimed_bound))
         if isinstance(split, SplitDegenerate):
             break
-        nested = _nested_weak(state, split.nucleus)
+        nucleus = split.nucleus
+        nested = _nested_weak(state, decomp.order[nucleus.lo - 1:nucleus.hi])
         if nested.kind == UNROOTED_CATERPILLAR:
             return _nested_exit(rooted1, rooted2, nested)
         _peel(state, nested.agreement_set, split.survivors)
         blocks += 1
     branch = f"block-chain(singles={singles} blocks={blocks})"
-    if len(state.taxa) > ROOTED_DP_CAP:
+    if state.size() > ROOTED_DP_CAP:
         # Too big for the exact table (only a degenerate window leaves
         # such a core): a weak chain closes it instead.
         nested = _nested_weak(state, state.taxa)
@@ -699,9 +699,9 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     else:
         last = rooted_agreement_leaves(state.tree1.restrict(state.taxa),
                                        state.tree2.restrict(state.taxa))
-        if len(state.taxa) ** 4 >= n:  # only a degenerate window leaves early
+        if state.size() ** 4 >= n:  # only a degenerate window leaves early
             branch += ";degenerate-exact"
-        elif len(last) < len(state.taxa):
+        elif len(last) < state.size():
             branch += ";final-exact"
     return certified(rooted1, rooted2, ConstructionOutcome(
         frozenset(state.agreed).union(last), BLOCK_TREE, branch,
@@ -709,7 +709,7 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
 
 
 def _nested_weak(state: IterationState,
-                 taxa: frozenset[str]) -> ConstructionOutcome:
+                 taxa: Sequence[str]) -> ConstructionOutcome:
     # Weak construction on part of the core, sized by that part alone,
     # read in the loop's frame, which its first step keeps on a tie.
     one, two = state.tree1.restrict(taxa), state.tree2.restrict(taxa)

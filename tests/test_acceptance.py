@@ -107,7 +107,7 @@ def _caterpillar_state(order, n_param):
     one = rooted(left_deep(order) + ";")
     two = rooted(right_deep(order) + ";")
     assert one.seq() == two.seq()
-    return IterationState(frozenset(one.taxa), one, two, [], n_param)
+    return IterationState(0, len(one) - 1, one, two, [], n_param)
 
 
 def _block_state(order, width, n_param):
@@ -117,7 +117,7 @@ def _block_state(order, width, n_param):
     one = rooted(left_comb(parts) + ";")
     two = rooted(right_comb(parts) + ";")
     assert one.seq() == two.seq()
-    return IterationState(frozenset(one.taxa), one, two, [], n_param)
+    return IterationState(0, len(one) - 1, one, two, [], n_param)
 
 
 def test_04_greedy_guarantee_on_precondition_states():

@@ -436,16 +436,16 @@ def test_weak_route_needs_shrink_constant_4(capsys, c, t1, t2):
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
-    missing = tmp_path / "missing"
-    code, out, err = run(capsys, ["gen", "--model", "uniform", "--n", "6",
-                                  "--out", str(missing / "x.nwk")])
-    assert code == EXIT_PARSE and out == ""
-    assert err.startswith("error: cannot write")
-    code, out, err = run(capsys, ["experiment", "--n-min", "4",
-                                  "--n-max", "4", "--out",
-                                  str(missing / "x.csv")])
-    assert code == EXIT_PARSE and out == ""
-    assert err.startswith("error: cannot write")
+    # open() refuses a NUL byte with ValueError, the others with OSError.
+    for bad in (tmp_path / "missing" / "x", tmp_path, f"{tmp_path}/a\x00b"):
+        code, out, err = run(capsys, ["gen", "--model", "uniform", "--n", "6",
+                                      "--out", str(bad)])
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: cannot write")
+        code, out, err = run(capsys, ["experiment", "--n-min", "4",
+                                      "--n-max", "4", "--out", str(bad)])
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: cannot write")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -556,3 +556,49 @@ def test_mutated_inputs_exit_with_a_documented_code(capsys, monkeypatch,
                                       report["kind"], report["branch"], 0.0)
         assert verify_outcome(parse_newick(t1, rooted=False),
                               parse_newick(t2, rooted=False), outcome)
+
+
+def _flag(draw, good, bad):
+    # Mostly a good value, so that some calls pass validation and run.
+    return draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 0 else good))
+
+
+@st.composite
+def _grid_calls(draw):
+    """A gen or experiment call with mutated flag values, kept to n <= 64
+    and at most two trials."""
+    sizes, bad_sizes = ["4", "8", "16", "64"], ["-1", "0", "1", "3", "5", "x"]
+    if draw(st.booleans()):
+        argv = ["gen", "--model", _flag(
+            draw, ["uniform", "caterpillar", "balanced", "adversarial"],
+            ["oak", ""]), "--n", _flag(draw, sizes, bad_sizes)]
+    else:
+        argv = ["experiment", "--n-min", _flag(draw, sizes, bad_sizes),
+                "--n-max", _flag(draw, sizes, bad_sizes),
+                "--step-factor", _flag(draw, ["2", "4"], ["1", "0", "-2"]),
+                "--trials", _flag(draw, ["1", "2"], ["0", "-1", "3.5"]),
+                "--models", _flag(draw, ["uniform", "adversarial",
+                                         "uniform,adversarial"],
+                                  [",", "oak", "adversarial,,uniform"]),
+                "--cap", _flag(draw, ["0", "8", "64"], ["-1", "x"]),
+                "--timing", _flag(draw, ["off", "wall"], ["cpu"])]
+        argv += draw(st.sampled_from([[], ["--json"]]))
+    argv += ["--seed", _flag(draw, ["0", "7"], ["y", ""])]
+    # Relative to the test's empty working directory: "." is a directory.
+    out = _flag(draw, [None, "-", "t.out"],
+                ["", ".", "a\x00b", "missing/t.out"])
+    return argv if out is None else argv + ["--out", out]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_grid_calls())
+def test_mutated_grid_flags_exit_with_a_documented_code(capsys, monkeypatch,
+                                                        tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as err:  # argparse rejects the value
+        code = err.code
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_TAXA, EXIT_CAP, EXIT_VERIFY)

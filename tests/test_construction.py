@@ -47,6 +47,7 @@ from mastkit.construction import (
     setup,
     strong_split,
     weak_construct,
+    _check_split,
     _nested_weak,
     _peel,
 )
@@ -68,19 +69,32 @@ from conftest import (
 )
 
 
+def whole_state(one, two, n_param):
+    """State whose core is every leaf of two trees sharing one leaf order."""
+    return IterationState(0, len(one) - 1, one, two, [], n_param)
+
+
 def make_state(parts1, parts2, n_param):
     """State from comb-assembled rooted trees sharing one leaf order."""
     one = rooted(left_comb(parts1) + ";")
     two = rooted(right_comb(parts2) + ";")
     assert one.seq() == two.seq()
-    return IterationState(frozenset(one.taxa), one, two, [], n_param)
+    return whole_state(one, two, n_param)
 
 
 def identical_state(n, n_param=None):
     labels = [str(i) for i in range(1, n + 1)]
     tree = rooted(left_deep(labels) + ";")
-    return IterationState(frozenset(tree.taxa), tree, tree, [],
-                          n_param if n_param else n)
+    return whole_state(tree, tree, n_param if n_param else n)
+
+
+def run_labels(order, run):
+    """The taxa of a run of positions in ``order``."""
+    return frozenset(order[run.lo - 1:run.hi])
+
+
+def pair_labels(order, pair):
+    return order[pair.pivot - 1], run_labels(order, pair.survivors), pair.tier
 
 
 # -- alignment ----------------------------------------------------------------
@@ -124,7 +138,7 @@ def test_monotone_subsequence_meets_the_square_root_floor(perm):
 def test_setup_aligns_and_cuts_to_the_common_core():
     one = unrooted("(1,(2,(3,(4,5))),6);")
     state, rooted1, rooted2 = setup(one, one)
-    assert state.taxa == one.taxa
+    assert set(state.taxa) == one.taxa
     assert state.tree1.seq() == state.tree2.seq() == rooted1.seq()
     assert state.n_param == 6
 
@@ -137,7 +151,7 @@ def test_setup_mirrors_the_second_tree_on_decreasing_alignment():
     # The canonical rooting of the second tree reads 1,2,4,6,5,3; the
     # aligned core is decreasing there, so setup hands back its mirror.
     assert rooted2.seq() == ("3", "5", "6", "4", "2", "1")
-    assert state.taxa == frozenset({"3", "4", "5", "6"})
+    assert state.taxa == ("3", "5", "6", "4")
     assert state.tree1.seq() == state.tree2.seq() == ("3", "5", "6", "4")
 
 
@@ -155,8 +169,10 @@ def test_setup_invariants_hold_on_random_pairs(n, seed):
     b = generate(GenSpec("uniform", n, seed ^ 0xDEADBEEF))
     state, rooted1, rooted2 = setup(a, b)
     assert state.tree1.seq() == state.tree2.seq()
+    # The tracer's core fraction reads the core size as len(state.taxa).
+    assert len(state.taxa) == state.size() == len(state.tree1)
     assert len(state.taxa) ** 2 >= n
-    assert state.taxa <= a.taxa
+    assert set(state.taxa) <= a.taxa
     pos = {lab: i for i, lab in enumerate(rooted1.seq())}
     order = [pos[lab] for lab in state.tree1.seq()]
     assert order == sorted(order)
@@ -185,11 +201,11 @@ def test_setup_calls_no_label_key(monkeypatch):
 
 def test_path_decomposition_frozen_five_leaf_example():
     tree = rooted("(4,(3,(1,(2,5))));")
-    state = IterationState(frozenset(tree.taxa), tree, tree, [], 5)
+    state = whole_state(tree, tree, 5)
     decomp = path_decomposition(state)
     # The left root subtree held one leaf of five, so the state mirrored.
     assert state.flipped
-    assert decomp.order == ("5", "2", "1", "3", "4")
+    assert decomp.order == state.taxa == ("5", "2", "1", "3", "4")
     assert [(p.lo, p.hi) for p in decomp.first] == \
         [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
     assert [(p.lo, p.hi) for p in decomp.second] == [(1, 4), (5, 5)]
@@ -198,7 +214,7 @@ def test_path_decomposition_frozen_five_leaf_example():
 
 def test_path_decomposition_normalizes_towards_a_heavy_left():
     tree = rooted("(1,((2,3),(4,5)));")
-    state = IterationState(frozenset(tree.taxa), tree, tree, [], 5)
+    state = whole_state(tree, tree, 5)
     decomp = path_decomposition(state)
     assert state.flipped
     assert decomp.order == ("5", "4", "3", "2", "1")
@@ -210,13 +226,18 @@ def test_path_decomposition_normalizes_towards_a_heavy_left():
 
 def test_path_decomposition_needs_a_run_of_a_common_order():
     tree = rooted("(4,(3,(1,(2,5))));")
-    with pytest.raises(TreeError):
-        path_decomposition(IterationState(frozenset({"4", "1"}), tree, tree,
-                                          [], 5))
+    for lo, hi in ((3, 5), (-1, 2), (3, 2)):
+        with pytest.raises(TreeError):
+            path_decomposition(IterationState(lo, hi, tree, tree, [], 5))
+    # A state refuses trees with two orders, and the decomposition
+    # checks again after a tree is swapped.
     other = rooted("(3,(4,(1,(2,5))));")
-    with pytest.raises(TreeError):
-        path_decomposition(IterationState(frozenset(tree.taxa), tree, other,
-                                          [], 5))
+    with pytest.raises(TreeError, match="one order"):
+        whole_state(tree, other, 5)
+    state = whole_state(tree, tree, 5)
+    state.tree2 = other
+    with pytest.raises(TreeError, match="common leaf order"):
+        path_decomposition(state)
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,10 +267,11 @@ def test_path_decomposition_tiles_the_order(n, seed):
 
 def test_structural_pair_frozen_on_identical_caterpillars():
     state = identical_state(4)
-    pair = find_good_pair_structural(state, path_decomposition(state), 4)
-    assert pair.pivot == "4"
-    assert pair.survivors == frozenset({"1", "2", "3"})
-    assert pair.tier == "large"
+    decomp = path_decomposition(state)
+    pair = find_good_pair_structural(state, decomp, 4)
+    assert pair == GoodPair(4, Piece(1, 3), "large")
+    assert pair_labels(decomp.order, pair) == \
+        ("4", frozenset({"1", "2", "3"}), "large")
 
 
 def test_structural_pair_absent_when_all_pieces_are_small():
@@ -259,35 +281,81 @@ def test_structural_pair_absent_when_all_pieces_are_small():
 
 
 def test_check_good_pair_rejects_each_broken_promise():
+    # One caterpillar, so position p holds taxon p in the unflipped frame.
     state = identical_state(8)
+    assert state.taxa == tuple(str(i) for i in range(1, 9))
+    check_good_pair(state, GoodPair(8, Piece(1, 7), "large"), 4)
     cases = [
-        (GoodPair("1", frozenset({"2", "3"}), "large"), "strict ancestor"),
-        (GoodPair("8", frozenset({"7"}), "large"), "size floor"),
-        (GoodPair("3", frozenset({"3", "4", "5", "6"}), "large"), "survive"),
-        (GoodPair("9", frozenset({"1", "2"}), "large"), "outside"),
-        (GoodPair("8", frozenset({"1", "2", "3"}), "mystery"), "tier"),
+        (GoodPair(1, Piece(2, 3), "large"), "strict ancestor"),
+        (GoodPair(8, Piece(7, 7), "large"), "size floor"),
+        (GoodPair(3, Piece(3, 6), "large"), "survive itself"),
+        (GoodPair(5, Piece(3, 6), "large"), "survive itself"),
+        (GoodPair(9, Piece(1, 2), "large"), "pivot in the core"),
+        (GoodPair(8, Piece(4, 3), "large"), "non-empty run"),
+        (GoodPair(1, Piece(2, 9), "large"), "non-empty run"),
+        (GoodPair(8, Piece(1, 3), "mystery"), "tier"),
     ]
-    for pair, _ in cases:
-        with pytest.raises(TreeError):
+    for pair, reason in cases:
+        with pytest.raises(TreeError, match=reason):
             check_good_pair(state, pair, 4)
+    # Read mirrored, position 8 is taxon 1, the caterpillar's deepest leaf.
+    state.flipped = True
+    with pytest.raises(TreeError, match="strict ancestor"):
+        check_good_pair(state, GoodPair(8, Piece(1, 7), "large"), 4)
+
+
+def test_check_split_rejects_each_broken_promise():
+    # Twenty blocks of ten on two combs; the frame reads taxa 1..200.
+    labels = [str(i) for i in range(1, 201)]
+    parts = [left_deep(b) for b in blocks_of(labels, 10)]
+    state = make_state(parts, parts, 200)
+    assert state.taxa == tuple(labels)
+    _check_split(state, IncomparableSplit(Piece(11, 20), Piece(81, 90)))
+    cases = [
+        (IncomparableSplit(Piece(11, 20), Piece(15, 90)), "overlap"),
+        (IncomparableSplit(Piece(21, 20), Piece(81, 90)), "non-empty"),
+        (IncomparableSplit(Piece(11, 20), Piece(91, 90)), "non-empty"),
+        (IncomparableSplit(Piece(11, 11), Piece(81, 90)), "nucleus below"),
+        (IncomparableSplit(Piece(11, 20), Piece(81, 81)), "survivors below"),
+        (IncomparableSplit(Piece(11, 20), Piece(20, 90)), "overlap"),
+        (IncomparableSplit(Piece(11, 15), Piece(16, 30)), "comparable"),
+        (IncomparableSplit(Piece(195, 201), Piece(81, 90)), "inside the core"),
+        (IncomparableSplit(Piece(11, 20), Piece(0, 9)), "inside the core"),
+    ]
+    for split, reason in cases:
+        with pytest.raises(TreeError, match=reason):
+            _check_split(state, split)
+
+
+def test_check_split_keeps_to_the_core():
+    # Both runs lie in the tree, and their ancestors are incomparable, but
+    # the nucleus (taxa 35..40) lies past a core of taxa 1..30.
+    labels = [str(i) for i in range(1, 41)]
+    parts = [left_deep(b) for b in blocks_of(labels[:30], 5)] \
+        + [left_deep(labels[30:34]), left_deep(labels[34:])]
+    state = make_state(parts, parts, 40)
+    split = IncomparableSplit(Piece(35, 40), Piece(1, 5))
+    _check_split(state, split)
+    state.hi = 29
+    with pytest.raises(TreeError, match="inside the core"):
+        _check_split(state, split)
 
 
 def test_regular_pair_frozen_on_singleton_pieces():
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
-    state = IterationState(frozenset(one.taxa), one, two, [], 256)
-    pair = find_good_pair_big_subtree(state, path_decomposition(state))
-    assert pair.tier == "regular"
-    assert pair.pivot == "8"
-    assert pair.survivors == frozenset({"1"})
+    state = whole_state(one, two, 256)
+    decomp = path_decomposition(state)
+    pair = find_good_pair_big_subtree(state, decomp)
+    assert pair_labels(decomp.order, pair) == ("8", frozenset({"1"}), "regular")
 
 
 def test_regular_pair_raises_below_its_floor():
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
-    state = IterationState(frozenset(one.taxa), one, two, [], 8)
+    state = whole_state(one, two, 8)
     with pytest.raises(TreeError):
         find_good_pair_big_subtree(state, path_decomposition(state))
 
@@ -345,14 +413,14 @@ PAIR_RULES = [
 @pytest.mark.parametrize("t1,t2,n_param,c,expected", PAIR_RULES)
 def test_pair_rules_are_frozen(t1, t2, n_param, c, expected):
     one, two = rooted(t1), rooted(t2)
-    state = IterationState(frozenset(one.taxa), one, two, [], n_param)
+    state = whole_state(one, two, n_param)
     decomp = path_decomposition(state)
     if c is None:
         pair = find_good_pair_big_subtree(state, decomp)
     else:
         pair = find_good_pair_structural(state, decomp, c)
-    assert (pair.pivot, sorted(pair.survivors, key=label_key), pair.tier) \
-        == expected
+    pivot, survivors, tier = pair_labels(decomp.order, pair)
+    assert (pivot, sorted(survivors, key=label_key), tier) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,7 +438,7 @@ def test_structural_pairs_self_verify_on_random_states(n, seed):
     else:
         # find_good_pair_structural already ran check_good_pair; assert
         # the survivor floor once more from outside.
-        assert len(pair.survivors) * 4 >= len(state.taxa)
+        assert pair.survivors.size() * 4 >= len(state.taxa)
 
 
 # -- greedy sweep -------------------------------------------------------------
@@ -412,7 +480,7 @@ def test_greedy_picks_agree_as_unrooted_caterpillars(n, seed):
     gen.shuffle(labels)
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
-    state = IterationState(frozenset(one.taxa), one, two, [], n)
+    state = whole_state(one, two, n)
     decomp = path_decomposition(state)
     picks = greedy_caterpillar(decomp)
     assert len(picks) == n
@@ -428,9 +496,9 @@ def test_classify_covers_all_three_branches():
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
-    state = IterationState(frozenset(one.taxa), one, two, [], 256)
+    state = whole_state(one, two, 256)
     assert classify_iteration(state, path_decomposition(state))[0] == "regular"
-    state = IterationState(frozenset(one.taxa), one, two, [], 8)
+    state = whole_state(one, two, 8)
     branch, picks = classify_iteration(state, path_decomposition(state))
     assert branch == "caterpillar"
     assert len(picks) == 8
@@ -459,14 +527,21 @@ def test_weak_greedy_exit_on_opposed_caterpillars():
     assert out.claimed_bound == pytest.approx(3.0)
 
 
-def test_weak_observer_sees_every_iteration():
+def test_weak_loop_sees_every_iteration():
+    # weak_construct's loop, driven by hand: the core size and branch of
+    # every pair step.
     tree = rooted(left_deep([str(i) for i in range(1, 9)]) + ";")
+    state = whole_state(tree, tree, 8)
     seen = []
-    def observer(state, decomp, branch):
+    while state.size() > 1:
+        decomp = path_decomposition(state)
+        branch, pair = classify_iteration(state, decomp, 4)
         seen.append((len(state.taxa), branch))
-    weak_construct(tree, tree, 8, observer=observer)
+        _peel(state, [decomp.order[pair.pivot - 1]], pair.survivors)
     assert seen == [(8, "large"), (7, "large"), (6, "large"), (5, "large"),
                     (4, "large"), (3, "large"), (2, "regular")]
+    assert weak_construct(tree, tree, 8).agreement_set == \
+        frozenset(state.agreed).union(state.taxa)
 
 
 def test_weak_rejects_bad_inputs():
@@ -507,10 +582,13 @@ def test_strong_split_frozen_incomparable_blocks():
     labels = [str(i) for i in range(1, 201)]
     parts = [left_deep(b) for b in blocks_of(labels, 10)]
     state = make_state(parts, parts, 200)
-    split = strong_split(state, path_decomposition(state))
+    decomp = path_decomposition(state)
+    split = strong_split(state, decomp)
     assert isinstance(split, IncomparableSplit)
-    assert split.nucleus == frozenset(str(i) for i in range(11, 21))
-    assert split.survivors == frozenset(str(i) for i in range(81, 91))
+    assert run_labels(decomp.order, split.nucleus) == \
+        frozenset(str(i) for i in range(11, 21))
+    assert run_labels(decomp.order, split.survivors) == \
+        frozenset(str(i) for i in range(81, 91))
 
 
 def test_strong_split_interval_sweep_when_no_window_anchor():
@@ -680,39 +758,44 @@ def oracle_path_decomposition(state):
 
 
 def oracle_peel(state, peeled, survivors):
+    # The oracle's trees hold just its core, read unflipped.
+    keep = state.taxa[survivors.lo - 1:survivors.hi]
     state.agreed.extend(peeled)
-    state.taxa = survivors
-    state.tree1 = state.tree1.restrict(survivors)
-    state.tree2 = state.tree2.restrict(survivors)
-    assert state.tree1.seq() == state.tree2.seq()
+    state.tree1 = state.tree1.restrict(keep)
+    state.tree2 = state.tree2.restrict(keep)
+    assert state.tree1.seq() == state.tree2.seq() == keep
+    state.lo, state.hi = 0, len(keep) - 1
     state.step += 1
 
 
 def main_steps(state, c, decompose, peel):
     """main_construct's loop and closing step, run with ``decompose`` and
-    ``peel``: every decomposition, pair, split and nested outcome, then
-    the agreement set."""
+    ``peel``: every decomposition, then every pair, split and nested
+    outcome on labels, then the agreement set."""
     log = []
-    while len(state.taxa) ** 4 >= state.n_param:
+    while state.size() ** 4 >= state.n_param:
         decomp = decompose(state)
+        order = decomp.order
         log.append(decomp)
         pair = find_good_pair_structural(state, decomp, c)
         if pair is not None:
-            log.append(pair)
-            peel(state, [pair.pivot], pair.survivors)
+            log.append(pair_labels(order, pair))
+            peel(state, [order[pair.pivot - 1]], pair.survivors)
             continue
         split = strong_split(state, decomp, c)
-        log.append(split)
         if isinstance(split, SweepFallback):
-            return log, frozenset(split.leaves)
+            return log + [split], frozenset(split.leaves)
         if isinstance(split, SplitDegenerate):
+            log.append(split)
             break
-        nested = _nested_weak(state, split.nucleus)
+        nucleus = order[split.nucleus.lo - 1:split.nucleus.hi]
+        log.append((nucleus, run_labels(order, split.survivors)))
+        nested = _nested_weak(state, nucleus)
         log.append(nested)
         if nested.kind == UNROOTED_CATERPILLAR:
             return log, nested.agreement_set
         peel(state, nested.agreement_set, split.survivors)
-    assert len(state.taxa) <= ROOTED_DP_CAP
+    assert state.size() <= ROOTED_DP_CAP
     last = rooted_agreement_leaves(state.tree1.restrict(state.taxa),
                                    state.tree2.restrict(state.taxa))
     return log, frozenset(state.agreed).union(last)
@@ -721,21 +804,22 @@ def main_steps(state, c, decompose, peel):
 def weak_steps(state, c, decompose, peel):
     """weak_construct's loop, run the same way."""
     log = []
-    while len(state.taxa) > 1:
+    while state.size() > 1:
         decomp = decompose(state)
         branch, payload = classify_iteration(state, decomp, c)
-        log += [decomp, payload]
         if branch == "caterpillar":
-            return log, frozenset(payload)
-        peel(state, [payload.pivot], payload.survivors)
-    return log, frozenset(state.agreed) | state.taxa
+            return log + [decomp, payload], frozenset(payload)
+        log += [decomp, pair_labels(decomp.order, payload)]
+        peel(state, [decomp.order[payload.pivot - 1]], payload.survivors)
+    return log, frozenset(state.agreed).union(state.taxa)
 
 
 def both_loops(state, steps, c):
     """``steps`` on a copy of ``state`` with the oracle and on ``state``
     itself; asserts both logs agree and returns the agreement set."""
     one, two = state.tree1, state.tree2
-    oracle = IterationState(state.taxa, one, two, [], state.n_param)
+    assert (state.lo, state.hi, state.flipped) == (0, len(one) - 1, False)
+    oracle = whole_state(one, two, state.n_param)
     expected = steps(oracle, c, oracle_path_decomposition, oracle_peel)
     assert steps(state, c, path_decomposition, _peel) == expected
     assert state.tree1 is one and state.tree2 is two
@@ -783,11 +867,10 @@ def _fixture_states():
     parts = ["((({},{}),({},{})),(({},{}),({},{})))".format(*b)
              for b in blocks_of([str(i) for i in range(1, 321)], 8)]
     one, two = rooted(right_comb(parts) + ";"), rooted(left_comb(parts) + ";")
-    yield IterationState(frozenset(one.taxa), one, two, [], 320)
+    yield whole_state(one, two, 320)
     for param in PAIR_RULES:
         t1, t2, n_param = param.values[:3]
-        one, two = rooted(t1), rooted(t2)
-        yield IterationState(frozenset(one.taxa), one, two, [], n_param)
+        yield whole_state(rooted(t1), rooted(t2), n_param)
 
 
 def test_fixed_tree_loop_matches_on_hand_built_blocks():
