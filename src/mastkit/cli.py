@@ -15,6 +15,7 @@ without a report).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -71,11 +72,18 @@ def _load_tree(value: str, rooted: bool):
     return parse_newick(text, rooted=rooted)
 
 
+@contextlib.contextmanager
 def _open_out(path: str, newline: Optional[str] = None):
+    # "-" is stdout, left open; any other value is a path.
+    if path == "-":
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        out = open(path, "w", encoding="utf-8", newline=newline)
     except ValueError as err:  # a NUL byte: ValueError, not OSError
         raise OSError(f"{path!r}: {err}") from None
+    with out:
+        yield out
 
 
 def _emit(args, report: dict) -> None:
@@ -181,12 +189,8 @@ def _cmd_gen(args) -> int:
         lines = [write_newick(pair[0]), write_newick(pair[1])]
     else:
         lines = [write_newick(generate(GenSpec(args.model, args.n, args.seed)))]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) as out:
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -229,8 +233,7 @@ def _cmd_experiment(args) -> int:
                 raise TreeError(
                     f"adversarial model needs power-of-two sizes, got {n}")
     rows: list[dict] = []
-    out = sys.stdout if args.out == "-" else _open_out(args.out, newline="")
-    try:
+    with _open_out(args.out, newline="") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for n in grid:
@@ -246,9 +249,6 @@ def _cmd_experiment(args) -> int:
                             args.timing == "wall")
                         rows.append(row)
                         writer.writerow([row[f] for f in CSV_FIELDS])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     main_sizes = [(r["size"], r["n"]) for r in rows if r["algorithm"] == "main"]
     if main_sizes:
         ratio = min(size / math.log2(n) for size, n in main_sizes)
@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("experiment", help="run a size/seed grid to CSV")
@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-factor", dest="step_factor", type=int, default=2)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--models", default="uniform,adversarial")
-    p.add_argument("--out", default="-")
+    p.add_argument("--out", default="-", help="output path, - for stdout")
     p.add_argument("--cap", type=int, default=512,
                    help="largest n solved exactly (0 solves none)")
     p.add_argument("--timing", choices=("off", "wall"), default="off")

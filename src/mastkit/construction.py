@@ -10,21 +10,22 @@ explicit agreement set of logarithmic size.  The pipeline:
 * :func:`weak_construct` peels one taxon per round off a shrinking core,
   or exits early with a greedy caterpillar, and guarantees an agreement
   of size about log n / log log n;
-* :func:`main_construct` peels whole blocks found by :func:`strong_split`
-  and recursing with :func:`weak_construct`, aiming at Omega(log n).
+* :func:`main_construct` peels whole blocks found by :func:`strong_split`,
+  each one a weak chain run on a nucleus of the core, on the same trees
+  and in the same frame, aiming at Omega(log n).
 
 Every intermediate object is checked as it is produced: candidate pairs
 are re-validated with explicit ancestor queries, splits with explicit
-incomparability queries, and each final outcome must pass
-:func:`verify_outcome` against the rooted pair it was built on.  A
-returned outcome is therefore a certificate.
+incomparability queries, and each public construction certifies its
+final outcome once, with :func:`verify_outcome` against the rooted pair
+it was built on.  A returned outcome is therefore a certificate.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exact import EXACT, ROOTED_DP_CAP, rooted_agreement_leaves
@@ -91,9 +92,10 @@ class IterationState:
 
     ``tree1`` and ``tree2`` must list their leaves in one order and stay
     fixed; the core is the run ``lo..hi`` (0-based, inclusive) of that
-    order, which each step shrinks.  ``flipped``, set only by
+    order, which each step shrinks.  ``flipped``, toggled only by
     :func:`path_decomposition`, means the loop reads both trees mirrored,
-    and ``taxa`` lists the core's labels in that frame.  ``agreed`` lists
+    and ``taxa`` lists the core's labels in that frame; a nested weak
+    chain starts from a narrowed copy and inherits it.  ``agreed`` lists
     the peeled taxa, oldest first.  ``n_param`` is the size parameter all
     logarithmic thresholds refer to; it stays fixed as the core shrinks.
     """
@@ -528,22 +530,26 @@ def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
         raise TreeError(f"shrink-fraction constant C must be at least 4, got {c}")
     state = IterationState(lo=0, hi=len(tree1) - 1, tree1=tree1, tree2=tree2,
                            agreed=[], n_param=n_param)
+    return certified(tree1, tree2, _weak_loop(state, c))
+
+
+def _weak_loop(state: IterationState, c: int) -> ConstructionOutcome:
+    # weak_construct's loop on ``state``, which it shrinks; uncertified.
     tallies = {"large": 0, "regular": 0}
+    lg = math.log2(state.n_param)
     while state.size() > 1:
         decomp = path_decomposition(state)
         branch, payload = classify_iteration(state, decomp, c)
         if branch == "caterpillar":
-            return certified(tree1, tree2, ConstructionOutcome(
+            return ConstructionOutcome(
                 frozenset(payload), UNROOTED_CATERPILLAR,
-                f"greedy-caterpillar(step={state.step})",
-                math.log2(n_param)))
+                f"greedy-caterpillar(step={state.step})", lg)
         tallies[branch] += 1
         _peel(state, [decomp.order[payload.pivot - 1]], payload.survivors)
-    lg = math.log2(n_param)
-    return certified(tree1, tree2, ConstructionOutcome(
+    return ConstructionOutcome(
         frozenset(state.agreed).union(state.taxa), ROOTED_CATERPILLAR,
         f"pair-chain(large={tallies['large']} regular={tallies['regular']})",
-        0.5 * lg / math.log2(2 * lg) + 1))
+        0.5 * lg / math.log2(2 * lg) + 1)
 
 
 def _check_split(state: IterationState, split: IncomparableSplit) -> None:
@@ -644,18 +650,17 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
 
     Runs :func:`setup`, then while the core holds at least n^(1/4) taxa:
     take a structural pair if one exists, otherwise ask
-    :func:`strong_split`.  A split's nucleus is handed to
-    :func:`weak_construct` with size parameter |nucleus|^2 and the
-    resulting chain is appended as one block; a fallback caterpillar is
+    :func:`strong_split`.  A weak chain runs on a split's nucleus, with
+    size parameter |nucleus|^2, and is appended as one block; a fallback
+    caterpillar, the chain's own included (tagged ``nested:``), is
     returned as-is.  Blocks stack because each block's ancestor is
     incomparable with the remaining core's ancestor in both trees.  The
     loop ends when the core falls below n^(1/4) taxa or a degenerate
     window stops it; either way one exact rooted step on the remaining
     core closes the chain, and the branch is tagged ``final-exact`` if
     that step drops taxa, or ``degenerate-exact`` after a degenerate
-    window.  A core of more than ``ROOTED_DP_CAP`` taxa is closed by
-    :func:`weak_construct` instead, as a nucleus is, and tagged
-    ``degenerate-weak``.
+    window.  A core of more than ``ROOTED_DP_CAP`` taxa is closed by a
+    weak chain instead, as a nucleus is, and tagged ``degenerate-weak``.
     """
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
@@ -681,19 +686,18 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
                 split.claimed_bound))
         if isinstance(split, SplitDegenerate):
             break
-        nucleus = split.nucleus
-        nested = _nested_weak(state, decomp.order[nucleus.lo - 1:nucleus.hi])
+        nested = _nested_weak(state, split.nucleus)
         if nested.kind == UNROOTED_CATERPILLAR:
-            return _nested_exit(rooted1, rooted2, nested)
+            return certified(rooted1, rooted2, nested)
         _peel(state, nested.agreement_set, split.survivors)
         blocks += 1
     branch = f"block-chain(singles={singles} blocks={blocks})"
     if state.size() > ROOTED_DP_CAP:
         # Too big for the exact table (only a degenerate window leaves
         # such a core): a weak chain closes it instead.
-        nested = _nested_weak(state, state.taxa)
+        nested = _nested_weak(state, Piece(1, state.size()))
         if nested.kind == UNROOTED_CATERPILLAR:
-            return _nested_exit(rooted1, rooted2, nested)
+            return certified(rooted1, rooted2, nested)
         last = nested.agreement_set
         branch += ";degenerate-weak"
     else:
@@ -708,22 +712,15 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
         math.log2(n) / (4 * math.log2(c))))
 
 
-def _nested_weak(state: IterationState,
-                 taxa: Sequence[str]) -> ConstructionOutcome:
-    # Weak construction on part of the core, sized by that part alone,
-    # read in the loop's frame, which its first step keeps on a tie.
-    one, two = state.tree1.restrict(taxa), state.tree2.restrict(taxa)
-    if state.flipped:
-        one, two = one.mirror(), two.mirror()
-    return weak_construct(one, two, n_param=len(taxa) ** 2)
-
-
-def _nested_exit(rooted1: RootedTree, rooted2: RootedTree,
-                 nested: ConstructionOutcome) -> ConstructionOutcome:
-    # A nested caterpillar agrees on the whole trees and is returned as is.
-    return certified(rooted1, rooted2, ConstructionOutcome(
-        nested.agreement_set, UNROOTED_CATERPILLAR,
-        "nested:" + nested.branch, nested.claimed_bound))
+def _nested_weak(state: IterationState, run: Piece) -> ConstructionOutcome:
+    # A weak chain on the frame run ``run`` of the core, sized by it alone:
+    # a narrowed copy of the state, on the same trees and in the same frame,
+    # which its first step keeps on a tie.  Uncertified.
+    nested = replace(state, agreed=[], n_param=run.size() ** 2)
+    _peel(nested, (), run)
+    nested.step = 1
+    out = _weak_loop(nested, 4)
+    return replace(out, branch="nested:" + out.branch)
 
 
 def _canonically_rooted(tree: UnrootedTree,

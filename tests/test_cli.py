@@ -8,6 +8,7 @@ hangs the suite.
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,48 @@ def test_full_output_device_exits_2(capsys):
                                   "--out", "/dev/full"])
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--model", "uniform", "--n", "6"],
+    ["experiment", "--n-min", "4", "--n-max", "4", "--models", "uniform"],
+])
+def test_out_dash_is_stdout_and_empty_is_a_bad_path(capsys, monkeypatch,
+                                                    tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, default, err = run(capsys, argv)
+    assert code == EXIT_OK and default and err == ""
+    code, out, err = run(capsys, argv + ["--out", "-"])
+    assert code == EXIT_OK and out == default and err == ""
+    code, out, err = run(capsys, argv + ["--out", ""])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_transcripts():
+    # Each "$ mastkit ..." line of a README code block, with the lines
+    # after it up to the end of the block.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    runs, expected = [], None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ mastkit "):
+            expected = []
+            runs.append((shlex.split(line)[2:], expected))
+        elif line.startswith("```"):
+            expected = None
+        elif expected is not None:
+            expected.append(line)
+    return runs
+
+
+def test_readme_transcripts_match_the_cli(capsys):
+    runs = _readme_transcripts()
+    assert [argv[0] for argv, _ in runs] == ["construct", "exact"]
+    for argv, expected in runs:
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines() == expected
 
 
 def test_non_decimal_digit_labels_run(capsys):

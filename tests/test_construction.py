@@ -7,6 +7,7 @@ solver as an independent oracle.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +52,7 @@ from mastkit.construction import (
     _nested_weak,
     _peel,
 )
-from mastkit import trees
+from mastkit import construction, trees
 from mastkit.exact import EXACT, ROOTED_DP_CAP, rooted_agreement_leaves
 from mastkit.generators import GenSpec, adversarial_pair, generate
 from mastkit.rng import SplitMix64, mix64
@@ -678,6 +679,26 @@ def test_main_returns_a_nested_caterpillar_directly():
     assert verify_outcome(one, two, out)
 
 
+def test_main_takes_a_block_in_a_flipped_frame(monkeypatch):
+    # Tree one a right comb, tree two a left comb: the loop reads both
+    # trees mirrored when it splits, and the nested chain starts there.
+    two, one = block_comb_pair(60, 3)
+    frames, nested_weak = [], construction._nested_weak
+
+    def spy(state, run):
+        frames.append(state.flipped)
+        return nested_weak(state, run)
+
+    monkeypatch.setattr(construction, "_nested_weak", spy)
+    out = main_construct(one, two, 4)
+    assert frames == [True]
+    assert out.kind == BLOCK_TREE
+    assert out.branch == "block-chain(singles=2 blocks=1)"
+    assert out.agreement_set == frozenset(
+        {"1", "35", "36", "37", "56", "57", "58"})
+    assert verify_outcome(one, two, out)
+
+
 def test_main_closes_degenerate_cores_exactly():
     cat = generate(GenSpec("caterpillar", 8, 0))
     out = main_construct(cat, cat)
@@ -790,7 +811,7 @@ def main_steps(state, c, decompose, peel):
             break
         nucleus = order[split.nucleus.lo - 1:split.nucleus.hi]
         log.append((nucleus, run_labels(order, split.survivors)))
-        nested = _nested_weak(state, nucleus)
+        nested = _nested_weak(state, split.nucleus)
         log.append(nested)
         if nested.kind == UNROOTED_CATERPILLAR:
             return log, nested.agreement_set
@@ -847,6 +868,44 @@ def test_fixed_tree_loop_matches_the_restricting_loop(model, size, seed, c,
         got = both_loops(state, weak_steps, c)
         assert weak_construct(state.tree1, state.tree2, size, c
                               ).agreement_set == got
+
+
+def oracle_nested_weak(state, run):
+    """The nested chain as it once ran: both trees restricted to the run's
+    labels, mirrored when the frame is flipped, then weak_construct."""
+    taxa = state.taxa[run.lo - 1:run.hi]
+    one, two = state.tree1.restrict(taxa), state.tree2.restrict(taxa)
+    if state.flipped:
+        one, two = one.mirror(), two.mirror()
+    out = weak_construct(one, two, n_param=len(taxa) ** 2)
+    return replace(out, branch="nested:" + out.branch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["uniform", "adversarial", "blocks"]),
+       size=st.integers(8, 300), seed=st.integers(0, 2**32),
+       flipped=st.booleans(), data=st.data())
+def test_nested_chain_matches_the_restricting_oracle(model, size, seed,
+                                                     flipped, data):
+    if model == "blocks":
+        a, b = block_comb_pair(size, 2 + seed % 9)
+        if seed & 1:
+            a, b = b, a
+    elif model == "adversarial":
+        a, b = adversarial_pair(1 << (size.bit_length() - 1))
+    else:
+        a = generate(GenSpec("uniform", size, seed))
+        b = generate(GenSpec("uniform", size, seed ^ 0x5EED))
+    state, _, _ = setup(a, b)
+    lo = data.draw(st.integers(0, state.hi - 1))
+    hi = data.draw(st.integers(lo + 1, state.hi))
+    state.lo, state.hi, state.flipped = lo, hi, flipped
+    first = data.draw(st.integers(1, state.size() - 1))
+    run = Piece(first, data.draw(st.integers(first + 1, state.size())))
+    before = (state.lo, state.hi, state.flipped, state.step, [])
+    assert _nested_weak(state, run) == oracle_nested_weak(state, run)
+    assert (state.lo, state.hi, state.flipped, state.step, state.agreed) == \
+        before
 
 
 def _fixture_states():
