@@ -65,7 +65,8 @@ def _load_tree(value: str, rooted: bool):
         text = value
     else:
         try:
-            with open(value, "r", encoding="utf-8") as fh:
+            # "utf-8-sig" drops a leading byte-order mark.
+            with open(value, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, ValueError) as err:  # NUL in the path, bad UTF-8
             raise NewickError(f"cannot read tree file {value!r}: {err}", 0)

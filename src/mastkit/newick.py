@@ -11,11 +11,18 @@ Rooted trees require every group to have exactly two children.  Unrooted
 trees require the outermost group to have three children (two are accepted
 and merged, so the output of rooted writers round-trips) and every nested
 group to have two.
+
+The reader tokenizes the whole text with one ``findall`` (a token is a
+label, a ``:`` with the branch length after it, or any other single
+character; whitespace is skipped), then builds the adjacency in one loop
+over the tokens as groups close.  An error's text offset is found only
+when it is raised, by scanning the text again up to the bad token.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional
 
 from .trees import (
@@ -28,11 +35,13 @@ from .trees import (
     rooted_from_arrays,
 )
 
-# ``\s`` is exactly ``str.isspace`` and ``\d`` exactly ``str.isdecimal``.
-_SPACE = re.compile(r"\s*")
-# What follows a subtree: a label (group 1), then optionally ':' and a
-# branch length (group 2), with the whitespace around each.
-_TAIL = re.compile(r"\s*([^\s(),:;'\"\[\]]*)\s*(?::([\d+\-.eE]*)\s*)?")
+# One token per match: a ':' with the label characters that follow it (a
+# branch length, checked later), a label, or any other single character,
+# each after the whitespace before it.  ``\s`` is exactly ``str.isspace``.
+_TOKEN = re.compile(r"\s*(:[^\s(),:;'\"\[\]]*|[^\s(),:;'\"\[\]]+|\S)")
+# ``\d`` is exactly ``str.isdecimal``.
+_LENGTH = re.compile(r"[\d+\-.eE]+")
+_NOT_LABEL = frozenset("(),:;'\"[]")
 
 
 class NewickError(TreeError):
@@ -45,18 +54,26 @@ class NewickError(TreeError):
         self.position = position
 
 
-def _past_tail(text: str, tail: re.Match) -> int:
-    """The offset after ``tail``, checking its branch length if it has one."""
-    if tail.group(2) is None:
-        return tail.end()
-    start, j = tail.span(2)
+def _error(text: str, k: int, message: str, past: int = 0) -> NewickError:
+    """The error ``past`` characters into token ``k`` of ``text``."""
+    match = next(islice(_TOKEN.finditer(text), k, None))
+    return NewickError(message, match.start(1) + past)
+
+
+def _check_length(text: str, tokens: list[str], k: int) -> None:
+    """Check the branch length of the ':' token ``k``."""
+    tok = tokens[k]
+    if _LENGTH.fullmatch(tok, 1):
+        return
     # A length's digits are those of ``str.isdigit``, which also takes
     # digits such as '²' that ``\d`` leaves to this loop.
-    while j < len(text) and (text[j].isdigit() or text[j] in "+-.eE"):
+    j = 1
+    while j < len(tok) and (tok[j].isdigit() or tok[j] in "+-.eE"):
         j += 1
-    if j == start:
-        raise NewickError("expected a branch length after ':'", start)
-    return _SPACE.match(text, j).end()
+    if j == 1:
+        raise _error(text, k, "expected a branch length after ':'", 1)
+    if j < len(tok):
+        raise _error(text, k, f"unexpected character {tok[j]!r}", j)
 
 
 def parse_newick(text: str, rooted: bool):
@@ -65,49 +82,48 @@ def parse_newick(text: str, rooted: bool):
     Nodes are numbered as they close, leaves and groups alike, and each
     lists its children, then its parent.
     """
+    tokens = _TOKEN.findall(text)
+    ntok = len(tokens)
     adj: list[list[int]] = []
     labels: list[Optional[str]] = []
-    seen: set[str] = set()
+    leaf_node: dict[str, int] = {}
     stack: list[list[int]] = []  # the children of each open group
-    open_pos: list[int] = []
+    open_at: list[int] = []  # the token index of each open group's '('
     wide = None  # (id, arity) of the first group with over two children
-    n = len(text)
-    i = _SPACE.match(text).end()
+    k = 0
     expecting_subtree = True
     while True:
-        if i >= n:
-            raise NewickError("unexpected end of input", n)
-        c = text[i]
+        if k == ntok:
+            raise NewickError("unexpected end of input", len(text))
+        tok = tokens[k]
+        k += 1
         if expecting_subtree:
-            if c == "(":
+            if tok == "(":
                 stack.append([])
-                open_pos.append(i)
-                i = _SPACE.match(text, i + 1).end()
+                open_at.append(k - 1)
                 continue
-            tail = _TAIL.match(text, i)
-            lab = tail.group(1)
-            if not lab:
-                raise NewickError(f"expected a subtree, found {c!r}", i)
-            if lab in seen:
-                raise NewickError(f"duplicate leaf label {lab!r}", i)
-            seen.add(lab)
+            if tok[0] in _NOT_LABEL:
+                raise _error(text, k - 1,
+                             f"expected a subtree, found {tok[0]!r}")
+            if tok in leaf_node:
+                raise _error(text, k - 1, f"duplicate leaf label {tok!r}")
             node = len(adj)
+            leaf_node[tok] = node
             adj.append([])
-            labels.append(lab)
+            labels.append(tok)
             expecting_subtree = False
-        elif c == ",":
+        elif tok == ",":
             if not stack:
-                raise NewickError("',' outside any group", i)
-            i = _SPACE.match(text, i + 1).end()
+                raise _error(text, k - 1, "',' outside any group")
             expecting_subtree = True
             continue
-        elif c == ")":
+        elif tok == ")":
             if not stack:
-                raise NewickError("unbalanced ')'", i)
+                raise _error(text, k - 1, "unbalanced ')'")
             kids = stack.pop()
-            at = open_pos.pop()
+            at = open_at.pop()
             if len(kids) < 2:
-                raise NewickError("group with fewer than two children", at)
+                raise _error(text, at, "group with fewer than two children")
             node = len(adj)
             if len(kids) > 2 and wide is None:
                 wide = (node, len(kids))
@@ -115,17 +131,19 @@ def parse_newick(text: str, rooted: bool):
                 adj[kid].append(node)
             adj.append(kids)
             labels.append(None)
-            tail = _TAIL.match(text, i + 1)  # the internal label is discarded
-        elif c == ";":
+            if k < ntok and tokens[k][0] not in _NOT_LABEL:
+                k += 1  # the internal label is discarded
+        elif tok == ";":
             if stack:
-                raise NewickError("unbalanced '('", open_pos[-1])
-            i = _SPACE.match(text, i + 1).end()
-            if i < n:
-                raise NewickError("trailing text after ';'", i)
+                raise _error(text, open_at[-1], "unbalanced '('")
+            if k < ntok:
+                raise _error(text, k, "trailing text after ';'")
             break
         else:
-            raise NewickError(f"unexpected character {c!r}", i)
-        i = _past_tail(text, tail)
+            raise _error(text, k - 1, f"unexpected character {tok[0]!r}")
+        if k < ntok and tokens[k][0] == ":":
+            _check_length(text, tokens, k)
+            k += 1
         if stack:
             stack[-1].append(node)
 
@@ -143,7 +161,8 @@ def parse_newick(text: str, rooted: bool):
             f"unrooted trees are binary; found a group with {wide[1]} children")
     if len(adj[top]) == 2:
         return deroot(_to_rooted(adj, labels, top))
-    return UnrootedTree(adj, labels, _checked=True)
+    # The parse ids are final here, so the tree takes the label index as is.
+    return UnrootedTree(adj, labels, _checked=True, _leaf_node=leaf_node)
 
 
 def _to_rooted(adj: list[list[int]], labels: list[Optional[str]],

@@ -90,16 +90,18 @@ class _LabeledTree:
 
     __slots__ = ("labels", "_leaf_node", "_taxa", "_sorted_taxa")
 
-    def __init__(self, labels: list[Optional[str]]):
+    def __init__(self, labels: list[Optional[str]],
+                 _leaf_node: Optional[dict[str, int]] = None):
         self.labels = labels
-        leaf_node: dict[str, int] = {}
-        for node, lab in enumerate(labels):
-            if lab is not None:
-                if lab in leaf_node:
-                    raise TreeError(f"duplicate leaf label {lab!r}")
-                leaf_node[lab] = node
-        self._leaf_node = leaf_node
-        self._taxa = frozenset(leaf_node)
+        if _leaf_node is None:  # else the caller built and checked it
+            _leaf_node = {}
+            for node, lab in enumerate(labels):
+                if lab is not None:
+                    if lab in _leaf_node:
+                        raise TreeError(f"duplicate leaf label {lab!r}")
+                    _leaf_node[lab] = node
+        self._leaf_node = _leaf_node
+        self._taxa = frozenset(_leaf_node)
         self._sorted_taxa = None
 
     def __len__(self) -> int:
@@ -297,8 +299,9 @@ class UnrootedTree(_LabeledTree):
     __slots__ = ("adj",)
 
     def __init__(self, adj: list[list[int]], labels: list[Optional[str]],
-                 _checked: bool = False):
-        super().__init__(labels)
+                 _checked: bool = False,
+                 _leaf_node: Optional[dict[str, int]] = None):
+        super().__init__(labels, _leaf_node)
         self.adj = adj
         if not _checked:
             self.validate()

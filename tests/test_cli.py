@@ -532,6 +532,16 @@ def test_non_utf8_tree_file_exits_2(capsys, tmp_path):
     assert "cannot read tree file" in err
 
 
+def test_tree_file_with_a_byte_order_mark_parses(capsys, tmp_path):
+    bom = tmp_path / "bom.nwk"
+    bom.write_bytes(b"\xef\xbb\xbf(1,2,(3,4));")
+    code, out, err = run(capsys, ["exact", "--t1", str(bom),
+                                  "--t2", "(1,2,(3,4));"])
+    assert code == EXIT_OK and err == ""
+    assert run(capsys, ["exact", "--t1", "(1,2,(3,4));",
+                        "--t2", "(1,2,(3,4));"])[1] == out
+
+
 @pytest.mark.parametrize("command", ["construct", "exact"])
 def test_nul_byte_tree_argument_exits_2(capsys, command):
     # No ';', so the value is taken as a path, which open() refuses.

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mastkit import (
     NewickError,
@@ -17,7 +17,7 @@ from mastkit import (
     write_newick,
 )
 from mastkit.generators import GenSpec, generate
-from mastkit.trees import rooted_from_arrays, unrooted_from_edges
+from mastkit.trees import _LabeledTree, rooted_from_arrays, unrooted_from_edges
 
 
 def test_rooted_parse_preserves_child_order():
@@ -318,6 +318,10 @@ def _decorate(compact: str, rng: random.Random) -> str:
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**32))
+# Long texts, so that errors from the edits sit deep inside them.
+@example(n=2000, seed=1)
+@example(n=2048, seed=2)
+@example(n=1999, seed=3)
 def test_decorated_text_parses_to_the_compact_tree(n, seed):
     rng = random.Random(seed)
     tree = generate(GenSpec("uniform", n, seed))
@@ -343,3 +347,20 @@ def test_decorated_text_parses_to_the_compact_tree(n, seed):
             for either in (True, False):
                 assert _outcome(parse_newick, edited, either) == _outcome(
                     _oracle_parse, edited, either), edited
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**32))
+def test_parsed_label_index_matches_a_fresh_one(n, seed):
+    tree = generate(GenSpec("uniform", n, seed))
+    texts = [(write_newick(tree), False)]  # a three-child top
+    if n >= 2:
+        rooted = write_newick(root_at_edge(tree, canonical_root_edge(tree)))
+        texts += [(rooted, True), (rooted, False)]  # two-child top unrooted
+    for text, rooted in texts:
+        parsed = parse_newick(text, rooted=rooted)
+        fresh = _LabeledTree(parsed.labels)
+        assert parsed._leaf_node == fresh._leaf_node
+        assert parsed.taxa == fresh.taxa == tree.taxa
+        for label, node in fresh._leaf_node.items():
+            assert parsed.leaf_node(label) == node
