@@ -19,10 +19,7 @@ from .construction import (
     PathDecomposition,
     Piece,
     ROOTED_CATERPILLAR,
-    SplitDegenerate,
-    SweepFallback,
     UNROOTED_CATERPILLAR,
-    classify_iteration,
     common_monotone_subsequence,
     find_good_pair_big_subtree,
     find_good_pair_structural,
@@ -76,9 +73,7 @@ __all__ = [
     "ROOTED_CATERPILLAR",
     "RootedTree",
     "SizeCapExceeded",
-    "SplitDegenerate",
     "SplitMix64",
-    "SweepFallback",
     "TaxaMismatch",
     "TreeError",
     "UNROOTED_CATERPILLAR",
@@ -86,7 +81,6 @@ __all__ = [
     "adversarial_pair",
     "brute_force_mast",
     "canonical_root_edge",
-    "classify_iteration",
     "common_monotone_subsequence",
     "deroot",
     "find_good_pair_big_subtree",

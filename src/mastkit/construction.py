@@ -40,7 +40,6 @@ from .trees import (
     is_caterpillar,
     isomorphic,
     root_at_edge,
-    sorted_labels,
 )
 
 ROOTED_CATERPILLAR = "rooted_caterpillar"
@@ -149,22 +148,6 @@ class IncomparableSplit:
 
     nucleus: Piece
     survivors: Piece
-
-
-@dataclass(frozen=True)
-class SweepFallback:
-    """A ready caterpillar agreement found instead of a split."""
-
-    leaves: tuple[str, ...]
-    claimed_bound: float
-    branch: str
-
-
-@dataclass(frozen=True)
-class SplitDegenerate:
-    """No usable structure in the middle window; callers go exact."""
-
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -419,13 +402,14 @@ def find_good_pair_structural(
 
 
 def find_good_pair_big_subtree(
-        state: IterationState, decomp: PathDecomposition) -> GoodPair:
+        state: IterationState,
+        decomp: PathDecomposition) -> Optional[GoodPair]:
     """Build a pair from a piece of size at least n'/log2(n_param).
 
     Assumes no oversized piece in the structural sense (so pieces fit in
     half the core); survivors are the big piece's majority overlap with a
     root subtree of the other tree, which keeps at least a 1/(2 log2 n)
-    fraction.  Raises if no piece reaches the floor.
+    fraction.  Returns None if no piece reaches the floor.
     """
     n = len(decomp.order)
     if n < 2:
@@ -433,7 +417,7 @@ def find_good_pair_big_subtree(
     floor = n / math.log2(state.n_param)
     found = _first_piece(decomp, lambda p: p.size() >= floor)
     if found is None:
-        raise TreeError("no piece reaches the regular size floor")
+        return None
     in_first, idx, piece = found
     lo, hi, size = piece.lo, piece.hi, piece.size()
     if in_first and idx < len(decomp.first) - 1:
@@ -484,23 +468,6 @@ def greedy_caterpillar(decomp: PathDecomposition, lo: int = 1,
     return tuple(picks)
 
 
-def classify_iteration(
-        state: IterationState, decomp: PathDecomposition,
-        c: int = 4) -> tuple[str, Union[GoodPair, tuple[str, ...]]]:
-    """Decide the next move: a large pair if one exists, else a regular
-    pair if some piece reaches n'/log2(n_param), else a full greedy sweep
-    (whose precondition now holds).  Total for cores of two or more taxa.
-    """
-    pair = find_good_pair_structural(state, decomp, c)
-    if pair is not None:
-        return "large", pair
-    n = len(decomp.order)
-    floor = n / math.log2(state.n_param)
-    if any(p.size() >= floor for p in decomp.first + decomp.second):
-        return "regular", find_good_pair_big_subtree(state, decomp)
-    return "caterpillar", greedy_caterpillar(decomp)
-
-
 def _peel(state: IterationState, peeled: Iterable[str],
           survivors: Piece) -> None:
     # Output ``peeled``; the core shrinks to ``survivors``, a run of the frame.
@@ -539,13 +506,14 @@ def _weak_loop(state: IterationState, c: int) -> ConstructionOutcome:
     lg = math.log2(state.n_param)
     while state.size() > 1:
         decomp = path_decomposition(state)
-        branch, payload = classify_iteration(state, decomp, c)
-        if branch == "caterpillar":
+        pair = (find_good_pair_structural(state, decomp, c)
+                or find_good_pair_big_subtree(state, decomp))
+        if pair is None:  # every piece is small, so the sweep pays
             return ConstructionOutcome(
-                frozenset(payload), UNROOTED_CATERPILLAR,
+                frozenset(greedy_caterpillar(decomp)), UNROOTED_CATERPILLAR,
                 f"greedy-caterpillar(step={state.step})", lg)
-        tallies[branch] += 1
-        _peel(state, [decomp.order[payload.pivot - 1]], payload.survivors)
+        tallies[pair.tier] += 1
+        _peel(state, [decomp.order[pair.pivot - 1]], pair.survivors)
     return ConstructionOutcome(
         frozenset(state.agreed).union(state.taxa), ROOTED_CATERPILLAR,
         f"pair-chain(large={tallies['large']} regular={tallies['regular']})",
@@ -572,20 +540,22 @@ def _check_split(state: IterationState, split: IncomparableSplit) -> None:
 
 
 def strong_split(state: IterationState, decomp: PathDecomposition,
-                 c: int = 40) -> Union[IncomparableSplit, SweepFallback,
-                                       SplitDegenerate]:
+                 c: int = 40
+                 ) -> Union[IncomparableSplit, ConstructionOutcome, None]:
     """With only small pieces left, cut the core in two incomparable
     parts, or fall back to an explicit caterpillar agreement.
 
     Requires every piece at size at most max(2n'/C, 1).  Locates a big
-    piece inside the middle fifth-to-three-fifths window (the survivors)
-    and another in the far fifth on the appropriate end, then intersects
-    the latter with the other tree's pieces to carve a nucleus whose
-    ancestor is incomparable with the survivors' ancestor in both trees.
-    When a landmark is missing the window is swept greedily instead, and
-    if the other tree's pieces only graze the nucleus a transversal (one
-    leaf per grazing piece) is solved exactly, which is feasible because
-    the transversal restricts one tree to a caterpillar.
+    piece inside the middle window, positions ceil(2n'/5)..floor(3n'/5)
+    of the core (the survivors), and another in the first or last fifth,
+    then intersects the latter with the other tree's pieces to carve a
+    nucleus whose ancestor is incomparable with the survivors' ancestor
+    in both trees.  When a landmark is missing the window is swept greedily
+    instead, and if the other tree's pieces only graze the nucleus a
+    transversal (one leaf per grazing piece) is solved exactly, which is
+    feasible because the transversal restricts one tree to a caterpillar.
+    Returns the split, or a fallback as an uncertified
+    ``UNROOTED_CATERPILLAR`` outcome, or None when a window is degenerate.
     """
     order = decomp.order
     n = len(order)
@@ -600,16 +570,17 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
     inside1 = [p for p in decomp.first if p.lo >= win_lo and p.hi <= win_hi]
     inside2 = [p for p in decomp.second if p.lo >= win_lo and p.hi <= win_hi]
     if not inside1 or not inside2:
-        return SplitDegenerate("no piece fits the middle window")
+        return None  # no piece fits the middle window
     lo = max(inside1[0].lo, inside2[0].lo)
     hi = min(inside1[-1].hi, inside2[-1].hi)
     if lo > hi:
-        return SplitDegenerate("middle-window piece runs do not meet")
+        return None  # the middle-window piece runs do not meet
     found = _first_piece(
         decomp, lambda p: p.hi >= lo and p.lo <= hi and p.size() * 10 * lg >= n)
     if found is None:
-        return SweepFallback(greedy_caterpillar(decomp, lo, hi), lg,
-                             f"interval-sweep(step={state.step})")
+        return ConstructionOutcome(
+            frozenset(greedy_caterpillar(decomp, lo, hi)),
+            UNROOTED_CATERPILLAR, f"interval-sweep(step={state.step})", lg)
     anchor_in_first, _, anchor = found
     if anchor_in_first:
         side_lo, side_hi = 1, (4 * n) // 20
@@ -618,13 +589,14 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
         side_lo, side_hi = (16 * n + 19) // 20, n
         contained = lambda p: 4 * p.lo > 3 * n
     if side_lo > side_hi:
-        return SplitDegenerate("side window is empty")
+        return None  # the side window is empty
     found = _first_piece(
         decomp, lambda p: (p.hi >= side_lo and p.lo <= side_hi
                            and p.size() * 5 * lg >= n and contained(p)))
     if found is None:
-        return SweepFallback(greedy_caterpillar(decomp, side_lo, side_hi), lg,
-                             f"side-sweep(step={state.step})")
+        return ConstructionOutcome(
+            frozenset(greedy_caterpillar(decomp, side_lo, side_hi)),
+            UNROOTED_CATERPILLAR, f"side-sweep(step={state.step})", lg)
     pick_in_first, _, pick = found
     partners = [p for p in (decomp.second if pick_in_first else decomp.first)
                 if p.hi >= pick.lo and p.lo <= pick.hi]
@@ -638,10 +610,10 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
     transversal = tuple(order[max(p.lo, pick.lo) - 1] for p in partners)
     sub = rooted_agreement_leaves(state.tree1.restrict(transversal),
                                   state.tree2.restrict(transversal))
-    leaves = tuple(sorted_labels(sub))
-    return SweepFallback(
-        leaves, lg / 48,
-        f"transversal-exact(step={state.step} partners={len(partners)})")
+    return ConstructionOutcome(
+        frozenset(sub), UNROOTED_CATERPILLAR,
+        f"transversal-exact(step={state.step} partners={len(partners)})",
+        lg / 48)
 
 
 def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
@@ -680,12 +652,10 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
             singles += 1
             continue
         split = strong_split(state, decomp, c)
-        if isinstance(split, SweepFallback):
-            return certified(rooted1, rooted2, ConstructionOutcome(
-                frozenset(split.leaves), UNROOTED_CATERPILLAR, split.branch,
-                split.claimed_bound))
-        if isinstance(split, SplitDegenerate):
+        if split is None:
             break
+        if isinstance(split, ConstructionOutcome):
+            return certified(rooted1, rooted2, split)
         nested = _nested_weak(state, split.nucleus)
         if nested.kind == UNROOTED_CATERPILLAR:
             return certified(rooted1, rooted2, nested)

@@ -34,11 +34,8 @@ from mastkit.construction import (
     IterationState,
     PathDecomposition,
     Piece,
-    SplitDegenerate,
-    SweepFallback,
     certified,
     check_good_pair,
-    classify_iteration,
     common_monotone_subsequence,
     find_good_pair_big_subtree,
     find_good_pair_structural,
@@ -352,13 +349,12 @@ def test_regular_pair_frozen_on_singleton_pieces():
     assert pair_labels(decomp.order, pair) == ("8", frozenset({"1"}), "regular")
 
 
-def test_regular_pair_raises_below_its_floor():
+def test_regular_pair_returns_none_below_its_floor():
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
     state = whole_state(one, two, 8)
-    with pytest.raises(TreeError):
-        find_good_pair_big_subtree(state, path_decomposition(state))
+    assert find_good_pair_big_subtree(state, path_decomposition(state)) is None
 
 
 def rule_case(name, t1, t2, n_param, c, pivot, survivors, tier):
@@ -491,18 +487,24 @@ def test_greedy_picks_agree_as_unrooted_caterpillars(n, seed):
     assert is_caterpillar(r1) and isomorphic(r1, r2)
 
 
-def test_classify_covers_all_three_branches():
+def test_finders_cover_all_three_weak_steps():
+    # The weak loop's three moves: a large pair, else a regular pair, else
+    # (both finders empty) a full greedy sweep.
     state = identical_state(8)
-    assert classify_iteration(state, path_decomposition(state))[0] == "large"
+    pair = find_good_pair_structural(state, path_decomposition(state))
+    assert pair.tier == "large"
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
     state = whole_state(one, two, 256)
-    assert classify_iteration(state, path_decomposition(state))[0] == "regular"
+    decomp = path_decomposition(state)
+    assert find_good_pair_structural(state, decomp) is None
+    assert find_good_pair_big_subtree(state, decomp).tier == "regular"
     state = whole_state(one, two, 8)
-    branch, picks = classify_iteration(state, path_decomposition(state))
-    assert branch == "caterpillar"
-    assert len(picks) == 8
+    decomp = path_decomposition(state)
+    assert find_good_pair_structural(state, decomp) is None
+    assert find_good_pair_big_subtree(state, decomp) is None
+    assert len(greedy_caterpillar(decomp)) == 8
 
 
 # -- weak construction --------------------------------------------------------
@@ -536,8 +538,9 @@ def test_weak_loop_sees_every_iteration():
     seen = []
     while state.size() > 1:
         decomp = path_decomposition(state)
-        branch, pair = classify_iteration(state, decomp, 4)
-        seen.append((len(state.taxa), branch))
+        pair = (find_good_pair_structural(state, decomp, 4)
+                or find_good_pair_big_subtree(state, decomp))
+        seen.append((len(state.taxa), pair.tier))
         _peel(state, [decomp.order[pair.pivot - 1]], pair.survivors)
     assert seen == [(8, "large"), (7, "large"), (6, "large"), (5, "large"),
                     (4, "large"), (3, "large"), (2, "regular")]
@@ -596,9 +599,11 @@ def test_strong_split_interval_sweep_when_no_window_anchor():
     labels = [str(i) for i in range(1, 201)]
     state = make_state(labels, labels, 200)
     split = strong_split(state, path_decomposition(state))
-    assert isinstance(split, SweepFallback)
+    assert isinstance(split, ConstructionOutcome)
+    assert split.kind == UNROOTED_CATERPILLAR
     assert split.branch == "interval-sweep(step=1)"
-    assert len(split.leaves) == 41
+    assert len(split.agreement_set) == 41
+    assert verify_outcome(state.tree1, state.tree2, split)
 
 
 def test_strong_split_side_sweep_when_no_side_landmark():
@@ -607,9 +612,11 @@ def test_strong_split_side_sweep_when_no_side_landmark():
         + labels[60:]
     state = make_state(parts, parts, 100)
     split = strong_split(state, path_decomposition(state))
-    assert isinstance(split, SweepFallback)
+    assert isinstance(split, ConstructionOutcome)
+    assert split.kind == UNROOTED_CATERPILLAR
     assert split.branch == "side-sweep(step=1)"
-    assert len(split.leaves) == 20
+    assert len(split.agreement_set) == 20
+    assert verify_outcome(state.tree1, state.tree2, split)
 
 
 def test_strong_split_transversal_when_pieces_only_graze():
@@ -620,22 +627,22 @@ def test_strong_split_transversal_when_pieces_only_graze():
     parts2 = labels[:40] + window_blocks + labels[60:]
     state = make_state(parts1, parts2, 100)
     split = strong_split(state, path_decomposition(state))
-    assert isinstance(split, SweepFallback)
+    assert isinstance(split, ConstructionOutcome)
+    assert split.kind == UNROOTED_CATERPILLAR
     assert split.branch == "transversal-exact(step=1 partners=4)"
     # Within the cross-nested four-leaf block the exact rooted answer is
     # an outer pair.
-    assert split.leaves == ("17", "20")
+    assert split.agreement_set == frozenset({"17", "20"})
+    assert verify_outcome(state.tree1, state.tree2, split)
 
 
 def test_strong_split_degenerate_windows():
+    # The side window is empty.
     state = make_state(["1", "2"], ["1", "2"], 16)
-    split = strong_split(state, path_decomposition(state))
-    assert isinstance(split, SplitDegenerate)
-    assert split.reason == "side window is empty"
+    assert strong_split(state, path_decomposition(state)) is None
+    # No piece fits the middle window.
     state = make_state(["1", "2", "3"], ["1", "2", "3"], 81)
-    split = strong_split(state, path_decomposition(state))
-    assert isinstance(split, SplitDegenerate)
-    assert split.reason == "no piece fits the middle window"
+    assert strong_split(state, path_decomposition(state)) is None
 
 
 def test_strong_split_guards_its_preconditions():
@@ -804,10 +811,10 @@ def main_steps(state, c, decompose, peel):
             peel(state, [order[pair.pivot - 1]], pair.survivors)
             continue
         split = strong_split(state, decomp, c)
-        if isinstance(split, SweepFallback):
-            return log + [split], frozenset(split.leaves)
-        if isinstance(split, SplitDegenerate):
-            log.append(split)
+        if isinstance(split, ConstructionOutcome):
+            return log + [split], split.agreement_set
+        if split is None:
+            log.append(None)
             break
         nucleus = order[split.nucleus.lo - 1:split.nucleus.hi]
         log.append((nucleus, run_labels(order, split.survivors)))
@@ -827,11 +834,13 @@ def weak_steps(state, c, decompose, peel):
     log = []
     while state.size() > 1:
         decomp = decompose(state)
-        branch, payload = classify_iteration(state, decomp, c)
-        if branch == "caterpillar":
-            return log + [decomp, payload], frozenset(payload)
-        log += [decomp, pair_labels(decomp.order, payload)]
-        peel(state, [decomp.order[payload.pivot - 1]], payload.survivors)
+        pair = (find_good_pair_structural(state, decomp, c)
+                or find_good_pair_big_subtree(state, decomp))
+        if pair is None:
+            picks = greedy_caterpillar(decomp)
+            return log + [decomp, picks], frozenset(picks)
+        log += [decomp, pair_labels(decomp.order, pair)]
+        peel(state, [decomp.order[pair.pivot - 1]], pair.survivors)
     return log, frozenset(state.agreed).union(state.taxa)
 
 
