@@ -27,9 +27,10 @@ from typing import Optional
 from .construction import (
     CertificationError,
     ConstructionOutcome,
+    IterationState,
     UNROOTED_CATERPILLAR,
+    _main_loop,
     certified,
-    main_construct,
     setup,
     verify_outcome,
     weak_construct,
@@ -108,23 +109,25 @@ def _tiny_outcome(tree1: UnrootedTree, tree2: UnrootedTree) -> ConstructionOutco
         frozenset(tree1.taxa), UNROOTED_CATERPILLAR, "tiny", float(len(tree1))))
 
 
-def _run_construction(tree1: UnrootedTree, tree2: UnrootedTree,
-                      algorithm: str, c: Optional[int],
-                      rng: Optional[SplitMix64] = None) -> ConstructionOutcome:
-    if len(tree1) < 4:
-        return _tiny_outcome(tree1, tree2)
+def _run_construction(state: IterationState, algorithm: str,
+                      c: Optional[int]) -> ConstructionOutcome:
+    # One construction on setup's state.  Weak builds its own state from
+    # the core pair; main shrinks this one.
     if algorithm == "weak":
-        state, _, _ = setup(tree1, tree2, rng)
         return weak_construct(state.tree1, state.tree2,
-                              n_param=len(tree1), c=c if c else 4)
-    return main_construct(tree1, tree2, c if c else 40, rng)
+                              n_param=state.n_param, c=c if c else 4)
+    return _main_loop(state, c if c else 40)
 
 
 def _cmd_construct(args) -> int:
     tree1 = _load_tree(args.t1, rooted=False)
     tree2 = _load_tree(args.t2, rooted=False)
     rng = SplitMix64(mix64(args.seed, 1)) if args.orient == "random" else None
-    outcome = _run_construction(tree1, tree2, args.algorithm, args.big_c, rng)
+    if len(tree1) < 4:
+        outcome = _tiny_outcome(tree1, tree2)
+    else:
+        state, _, _ = setup(tree1, tree2, rng)
+        outcome = _run_construction(state, args.algorithm, args.big_c)
     _emit(args, {
         "n": len(tree1),
         "algorithm": args.algorithm,
@@ -241,13 +244,8 @@ def _cmd_experiment(args) -> int:
             for model_index, model in enumerate(models):
                 for trial in range(args.trials):
                     seed = mix64(args.seed, n, model_index, trial)
-                    tree1, tree2 = _make_pair(model, n, seed)
-                    for algorithm in ("weak", "main", "exact_dp"):
-                        if algorithm == "exact_dp" and n > args.cap:
-                            continue
-                        row = _run_experiment_row(
-                            tree1, tree2, algorithm, n, seed, model,
-                            args.timing == "wall")
+                    for row in _experiment_rows(n, seed, model, args.cap,
+                                                args.timing == "wall"):
                         rows.append(row)
                         writer.writerow([row[f] for f in CSV_FIELDS])
     main_sizes = [(r["size"], r["n"]) for r in rows if r["algorithm"] == "main"]
@@ -259,33 +257,39 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _run_experiment_row(tree1, tree2, algorithm, n, seed, model,
-                        timing: bool) -> dict:
-    start = time.perf_counter() if timing else 0.0
-    # Producers raise CertificationError rather than return an uncertified
-    # set, so every row that is written is verified.
-    if algorithm == "exact_dp":
-        result = unrooted_mast(tree1, tree2)
-        size = result.size
-        kind = result.kind
-        branch = "dp"
-    else:
-        outcome = _run_construction(tree1, tree2, algorithm, None)
-        size = len(outcome.agreement_set)
-        kind = outcome.kind
-        branch = outcome.branch
-    millis = int((time.perf_counter() - start) * 1000) if timing else 0
-    return {
-        "n": n,
-        "seed": seed,
-        "generator": model,
-        "algorithm": algorithm,
-        "size": size,
-        "kind": kind,
-        "branch": branch,
-        "verified": "true",
-        "millis": millis,
-    }
+def _experiment_rows(n: int, seed: int, model: str, cap: int,
+                     timing: bool):
+    # One pair's rows, each yielded as it is done.  The two constructions
+    # share one setup (n >= 4 here), timed in the weak row.
+    tree1, tree2 = _make_pair(model, n, seed)
+    state = None
+    for algorithm in ("weak", "main", "exact_dp"):
+        if algorithm == "exact_dp" and n > cap:
+            continue
+        start = time.perf_counter() if timing else 0.0
+        # Producers raise CertificationError rather than return an
+        # uncertified set, so every row that is written is verified.
+        if algorithm == "exact_dp":
+            result = unrooted_mast(tree1, tree2)
+            size, kind, branch = result.size, result.kind, "dp"
+        else:
+            if state is None:
+                state, _, _ = setup(tree1, tree2)
+            outcome = _run_construction(state, algorithm, None)
+            size = len(outcome.agreement_set)
+            kind, branch = outcome.kind, outcome.branch
+        millis = int((time.perf_counter() - start) * 1000) if timing else 0
+        yield {
+            "n": n,
+            "seed": seed,
+            "generator": model,
+            "algorithm": algorithm,
+            "size": size,
+            "kind": kind,
+            "branch": branch,
+            "verified": "true",
+            "millis": millis,
+        }
 
 
 def _build_parser() -> argparse.ArgumentParser:

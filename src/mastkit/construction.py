@@ -4,9 +4,10 @@ Given two binary trees on the same n taxa, the routines here build an
 explicit agreement set of logarithmic size.  The pipeline:
 
 * :func:`setup` roots both trees at an edge and keeps a common monotone
-  leaf subsequence (at least sqrt(n) taxa), so both restrictions list
-  their leaves in one order; the loops keep these trees fixed and hold
-  their core, pairs and splits as runs of positions in that order;
+  leaf subsequence (at least sqrt(n) taxa), building only the two
+  rootings cut down to it, the core pair, which list their leaves in one
+  order; the loops keep these trees fixed and hold their core, pairs and
+  splits as runs of positions in that order;
 * :func:`weak_construct` peels one taxon per round off a shrinking core,
   or exits early with a greedy caterpillar, and guarantees an agreement
   of size about log n / log log n;
@@ -17,8 +18,10 @@ explicit agreement set of logarithmic size.  The pipeline:
 Every intermediate object is checked as it is produced: candidate pairs
 are re-validated with explicit ancestor queries, splits with explicit
 incomparability queries, and each public construction certifies its
-final outcome once, with :func:`verify_outcome` against the rooted pair
-it was built on.  A returned outcome is therefore a certificate.
+final outcome once, with :func:`verify_outcome` against the core pair
+it was built on.  Every outcome is a subset of the core, and restriction
+composes, so the core pair accepts exactly the sets that the full rooted
+pair would.  A returned outcome is therefore a certificate.
 """
 
 from __future__ import annotations
@@ -39,7 +42,11 @@ from .trees import (
     deroot,
     is_caterpillar,
     isomorphic,
-    root_at_edge,
+    orient_at_edge,
+    preorder,
+    prune,
+    rooted_from_arrays,
+    rooted_restriction,
 )
 
 ROOTED_CATERPILLAR = "rooted_caterpillar"
@@ -215,36 +222,48 @@ def common_monotone_subsequence(
 
 def setup(tree1: UnrootedTree, tree2: UnrootedTree,
           rng: Optional[SplitMix64] = None,
-          ) -> tuple[IterationState, RootedTree, RootedTree]:
+          ) -> tuple[IterationState, tuple[str, ...], tuple[str, ...]]:
     """Root both trees at the pendant edge of their smallest taxon, align
     their leaf orders, and cut down to a common monotone subsequence of
     size at least ceil(sqrt(n)).  With ``rng``, child pairs are oriented
     by coin flips instead of by smallest taxon (see :func:`root_at_edge`).
 
-    Returns the initial state plus the two rooted trees the state's
-    restrictions came from (the second possibly mirrored so that both
-    orders run the same way).  Rooted agreements of the restrictions are
-    rooted agreements of these trees, and of the unrooted originals after
-    de-rooting.
+    Returns the initial state plus the two rooted trees' leaf orders, the
+    second reversed when the alignment is decreasing.  The state's trees,
+    the core pair, are those rootings (the second mirrored then) cut down
+    to the core; only the core pair is built.  Rooted agreements of the
+    core pair are rooted agreements of the rootings, and of the unrooted
+    originals after de-rooting.
     """
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
     n = len(tree1)
     if n < 4:
         raise TreeError("setup needs at least 4 taxa")
-    rooted1 = root_at_edge(tree1, canonical_root_edge(tree1), rng)
-    rooted2 = root_at_edge(tree2, canonical_root_edge(tree2), rng)
-    common, direction = common_monotone_subsequence(rooted1.seq(), rooted2.seq())
-    if direction == "decreasing":
-        rooted2 = rooted2.mirror()
+    hung = [orient_at_edge(tree, canonical_root_edge(tree), ranked=rng is None)
+            for tree in (tree1, tree2)]
+    orders = []
+    for left, right, labels, order in hung:
+        # Walking each rooting's preorder, tree1's first, draws rng's flips
+        # as root_at_edge would, and lists the leaves.
+        walk = preorder(order[-1], left, right, rng)
+        orders.append(tuple([labels[v] for v in walk if left[v] == -1]))
+    common, direction = common_monotone_subsequence(*orders)
     if len(common) * len(common) < n:
         raise TreeError("internal error: common subsequence below sqrt floor")
     keep = frozenset(common)
-    core1 = rooted1.restrict(keep)
-    core2 = rooted2.restrict(keep)
-    state = IterationState(lo=0, hi=len(common) - 1, tree1=core1,
-                           tree2=core2, agreed=[], n_param=n)
-    return state, rooted1, rooted2
+    cores = []
+    while hung:  # each tree's full arrays go once its core is built
+        left, right, labels, order = hung.pop(0)
+        top, kept_left, kept_right = prune(order, left, right, labels, keep)
+        if cores and direction == "decreasing":  # mirror the second tree
+            kept_left, kept_right = kept_right, kept_left
+        cores.append(rooted_from_arrays(top, kept_left, kept_right, labels))
+    if direction == "decreasing":
+        orders[1] = orders[1][::-1]
+    state = IterationState(lo=0, hi=len(common) - 1, tree1=cores[0],
+                           tree2=cores[1], agreed=[], n_param=n)
+    return state, orders[0], orders[1]
 
 
 def _spine_pieces(tree: RootedTree, lo: int, hi: int, right_spine: bool,
@@ -633,15 +652,23 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     that step drops taxa, or ``degenerate-exact`` after a degenerate
     window.  A core of more than ``ROOTED_DP_CAP`` taxa is closed by a
     weak chain instead, as a nucleus is, and tagged ``degenerate-weak``.
+    The outcome is certified against the state's core pair.
     """
     if tree1.taxa != tree2.taxa:
         raise TaxaMismatch("input trees must share their taxon set")
     n = len(tree1)
     if n < 4:
         raise TreeError("construction needs at least 4 taxa")
+    state, _, _ = setup(tree1, tree2, rng)
+    return _main_loop(state, c)
+
+
+def _main_loop(state: IterationState, c: int) -> ConstructionOutcome:
+    # main_construct after setup, on ``state``, which it shrinks; every
+    # outcome is a subset of the core, certified against the core pair.
     if c < 2:  # the claimed bound divides by log2(c)
         raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
-    state, rooted1, rooted2 = setup(tree1, tree2, rng)
+    n, core1, core2 = state.n_param, state.tree1, state.tree2
     singles = 0
     blocks = 0
     while state.size() ** 4 >= n:
@@ -655,10 +682,10 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
         if split is None:
             break
         if isinstance(split, ConstructionOutcome):
-            return certified(rooted1, rooted2, split)
+            return certified(core1, core2, split)
         nested = _nested_weak(state, split.nucleus)
         if nested.kind == UNROOTED_CATERPILLAR:
-            return certified(rooted1, rooted2, nested)
+            return certified(core1, core2, nested)
         _peel(state, nested.agreement_set, split.survivors)
         blocks += 1
     branch = f"block-chain(singles={singles} blocks={blocks})"
@@ -667,7 +694,7 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
         # such a core): a weak chain closes it instead.
         nested = _nested_weak(state, Piece(1, state.size()))
         if nested.kind == UNROOTED_CATERPILLAR:
-            return certified(rooted1, rooted2, nested)
+            return certified(core1, core2, nested)
         last = nested.agreement_set
         branch += ";degenerate-weak"
     else:
@@ -677,7 +704,7 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
             branch += ";degenerate-exact"
         elif len(last) < state.size():
             branch += ";final-exact"
-    return certified(rooted1, rooted2, ConstructionOutcome(
+    return certified(core1, core2, ConstructionOutcome(
         frozenset(state.agreed).union(last), BLOCK_TREE, branch,
         math.log2(n) / (4 * math.log2(c))))
 
@@ -696,8 +723,7 @@ def _nested_weak(state: IterationState, run: Piece) -> ConstructionOutcome:
 def _canonically_rooted(tree: UnrootedTree,
                         leaves: frozenset[str]) -> RootedTree:
     # Isomorphism and shape ignore child order, so none is ranked.
-    return root_at_edge(tree, canonical_root_edge(tree),
-                        ranked=False).restrict(leaves)
+    return rooted_restriction(tree, canonical_root_edge(tree), leaves)
 
 
 def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:
@@ -708,7 +734,7 @@ def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:
     ``kind`` are read, never trees.  Both trees are restricted to the set
     and the restrictions tested for isomorphism, and for caterpillar
     kinds for their shape.  The trees may be the unrooted originals or
-    the rooted pair a producer derived from them with :func:`setup`.
+    the core pair :func:`setup` derived from them.
     Against unrooted trees, a rooted kind is checked with each tree rooted
     at the pendant edge of its smallest taxon, the rooting :func:`setup`
     uses.  An empty set, an unknown kind, or a taxon either tree lacks

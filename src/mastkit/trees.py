@@ -24,9 +24,12 @@ numbering and stores only its child arrays: traversal orders, parents
 and ancestry are read off the ids.  :func:`unrooted_from_edges` builds
 the adjacency of generated and derooted trees: each node lists its
 neighbors in the order its edges are given.  The Newick reader builds its
-own as groups close, in the same children-then-parent order.  Unrooted
-restriction roots the tree, restricts the rooted tree and suppresses the
-root again.
+own as groups close, in the same children-then-parent order.  Rooting
+is two steps: :func:`orient_at_edge` hangs an unrooted tree from an edge
+as child arrays, and the rooted builder numbers them.  :func:`prune`
+restricts child arrays, so a restricted rooting
+(:func:`rooted_restriction`, and unrooted restriction, which then
+suppresses the root again) builds only the restricted tree.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -233,30 +236,9 @@ class RootedTree(_LabeledTree):
         keepset = self._keep_set(keep)
         if keepset == self._taxa:
             return self
-        left, right, labels = self.left, self.right, self.labels
-        n = len(labels)
-        # rep[v] is the node standing for v's subtree once single-child
-        # nodes are suppressed (-1: nothing kept below); only nodes with
-        # a kept taxon on both sides keep their children.
-        rep = [-1] * n
-        kept_left = [-1] * n
-        kept_right = [-1] * n
-        for v in self.postorder():
-            l = left[v]
-            if l == -1:
-                if labels[v] in keepset:
-                    rep[v] = v
-                continue
-            rl, rr = rep[l], rep[right[v]]
-            if rl == -1:
-                rep[v] = rr
-            elif rr == -1:
-                rep[v] = rl
-            else:
-                rep[v] = v
-                kept_left[v] = rl
-                kept_right[v] = rr
-        return rooted_from_arrays(rep[0], kept_left, kept_right, labels)
+        return rooted_from_arrays(
+            *prune(self.postorder(), self.left, self.right, self.labels, keepset),
+            self.labels)
 
     def mirror(self) -> "RootedTree":
         """Swap the child order of every internal node."""
@@ -321,8 +303,8 @@ class UnrootedTree(_LabeledTree):
             return unrooted_from_edges(1, [], list(keepset))
         # The smallest id: frozenset order follows the hash seed.
         leaf = min(self._leaf_node[lab] for lab in keepset)
-        rooted = root_at_edge(self, (leaf, self.adj[leaf][0]), ranked=False)
-        return deroot(rooted.restrict(keepset))
+        return deroot(rooted_restriction(self, (leaf, self.adj[leaf][0]),
+                                         keepset))
 
     def validate(self) -> None:
         """Check every structural invariant; raises :class:`TreeError`."""
@@ -362,6 +344,30 @@ class UnrootedTree(_LabeledTree):
 # -- builders and rootedness conversions ------------------------------------
 
 
+def preorder(top: int, left: list[int], right: list[int],
+             rng=None) -> list[int]:
+    """The nodes below ``top`` in preorder, left subtree first.
+
+    With ``rng`` (an object with a ``randrange`` method), each child pair
+    is first swapped on a coin flip, in place, drawn as its node is
+    reached: the draws of :func:`rooted_from_arrays`.
+    """
+    order = []
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        l = left[v]
+        if l != -1:
+            r = right[v]
+            if rng is not None and rng.randrange(2):
+                left[v], right[v] = l, r = r, l
+            # Push right first so the left child comes first.
+            stack.append(r)
+            stack.append(l)
+    return order
+
+
 def rooted_from_arrays(top: int, left: list[int], right: list[int],
                        labels: list[Optional[str]], rng=None) -> RootedTree:
     """The subtree below ``top`` as a fresh tree with preorder node ids.
@@ -375,19 +381,7 @@ def rooted_from_arrays(top: int, left: list[int], right: list[int],
     """
     if rng is not None:
         left, right = left[:], right[:]  # the flips swap pairs in copies
-    order = []
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        l = left[v]
-        if l != -1:
-            r = right[v]
-            if rng is not None and rng.randrange(2):
-                left[v], right[v] = l, r = r, l
-            # Push right first so the left child is numbered first.
-            stack.append(r)
-            stack.append(l)
+    order = preorder(top, left, right, rng)
     # new[v] is v's preorder id; the extra last slot maps -1 to -1.
     new = [-1] * (len(labels) + 1)
     for i, v in enumerate(order):
@@ -395,6 +389,41 @@ def rooted_from_arrays(top: int, left: list[int], right: list[int],
     return RootedTree([new[left[v]] for v in order],
                       [new[right[v]] for v in order],
                       [labels[v] for v in order], _checked=True)
+
+
+def prune(order: list[int], left: list[int], right: list[int],
+          labels: list[Optional[str]], keep: frozenset[str]
+          ) -> tuple[int, list[int], list[int]]:
+    """The restriction of a tree given as arrays to the taxa in ``keep``,
+    as ``(top, kept_left, kept_right)`` for :func:`rooted_from_arrays`.
+
+    ``order`` lists the nodes with children before their parents, the
+    root last.  Nodes left with a single kept child are suppressed; the
+    others keep their child order.  Nothing passed in is written.
+    """
+    n = len(labels)
+    # rep[v] is the node standing for v's subtree once single-child
+    # nodes are suppressed (-1: nothing kept below); only nodes with
+    # a kept taxon on both sides keep their children.
+    rep = [-1] * n
+    kept_left = [-1] * n
+    kept_right = [-1] * n
+    for v in order:
+        l = left[v]
+        if l == -1:
+            if labels[v] in keep:
+                rep[v] = v
+            continue
+        rl, rr = rep[l], rep[right[v]]
+        if rl == -1:
+            rep[v] = rr
+        elif rr == -1:
+            rep[v] = rl
+        else:
+            rep[v] = v
+            kept_left[v] = rl
+            kept_right[v] = rr
+    return rep[order[-1]], kept_left, kept_right
 
 
 def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
@@ -419,19 +448,17 @@ def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
     return (leaf, tree.adj[leaf][0])
 
 
-def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
-                 rng=None, *, ranked: bool = True) -> RootedTree:
-    """Root an unrooted tree by subdividing ``edge`` with a new root node.
+def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
+                   ranked: bool = True
+                   ) -> tuple[list[int], list[int], list[Optional[str]], list[int]]:
+    """``tree`` hung from a new root node that subdivides ``edge``, as the
+    arrays :func:`root_at_edge` numbers: ``(left, right, labels, order)``.
 
-    ``rng`` fixes the left/right order of every child pair:
-
-    * ``None`` (default, deterministic): the child whose subtree contains
-      the smallest taxon becomes the left child; with ``ranked=False``,
-      for callers that discard child order, no taxon is ranked and each
-      pair keeps the order of ``edge`` and of the adjacency lists;
-    * an object with a ``randrange`` method: a coin flip per node, drawn
-      in the new tree's preorder; heads swaps the pair from the order of
-      ``edge`` and of the adjacency lists.
+    The new root is node ``len(tree.adj)``.  ``order`` lists every node
+    with children before their parents, the new root last, as
+    :func:`prune` reads it.  With ``ranked``, the child whose subtree
+    holds the smaller taxon is the left one; without, each pair keeps
+    the order of ``edge`` and of the adjacency lists.
     """
     a, b = edge
     if not tree.has_edge(a, b):
@@ -458,15 +485,15 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
             par[x] = par[y] = v
             order.append(x)
             order.append(y)
-    if rng is None and ranked:
+    order.reverse()
+    order.append(top)
+    if ranked:
         # best[v] is the rank of the smallest taxon below v; children are
         # ranked before their parents, and the new root last.
         best = [0] * (top + 1)
         leaf_node = tree._leaf_node
         for rank, label in enumerate(tree.sorted_taxa()):
             best[leaf_node[label]] = rank
-        order.reverse()
-        order.append(top)
         for v in order:
             x = left[v]
             if x != -1:
@@ -476,7 +503,36 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
                     best[v] = best[y]
                 else:
                     best[v] = best[x]
-    return rooted_from_arrays(top, left, right, labels + [None], rng)
+    return left, right, labels + [None], order
+
+
+def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
+                 rng=None, *, ranked: bool = True) -> RootedTree:
+    """Root an unrooted tree by subdividing ``edge`` with a new root node.
+
+    ``rng`` fixes the left/right order of every child pair:
+
+    * ``None`` (default, deterministic): the child whose subtree contains
+      the smallest taxon becomes the left child; with ``ranked=False``,
+      for callers that discard child order, no taxon is ranked and each
+      pair keeps the order of ``edge`` and of the adjacency lists;
+    * an object with a ``randrange`` method: a coin flip per node, drawn
+      in the new tree's preorder; heads swaps the pair from the order of
+      ``edge`` and of the adjacency lists.
+    """
+    left, right, labels, order = orient_at_edge(
+        tree, edge, ranked=rng is None and ranked)
+    return rooted_from_arrays(order[-1], left, right, labels, rng)
+
+
+def rooted_restriction(tree: UnrootedTree, edge: tuple[int, int],
+                       keep: Iterable[str]) -> RootedTree:
+    """``root_at_edge(tree, edge, ranked=False).restrict(keep)``, pruned
+    from the oriented arrays without building the full rooted tree."""
+    keepset = tree._keep_set(keep)
+    left, right, labels, order = orient_at_edge(tree, edge, ranked=False)
+    return rooted_from_arrays(*prune(order, left, right, labels, keepset),
+                              labels)
 
 
 def deroot(tree: RootedTree) -> UnrootedTree:

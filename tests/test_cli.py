@@ -24,9 +24,11 @@ from mastkit import (
     generate,
     parse_newick,
     root_at_edge,
+    setup,
     verify_outcome,
     write_newick,
 )
+from mastkit import cli, construction
 from mastkit.cli import (
     CSV_FIELDS,
     EXIT_CAP,
@@ -287,6 +289,23 @@ def test_experiment_grid_and_determinism(capsys, tmp_path):
         assert fields["millis"] == "0"
         assert fields["algorithm"] in ("weak", "main", "exact_dp")
         assert fields["generator"] in ("uniform", "adversarial")
+
+
+def test_experiment_sets_up_each_pair_once(capsys, monkeypatch):
+    """The weak and main rows of a pair share one setup."""
+    calls = []
+
+    def counting_setup(tree1, tree2, rng=None):
+        calls.append(len(tree1))
+        return setup(tree1, tree2, rng)
+
+    for module in (cli, construction):
+        monkeypatch.setattr(module, "setup", counting_setup)
+    code, _, _ = run(capsys, ["experiment", "--n-min", "4", "--n-max", "64",
+                              "--trials", "2", "--cap", "8", "--seed", "3"])
+    assert code == EXIT_OK
+    # 5 sizes x 2 models x 2 trials.
+    assert sorted(calls) == [n for n in (4, 8, 16, 32, 64) for _ in range(4)]
 
 
 def test_experiment_cap_skips_exact_rows(capsys, tmp_path):

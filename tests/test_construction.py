@@ -10,7 +10,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mastkit import (
     BLOCK_TREE,
@@ -135,20 +135,20 @@ def test_monotone_subsequence_meets_the_square_root_floor(perm):
 
 def test_setup_aligns_and_cuts_to_the_common_core():
     one = unrooted("(1,(2,(3,(4,5))),6);")
-    state, rooted1, rooted2 = setup(one, one)
+    state, order1, order2 = setup(one, one)
     assert set(state.taxa) == one.taxa
-    assert state.tree1.seq() == state.tree2.seq() == rooted1.seq()
+    assert state.tree1.seq() == state.tree2.seq() == order1
     assert state.n_param == 6
 
 
 def test_setup_mirrors_the_second_tree_on_decreasing_alignment():
     one = unrooted("(1,(2,(3,(5,6))),4);")
     two = unrooted("(1,(2,((4,6),5)),3);")
-    state, rooted1, rooted2 = setup(one, two)
-    assert rooted1.seq() == ("1", "2", "3", "5", "6", "4")
+    state, order1, order2 = setup(one, two)
+    assert order1 == ("1", "2", "3", "5", "6", "4")
     # The canonical rooting of the second tree reads 1,2,4,6,5,3; the
     # aligned core is decreasing there, so setup hands back its mirror.
-    assert rooted2.seq() == ("3", "5", "6", "4", "2", "1")
+    assert order2 == ("3", "5", "6", "4", "2", "1")
     assert state.taxa == ("3", "5", "6", "4")
     assert state.tree1.seq() == state.tree2.seq() == ("3", "5", "6", "4")
 
@@ -165,13 +165,13 @@ def test_setup_rejects_tiny_or_mismatched_inputs():
 def test_setup_invariants_hold_on_random_pairs(n, seed):
     a = generate(GenSpec("uniform", n, seed))
     b = generate(GenSpec("uniform", n, seed ^ 0xDEADBEEF))
-    state, rooted1, rooted2 = setup(a, b)
+    state, order1, _ = setup(a, b)
     assert state.tree1.seq() == state.tree2.seq()
     # The tracer's core fraction reads the core size as len(state.taxa).
     assert len(state.taxa) == state.size() == len(state.tree1)
     assert len(state.taxa) ** 2 >= n
     assert set(state.taxa) <= a.taxa
-    pos = {lab: i for i, lab in enumerate(rooted1.seq())}
+    pos = {lab: i for i, lab in enumerate(order1)}
     order = [pos[lab] for lab in state.tree1.seq()]
     assert order == sorted(order)
 
@@ -192,6 +192,114 @@ def test_setup_calls_no_label_key(monkeypatch):
     assert calls == []
     trees.label_key("1")  # the patch is in place
     assert calls == ["1"]
+
+
+def full_rooting_setup(one, two, rng=None):
+    """setup as it ran before it built only the core pair: both full
+    rootings, the alignment on their leaf orders, the second mirrored on a
+    decreasing alignment, then both restricted to the core.  Returns the
+    core pair, the full rooted pair and the direction."""
+    rooted1 = root_at_edge(one, canonical_root_edge(one), rng)
+    rooted2 = root_at_edge(two, canonical_root_edge(two), rng)
+    common, direction = common_monotone_subsequence(rooted1.seq(),
+                                                    rooted2.seq())
+    if direction == "decreasing":
+        rooted2 = rooted2.mirror()
+    keep = frozenset(common)
+    return (rooted1.restrict(keep), rooted2.restrict(keep), rooted1, rooted2,
+            direction)
+
+
+def setup_pair(model, size, seed):
+    if model == "adversarial":
+        return adversarial_pair(1 << (size.bit_length() - 1))
+    return (generate(GenSpec("uniform", size, seed)),
+            generate(GenSpec("uniform", size, seed ^ 0x5E7)))
+
+
+def arrays(tree):
+    return tree.left, tree.right, tree.labels
+
+
+# Uniform pairs aligned in each direction, with and without coin flips.
+@example(model="uniform", size=40, seed=1, orient=False)   # increasing
+@example(model="uniform", size=40, seed=11, orient=False)  # decreasing
+@example(model="uniform", size=40, seed=1, orient=True)    # increasing
+@example(model="uniform", size=40, seed=6, orient=True)    # decreasing
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["uniform", "adversarial"]),
+       size=st.integers(4, 300), seed=st.integers(0, 2**32),
+       orient=st.booleans())
+def test_setup_matches_the_full_rooting_route(model, size, seed, orient):
+    a, b = setup_pair(model, size, seed)
+    rng = (lambda: SplitMix64(seed)) if orient else (lambda: None)
+    core1, core2, rooted1, rooted2, _ = full_rooting_setup(a, b, rng())
+    state, order1, order2 = setup(a, b, rng())
+    assert arrays(state.tree1) == arrays(core1)
+    assert arrays(state.tree2) == arrays(core2)
+    assert state == IterationState(0, len(core1) - 1, state.tree1,
+                                   state.tree2, [], len(a))
+    assert (order1, order2) == (rooted1.seq(), rooted2.seq())
+
+
+def test_setup_route_examples_take_both_directions():
+    seen = set()
+    for seed, orient in ((1, False), (11, False), (1, True), (6, True)):
+        a, b = setup_pair("uniform", 40, seed)
+        rng = SplitMix64(seed) if orient else None
+        seen.add((orient, full_rooting_setup(a, b, rng)[-1]))
+    assert len(seen) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["uniform", "adversarial"]),
+       size=st.integers(4, 200), seed=st.integers(0, 2**32),
+       orient=st.booleans(), data=st.data())
+def test_core_pair_certifies_as_the_full_rooted_pair(model, size, seed,
+                                                     orient, data):
+    """Every outcome is a subset of the core, and on such sets the core
+    pair accepts and rejects exactly what the full rooted pair does."""
+    a, b = setup_pair(model, size, seed)
+    rng = (lambda: SplitMix64(seed)) if orient else (lambda: None)
+    _, _, rooted1, rooted2, _ = full_rooting_setup(a, b, rng())
+    state, _, _ = setup(a, b, rng())
+    order = state.tree1.seq()
+    built = main_construct(a, b, 40, rng()).agreement_set
+    assert built <= set(order)
+    forged = built | {data.draw(st.sampled_from(order))}
+    drawn = data.draw(st.sets(st.sampled_from(order), min_size=1))
+    for leaves in (built, forged, frozenset(order), drawn):
+        for kind in (BLOCK_TREE, ROOTED_CATERPILLAR, UNROOTED_CATERPILLAR,
+                     EXACT):
+            outcome = claim(leaves, kind)
+            assert verify_outcome(state.tree1, state.tree2, outcome) == \
+                verify_outcome(rooted1, rooted2, outcome)
+
+
+def test_setup_builds_only_the_core_pair(monkeypatch):
+    """No full-size rooted tree: no rooting, and no built tree larger
+    than the core."""
+    built = []
+    build = trees.rooted_from_arrays
+
+    def counting_build(*args, **kwargs):
+        tree = build(*args, **kwargs)
+        built.append(len(tree))
+        return tree
+
+    def no_rooting(*args, **kwargs):
+        raise AssertionError("setup rooted a full tree")
+
+    for module in (trees, construction):
+        monkeypatch.setattr(module, "rooted_from_arrays", counting_build)
+        monkeypatch.setattr(module, "root_at_edge", no_rooting, raising=False)
+    one = generate(GenSpec("uniform", 1024, 1))
+    two = generate(GenSpec("uniform", 1024, 2))
+    for rng in (None, SplitMix64(3)):
+        built.clear()
+        state, order1, order2 = setup(one, two, rng)
+        assert built == [state.size(), state.size()]
+        assert len(order1) == len(order2) == 1024
 
 
 # -- path decomposition -------------------------------------------------------

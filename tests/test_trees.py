@@ -20,6 +20,7 @@ from mastkit.trees import (
     is_caterpillar,
     label_key,
     rooted_from_arrays,
+    rooted_restriction,
     sorted_labels,
 )
 from mastkit.generators import MODELS, GenSpec, generate
@@ -382,6 +383,30 @@ def test_unranked_rootings_match_the_ranked_route(model, size, seed, pick):
                       root_at_edge(tree, edge))
     assert isomorphic(_canonically_rooted(tree, keep),
                       root_at_edge(tree, edge).restrict(keep))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(MODELS), size=st.integers(2, 60),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_pruned_rooting_matches_the_restricted_full_rooting(model, size,
+                                                            seed, data):
+    # rooted_restriction prunes the oriented arrays; the full rooting,
+    # restricted, must give the same arrays at any edge and any taxa.
+    n = 1 << (size.bit_length() - 1) if model == "balanced" else size
+    tree = generate(GenSpec(model, n, seed))
+    u = data.draw(st.sampled_from(range(tree.num_nodes())))
+    edge = (u, data.draw(st.sampled_from(tree.adj[u])))
+    keep = data.draw(st.sets(st.sampled_from(sorted(tree.taxa)), min_size=1))
+    full = root_at_edge(tree, edge, ranked=False).restrict(keep)
+    cut = rooted_restriction(tree, edge, keep)
+    assert (cut.left, cut.right, cut.labels) == \
+        (full.left, full.right, full.labels)
+    if 1 < len(keep) < n:  # else restrict builds no rooting
+        leaf = min(tree.leaf_node(x) for x in keep)
+        old = deroot(root_at_edge(tree, (leaf, tree.adj[leaf][0]),
+                                  ranked=False).restrict(keep))
+        new = tree.restrict(keep)
+        assert (new.adj, new.labels) == (old.adj, old.labels)
 
 
 @settings(max_examples=30, deadline=None)
