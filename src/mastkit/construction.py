@@ -654,11 +654,6 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     weak chain instead, as a nucleus is, and tagged ``degenerate-weak``.
     The outcome is certified against the state's core pair.
     """
-    if tree1.taxa != tree2.taxa:
-        raise TaxaMismatch("input trees must share their taxon set")
-    n = len(tree1)
-    if n < 4:
-        raise TreeError("construction needs at least 4 taxa")
     state, _, _ = setup(tree1, tree2, rng)
     return _main_loop(state, c)
 
@@ -720,12 +715,6 @@ def _nested_weak(state: IterationState, run: Piece) -> ConstructionOutcome:
     return replace(out, branch="nested:" + out.branch)
 
 
-def _canonically_rooted(tree: UnrootedTree,
-                        leaves: frozenset[str]) -> RootedTree:
-    # Isomorphism and shape ignore child order, so none is ranked.
-    return rooted_restriction(tree, canonical_root_edge(tree), leaves)
-
-
 def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:
     """Certify an agreement result against two trees the caller holds.
 
@@ -749,7 +738,9 @@ def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:
     if len(a) == 1:
         return True  # agrees in every kind, and has no edge to root at
     if kind in _ROOTED_KINDS and isinstance(tree1, UnrootedTree):
-        r1, r2 = _canonically_rooted(tree1, a), _canonically_rooted(tree2, a)
+        # Isomorphism and shape ignore child order, so none is ranked.
+        r1, r2 = [rooted_restriction(t, canonical_root_edge(t), a)
+                  for t in (tree1, tree2)]
     else:
         r1, r2 = tree1.restrict(a), tree2.restrict(a)
     if kind == UNROOTED_CATERPILLAR and isinstance(r1, RootedTree):

@@ -31,7 +31,7 @@ from .trees import (
     UnrootedTree,
     canonical_root_edge,
     deroot,
-    root_at_edge,
+    orient_at_edge,
     rooted_from_arrays,
 )
 
@@ -173,10 +173,10 @@ def _to_rooted(adj: list[list[int]], labels: list[Optional[str]],
     return rooted_from_arrays(top, left, right, labels)
 
 
-def _emit(tree: RootedTree, stack: list) -> str:
+def _emit(left: list[int], right: list[int], labels: list[Optional[str]],
+          stack: list) -> str:
     """Newick text for the items on ``stack``, taken from its end: strings
     are written as they are, node ids as their subtrees."""
-    left, right, labels = tree.left, tree.right, tree.labels
     parts: list[str] = []
     while stack:
         x = stack.pop()
@@ -197,19 +197,19 @@ def write_newick(tree) -> str:
     Rooted trees keep their child order.  An unrooted tree is written in
     its canonical form: the canonical rooting (at the pendant edge of the
     smallest taxon, every child pair ordered by smallest taxon, see
-    :func:`~mastkit.trees.root_at_edge`) with the root suppressed, so the
-    smallest taxon opens a three-way top group.  Equal trees therefore
-    serialize identically regardless of internal node numbering.
+    :func:`~mastkit.trees.orient_at_edge`, whose arrays it reads) with the
+    root suppressed, so the smallest taxon opens a three-way top group.
+    Equal trees therefore serialize identically regardless of internal
+    node numbering.
     """
     if isinstance(tree, RootedTree):
-        return _emit(tree, [tree.root])
+        return _emit(tree.left, tree.right, tree.labels, [tree.root])
     if isinstance(tree, UnrootedTree):
         if len(tree) == 1:
             return f"{tree.labels[0]};"
-        rooted = root_at_edge(tree, canonical_root_edge(tree))
-        leaf, rest = rooted.children(rooted.root)
-        if rooted.is_leaf(rest):  # two leaves: (x,y);
-            return _emit(rooted, [rooted.root])
-        a, b = rooted.children(rest)
-        return _emit(rooted, [")", b, ",", a, ",", leaf, "("])
+        left, right, labels, _ = orient_at_edge(tree, canonical_root_edge(tree))
+        leaf, rest = left[-1], right[-1]  # the new root's children
+        # Two leaves give (x,y); more suppress the root: (x,A,B);
+        kids = [rest] if left[rest] == -1 else [right[rest], ",", left[rest]]
+        return _emit(left, right, labels, [")", *kids, ",", leaf, "("])
     raise TypeError(f"not a tree: {tree!r}")

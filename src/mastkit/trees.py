@@ -12,7 +12,8 @@ Two flavors are distinguished by type:
 Nodes are small integers that are stable within one tree value.  Trees are
 immutable after construction: every operation that changes shape (restrict,
 mirror, rooting) returns a fresh tree and never aliases node ids of the
-source.  Because instances never change, subtree leaf counts, the leaf
+source, except a restriction to every taxon, which returns the tree
+itself.  Because instances never change, subtree leaf counts, the leaf
 order and the taxa in label order are computed once on demand and cached.
 
 Node arrays are made in one of two ways.  :func:`rooted_from_arrays` is
@@ -24,12 +25,12 @@ numbering and stores only its child arrays: traversal orders, parents
 and ancestry are read off the ids.  :func:`unrooted_from_edges` builds
 the adjacency of generated and derooted trees: each node lists its
 neighbors in the order its edges are given.  The Newick reader builds its
-own as groups close, in the same children-then-parent order.  Rooting
-is two steps: :func:`orient_at_edge` hangs an unrooted tree from an edge
-as child arrays, and the rooted builder numbers them.  :func:`prune`
-restricts child arrays, so a restricted rooting
+own as groups close, in the same children-then-parent order.  A rooting
+is the child arrays of :func:`orient_at_edge`.  :func:`prune` restricts
+them and the rooted builder numbers them, so a restricted rooting
 (:func:`rooted_restriction`, and unrooted restriction, which then
-suppresses the root again) builds only the restricted tree.
+suppresses the root again) builds only the restricted tree; isomorphism
+and the Newick writer read them and build no tree.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -174,9 +175,6 @@ class RootedTree(_LabeledTree):
             self.validate()
 
     # -- basic queries ---------------------------------------------------
-
-    def children(self, node: int) -> tuple[int, int]:
-        return self.left[node], self.right[node]
 
     def postorder(self) -> list[int]:
         """Nodes with children always before their parent: the ids from
@@ -350,7 +348,7 @@ def preorder(top: int, left: list[int], right: list[int],
 
     With ``rng`` (an object with a ``randrange`` method), each child pair
     is first swapped on a coin flip, in place, drawn as its node is
-    reached: the draws of :func:`rooted_from_arrays`.
+    reached: the draws of :func:`root_at_edge` and ``setup``.
     """
     order = []
     stack = [top]
@@ -369,19 +367,15 @@ def preorder(top: int, left: list[int], right: list[int],
 
 
 def rooted_from_arrays(top: int, left: list[int], right: list[int],
-                       labels: list[Optional[str]], rng=None) -> RootedTree:
+                       labels: list[Optional[str]]) -> RootedTree:
     """The subtree below ``top`` as a fresh tree with preorder node ids.
 
     ``left`` and ``right`` give each reachable internal node's ordered
     children and are -1 on leaves; ``labels`` gives the leaves' taxa.
-    Other entries are never read, and none is written.  With ``rng`` (an
-    object with a ``randrange`` method), each child pair is swapped on a
-    coin flip, drawn as its node is numbered.  The arrays must describe a
-    binary tree; nothing is re-validated.
+    Other entries are never read, and none is written.  The arrays must
+    describe a binary tree; nothing is re-validated.
     """
-    if rng is not None:
-        left, right = left[:], right[:]  # the flips swap pairs in copies
-    order = preorder(top, left, right, rng)
+    order = preorder(top, left, right)
     # new[v] is v's preorder id; the extra last slot maps -1 to -1.
     new = [-1] * (len(labels) + 1)
     for i, v in enumerate(order):
@@ -451,14 +445,15 @@ def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
 def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
                    ranked: bool = True
                    ) -> tuple[list[int], list[int], list[Optional[str]], list[int]]:
-    """``tree`` hung from a new root node that subdivides ``edge``, as the
-    arrays :func:`root_at_edge` numbers: ``(left, right, labels, order)``.
+    """``tree`` hung from a new root node that subdivides ``edge``, as
+    fresh child arrays ``(left, right, labels, order)``: the one form of
+    a rooting, which is numbered, pruned, hashed or written from.
 
-    The new root is node ``len(tree.adj)``.  ``order`` lists every node
-    with children before their parents, the new root last, as
-    :func:`prune` reads it.  With ``ranked``, the child whose subtree
-    holds the smaller taxon is the left one; without, each pair keeps
-    the order of ``edge`` and of the adjacency lists.
+    The new root is node ``len(tree.adj)``, the last.  ``order`` lists
+    every node with children before their parents, the new root last.
+    With ``ranked``, the child whose subtree holds the smaller taxon is
+    the left one; without, each pair keeps the order of ``edge`` and of
+    the adjacency lists, and no taxon is sorted.
     """
     a, b = edge
     if not tree.has_edge(a, b):
@@ -507,28 +502,28 @@ def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
 
 
 def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
-                 rng=None, *, ranked: bool = True) -> RootedTree:
+                 rng=None) -> RootedTree:
     """Root an unrooted tree by subdividing ``edge`` with a new root node.
 
     ``rng`` fixes the left/right order of every child pair:
 
     * ``None`` (default, deterministic): the child whose subtree contains
-      the smallest taxon becomes the left child; with ``ranked=False``,
-      for callers that discard child order, no taxon is ranked and each
-      pair keeps the order of ``edge`` and of the adjacency lists;
+      the smallest taxon becomes the left child;
     * an object with a ``randrange`` method: a coin flip per node, drawn
-      in the new tree's preorder; heads swaps the pair from the order of
-      ``edge`` and of the adjacency lists.
+      in the new tree's preorder (see :func:`preorder`); heads swaps the
+      pair from the order of ``edge`` and of the adjacency lists.
     """
-    left, right, labels, order = orient_at_edge(
-        tree, edge, ranked=rng is None and ranked)
-    return rooted_from_arrays(order[-1], left, right, labels, rng)
+    left, right, labels, order = orient_at_edge(tree, edge, ranked=rng is None)
+    if rng is not None:
+        preorder(order[-1], left, right, rng)  # flips the fresh arrays
+    return rooted_from_arrays(order[-1], left, right, labels)
 
 
 def rooted_restriction(tree: UnrootedTree, edge: tuple[int, int],
                        keep: Iterable[str]) -> RootedTree:
-    """``root_at_edge(tree, edge, ranked=False).restrict(keep)``, pruned
-    from the oriented arrays without building the full rooted tree."""
+    """``tree`` hung from ``edge``, unranked, and cut down to ``keep``: the
+    :func:`orient_at_edge` arrays pruned, so only the restricted tree is
+    built."""
     keepset = tree._keep_set(keep)
     left, right, labels, order = orient_at_edge(tree, edge, ranked=False)
     return rooted_from_arrays(*prune(order, left, right, labels, keepset),
@@ -579,11 +574,12 @@ def is_caterpillar(tree) -> bool:
 # -- isomorphism -------------------------------------------------------------
 
 
-def _canon_id(tree: RootedTree, table: dict) -> int:
-    """Hash-consed canonical id of a rooted tree, child order ignored."""
-    ids = [0] * tree.num_nodes()
-    left, right, labels = tree.left, tree.right, tree.labels
-    for v in tree.postorder():
+def _canon_id(left: list[int], right: list[int], labels: list[Optional[str]],
+              order: list[int], table: dict) -> int:
+    """Hash-consed canonical id of the tree in child arrays, child order
+    ignored; ``order`` lists children before parents, the root last."""
+    ids = [0] * len(labels)
+    for v in order:
         if left[v] == -1:
             key = labels[v]
         else:
@@ -594,27 +590,32 @@ def _canon_id(tree: RootedTree, table: dict) -> int:
             cached = len(table)
             table[key] = cached
         ids[v] = cached
-    return ids[0]
+    return ids[order[-1]]
 
 
 def isomorphic(a, b) -> bool:
     """Label-preserving isomorphism; child order is not significant.
 
     Both arguments must share rootedness.  Different taxon sets compare
-    unequal rather than raising.
+    unequal rather than raising.  Ids are hashed on child arrays: two
+    unrooted trees are hung, unranked, from one shared taxon's edge.
     """
     if isinstance(a, UnrootedTree) and isinstance(b, UnrootedTree):
         if a.taxa != b.taxa:
             return False
         if len(a) <= 2:
             return True
-        # The canonical ids ignore child order, so none is ranked.
-        a = root_at_edge(a, canonical_root_edge(a), ranked=False)
-        b = root_at_edge(b, canonical_root_edge(b), ranked=False)
+        taxon = min(a.taxa)  # any shared taxon hangs both trees alike
+        hung = []
+        for t in (a, b):
+            leaf = t.leaf_node(taxon)
+            hung.append(orient_at_edge(t, (leaf, t.adj[leaf][0]), ranked=False))
     elif not (isinstance(a, RootedTree) and isinstance(b, RootedTree)):
         raise TypeError("isomorphism needs two trees of the same rootedness")
     elif a.taxa != b.taxa:
         return False
+    else:
+        hung = [(t.left, t.right, t.labels, t.postorder()) for t in (a, b)]
     table: dict = {}
-    return _canon_id(a, table) == _canon_id(b, table)
+    return _canon_id(*hung[0], table) == _canon_id(*hung[1], table)
 

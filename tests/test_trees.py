@@ -14,11 +14,13 @@ from mastkit import (
     root_at_edge,
     write_newick,
 )
-from mastkit.construction import _canonically_rooted
+from mastkit import trees
 from mastkit.rng import SplitMix64
 from mastkit.trees import (
     is_caterpillar,
     label_key,
+    orient_at_edge,
+    preorder,
     rooted_from_arrays,
     rooted_restriction,
     sorted_labels,
@@ -379,10 +381,16 @@ def test_unranked_rootings_match_the_ranked_route(model, size, seed, pick):
     assert write_newick(cut) == write_newick(ranked)
     assert isomorphic(cut, ranked)
     edge = canonical_root_edge(tree)
-    assert isomorphic(root_at_edge(tree, edge, ranked=False),
-                      root_at_edge(tree, edge))
-    assert isomorphic(_canonically_rooted(tree, keep),
+    assert isomorphic(unranked_rooting(tree, edge), root_at_edge(tree, edge))
+    assert isomorphic(rooted_restriction(tree, edge, keep),
                       root_at_edge(tree, edge).restrict(keep))
+
+
+def unranked_rooting(tree, edge):
+    """The full rooting at ``edge`` with no taxon ranked: the oriented
+    arrays, numbered."""
+    left, right, labels, order = orient_at_edge(tree, edge, ranked=False)
+    return rooted_from_arrays(order[-1], left, right, labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,14 +405,14 @@ def test_pruned_rooting_matches_the_restricted_full_rooting(model, size,
     u = data.draw(st.sampled_from(range(tree.num_nodes())))
     edge = (u, data.draw(st.sampled_from(tree.adj[u])))
     keep = data.draw(st.sets(st.sampled_from(sorted(tree.taxa)), min_size=1))
-    full = root_at_edge(tree, edge, ranked=False).restrict(keep)
+    full = unranked_rooting(tree, edge).restrict(keep)
     cut = rooted_restriction(tree, edge, keep)
     assert (cut.left, cut.right, cut.labels) == \
         (full.left, full.right, full.labels)
     if 1 < len(keep) < n:  # else restrict builds no rooting
         leaf = min(tree.leaf_node(x) for x in keep)
-        old = deroot(root_at_edge(tree, (leaf, tree.adj[leaf][0]),
-                                  ranked=False).restrict(keep))
+        old = deroot(unranked_rooting(tree, (leaf, tree.adj[leaf][0]))
+                     .restrict(keep))
         new = tree.restrict(keep)
         assert (new.adj, new.labels) == (old.adj, old.labels)
 
@@ -545,8 +553,9 @@ def _append_and_patch(top, left, right, labels, rng=None):
        extra=st.integers(0, 5), flips=st.booleans())
 def test_rooted_from_arrays_matches_append_and_patch(n, seed, extra, flips):
     """Arrays in a shuffled numbering with unreachable slots, as restrict
-    and root_at_edge pass them: same tree, same coin draws, and the
-    caller's arrays left as they were."""
+    and root_at_edge pass them: same tree, same coin draws (flipped by
+    ``preorder`` in copies, as root_at_edge flips its fresh arrays), and
+    the caller's arrays left as they were."""
     base = generate(GenSpec("uniform", n, seed))
     tree = root_at_edge(base, canonical_root_edge(base)) if n >= 2 \
         else rooted("1;")
@@ -564,10 +573,183 @@ def test_rooted_from_arrays_matches_append_and_patch(n, seed, extra, flips):
     before = (left[:], right[:], labels[:])
     rng_new = SplitMix64(seed + 1) if flips else None
     rng_old = SplitMix64(seed + 1) if flips else None
-    built = rooted_from_arrays(ids[0], left, right, labels, rng_new)
+    if flips:
+        flipped_left, flipped_right = left[:], right[:]
+        preorder(ids[0], flipped_left, flipped_right, rng_new)
+        built = rooted_from_arrays(ids[0], flipped_left, flipped_right,
+                                   labels)
+    else:
+        built = rooted_from_arrays(ids[0], left, right, labels)
     assert (built.left, built.right, built.labels) == _append_and_patch(
         ids[0], left, right, labels, rng_old)
     built.validate()
     assert (left, right, labels) == before
     if flips:
         assert rng_new.next_u64() == rng_old.next_u64()
+    if n >= 2:  # the random rooting flips its own arrays, not the tree's
+        adj = [nbrs[:] for nbrs in base.adj]
+        base_labels = base.labels[:]
+        root_at_edge(base, canonical_root_edge(base), SplitMix64(seed))
+        assert (base.adj, base.labels) == (adj, base_labels)
+
+
+# -- isomorphism on arrays against the tree-based route ----------------------
+
+
+def _tree_canon_id(tree, table):
+    """The canonical id as it was hashed on a built rooted tree."""
+    ids = [0] * tree.num_nodes()
+    left, right, labels = tree.left, tree.right, tree.labels
+    for v in tree.postorder():
+        if left[v] == -1:
+            key = labels[v]
+        else:
+            a, b = ids[left[v]], ids[right[v]]
+            key = (a, b) if a <= b else (b, a)
+        cached = table.get(key)
+        if cached is None:
+            cached = len(table)
+            table[key] = cached
+        ids[v] = cached
+    return ids[0]
+
+
+def tree_isomorphic(a, b):
+    """isomorphic as it ran on built trees: each unrooted tree rooted,
+    unranked, at its own canonical edge and numbered, then hashed."""
+    if a.taxa != b.taxa:
+        return False
+    if isinstance(a, UnrootedTree):
+        if len(a) <= 2:
+            return True
+        a = unranked_rooting(a, canonical_root_edge(a))
+        b = unranked_rooting(b, canonical_root_edge(b))
+    table = {}
+    return _tree_canon_id(a, table) == _tree_canon_id(b, table)
+
+
+def _relabeled(tree, rng, rename):
+    """``tree`` with two drawn leaves' labels swapped, or with one drawn
+    label renamed to a new taxon."""
+    labels = tree.labels[:]
+    leaves = [v for v, lab in enumerate(labels) if lab is not None]
+    i, j = leaves[rng.randrange(len(leaves))], leaves[rng.randrange(len(leaves))]
+    if rename:
+        labels[i] = "x" + labels[i]
+    else:
+        labels[i], labels[j] = labels[j], labels[i]
+    if isinstance(tree, RootedTree):
+        return RootedTree(tree.left, tree.right, labels)
+    return UnrootedTree(tree.adj, labels)
+
+
+def _interchange(tree, rng):
+    """One nearest-neighbour interchange across a drawn inner edge (the
+    tree itself if it has none)."""
+    if isinstance(tree, RootedTree):
+        left, right = tree.left[:], tree.right[:]
+        inner = [(p, v) for p in range(tree.num_nodes()) if left[p] != -1
+                 for v in (left[p], right[p]) if left[v] != -1]
+        if not inner:
+            return tree
+        p, v = inner[rng.randrange(len(inner))]
+        # v's left subtree and v's sibling trade places.
+        if left[p] == v:
+            sibling, right[p] = right[p], left[v]
+        else:
+            sibling, left[p] = left[p], left[v]
+        left[v] = sibling
+        return rooted_from_arrays(0, left, right, tree.labels)
+    adj, labels = [nbrs[:] for nbrs in tree.adj], tree.labels
+    inner = [(u, v) for u in range(len(adj)) for v in adj[u]
+             if u < v and labels[u] is None and labels[v] is None]
+    if not inner:
+        return tree
+    u, v = inner[rng.randrange(len(inner))]
+    x = next(w for w in adj[u] if w != v)
+    y = next(w for w in adj[v] if w != u)
+    # x moves from u to v and y from v to u.
+    for a, old, new in ((u, x, y), (v, y, x), (x, u, v), (y, v, u)):
+        adj[a][adj[a].index(old)] = new
+    return UnrootedTree(adj, labels)
+
+
+ISO_CHANGES = ("round trip", "rerooted", "two labels swapped",
+               "interchange", "unequal taxa", "other tree")
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(MODELS), size=st.integers(1, 60),
+       seed=st.integers(0, 2**32), is_rooted=st.booleans(),
+       change=st.sampled_from(ISO_CHANGES), pick=st.integers(0, 2**32))
+def test_isomorphic_matches_the_tree_based_route(model, size, seed, is_rooted,
+                                                 change, pick):
+    """Equal shapes, near misses and unrelated trees, rooted and
+    unrooted: the array-based isomorphism answers as the route that built
+    each rooting did."""
+    n = 1 << (size.bit_length() - 1) if model == "balanced" else size
+    rng = SplitMix64(pick)
+
+    def edge_of(tree):
+        u = rng.randrange(tree.num_nodes())
+        return u, tree.adj[u][rng.randrange(len(tree.adj[u]))]
+
+    def as_given(tree, edge):
+        if not is_rooted:
+            return tree
+        return root_at_edge(tree, edge) if n > 1 else rooted(write_newick(tree))
+
+    base = generate(GenSpec(model, n, seed))
+    edge = edge_of(base) if n > 1 else None
+    a = as_given(base, edge)
+    if change == "round trip":
+        b = parse_newick(write_newick(a), rooted=is_rooted)
+    elif change == "rerooted":
+        if n == 1:
+            b = a
+        elif is_rooted:  # the same rooting, each pair flipped at random
+            b = root_at_edge(base, edge, rng)
+        else:
+            b = deroot(root_at_edge(base, edge_of(base), rng))
+    elif change in ("two labels swapped", "unequal taxa"):
+        b = _relabeled(a, rng, rename=change == "unequal taxa")
+    elif change == "interchange":
+        b = _interchange(a, rng)
+    else:
+        other = generate(GenSpec(model, n, seed ^ 0x150))
+        b = as_given(other, edge_of(other) if n > 1 else None)
+    want = tree_isomorphic(a, b)
+    assert isomorphic(a, b) == isomorphic(b, a) == want
+    if change in ("round trip", "rerooted"):
+        assert want
+    if change == "unequal taxa":
+        assert not want
+
+
+def test_unrooted_isomorphism_and_writing_build_no_rooted_tree(monkeypatch):
+    """Both read the oriented arrays: no RootedTree is built, and
+    isomorphism sorts no taxa."""
+    built, sorts = [], []
+    init = trees.RootedTree.__init__
+    sort = trees.sorted_labels
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_sort(labels):
+        sorts.append(labels)
+        return sort(labels)
+
+    monkeypatch.setattr(trees.RootedTree, "__init__", counting_init)
+    monkeypatch.setattr(trees, "sorted_labels", counting_sort)
+    one = generate(GenSpec("uniform", 1024, 1))
+    same = generate(GenSpec("uniform", 1024, 1))
+    two = generate(GenSpec("uniform", 1024, 2))
+    assert isomorphic(one, same) and not isomorphic(one, two)
+    assert sorts == [] and built == []
+    assert write_newick(one) == write_newick(same) != write_newick(two)
+    assert built == []
+    rooted("(1,2);")  # both patches are in place
+    trees.sorted_labels(["1"])
+    assert len(built) == 1 and sorts

@@ -1,0 +1,222 @@
+"""Digest a fixed corpus of CLI commands, one line per command.
+
+    python3 tools/cli_digest.py > digest.txt
+
+Run it from any directory; it imports mastkit from this checkout's
+``src/`` and from nowhere else.  It writes fixed-seed input trees to a
+temporary directory, runs every command of the corpus through
+``mastkit.cli.main`` in-process and prints, per command, the exit code,
+the first 16 hex digits of the sha256 of stdout and of stderr, and the
+argv (the temporary directory written as ``$DIR``, in outputs too).
+The last line counts the commands per exit code.
+
+The corpus covers ``construct`` (main and weak, each ``--C``, both
+``--orient`` values, plain and ``--json``, uniform and adversarial pairs
+at n = 4..4096), ``exact`` (unrooted, ``--rooted`` and brute),
+``verify`` with true and false claims, two ``experiment`` grids, ``gen``
+for every model, and malformed trees and flags that exit 2, 3, 4 and 5.
+Two checkouts give the same output exactly when every command gives the
+same exit code and bytes, so a refactor is checked with::
+
+    diff <(python3 A/tools/cli_digest.py) <(python3 B/tools/cli_digest.py)
+
+Only the standard library is used.  ``--timing wall`` is left out: its
+output depends on the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+import mastkit  # noqa: E402
+from mastkit import cli  # noqa: E402
+from mastkit.generators import GenSpec, adversarial_pair, generate  # noqa: E402
+from mastkit.newick import write_newick  # noqa: E402
+from mastkit.trees import canonical_root_edge, root_at_edge  # noqa: E402
+
+if os.path.dirname(os.path.abspath(mastkit.__file__)) != os.path.join(SRC, "mastkit"):
+    raise ImportError(f"mastkit imported from {mastkit.__file__}, not from {SRC}")
+
+UNIFORM_SIZES = (4, 5, 7, 12, 16, 33, 64, 100, 256, 512, 1024, 4096)
+ADVERSARIAL_SIZES = (4, 8, 16, 32, 64, 256, 1024, 4096)
+GEN_MODELS = ("uniform", "caterpillar", "balanced", "adversarial")
+
+# Malformed trees, each given as --t1 of construct with a good --t2.
+BAD_TREES = (
+    "(1,2;",
+    "(1,2,3));",
+    "((1,2),(3,4),(5,6),(7,8));",
+    "(1,1,2,3);",
+    "(1,2,(3,4)):x;",
+    "(1,2,(3,4))",
+    "(1,(2),3);",
+    "(1,2,('3',4));",
+    ";",
+    "(1,2,(3,4)); extra",
+)
+
+
+def write_inputs(d: str) -> dict:
+    """The input trees as files under ``d``; returns name -> path."""
+    paths = {}
+
+    def put(name: str, text: str) -> None:
+        paths[name] = os.path.join(d, name + ".nwk")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+
+    for n in UNIFORM_SIZES:
+        one = generate(GenSpec("uniform", n, 100 + n))
+        two = generate(GenSpec("uniform", n, 200 + n))
+        put(f"u{n}a", write_newick(one))
+        put(f"u{n}b", write_newick(two))
+        if n <= 1024:  # a two-child top: the rooted text, read unrooted
+            put(f"r{n}a", write_newick(root_at_edge(one, canonical_root_edge(one))))
+            put(f"r{n}b", write_newick(root_at_edge(two, canonical_root_edge(two))))
+    for n in ADVERSARIAL_SIZES:
+        one, two = adversarial_pair(n)
+        put(f"a{n}a", write_newick(one))
+        put(f"a{n}b", write_newick(two))
+    put("x4", "(1,2,(3,5));")
+    return paths
+
+
+def corpus(p: dict, d: str) -> list[list[str]]:
+    cmds: list[list[str]] = []
+    pairs = [(f"u{n}a", f"u{n}b") for n in UNIFORM_SIZES]
+    pairs += [(f"a{n}a", f"a{n}b") for n in ADVERSARIAL_SIZES]
+    pairs += [("r64a", "r64b"), ("r1024a", "u1024b")]
+    for one, two in pairs:
+        for algorithm in ("main", "weak"):
+            for c in (None, "2", "4", "40"):
+                for orient in ("min_label", "random"):
+                    for js in (False, True):
+                        cmd = ["construct", "--t1", p[one], "--t2", p[two],
+                               "--algorithm", algorithm]
+                        if c is not None:
+                            cmd += ["--C", c]
+                        if orient == "random":
+                            cmd += ["--orient", "random", "--seed", "9"]
+                        if js:
+                            cmd.append("--json")
+                        cmds.append(cmd)
+    # exact: unrooted dp, rooted dp and brute force.
+    for n in (4, 5, 7, 12, 16, 33, 64, 100, 256):
+        for js in ([], ["--json"]):
+            cmds.append(["exact", "--t1", p[f"u{n}a"], "--t2", p[f"u{n}b"]] + js)
+    for n in (4, 8, 16, 64, 256):
+        cmds.append(["exact", "--t1", p[f"a{n}a"], "--t2", p[f"a{n}b"]])
+    for n in (4, 12, 64, 512, 1024):
+        for js in ([], ["--json"]):
+            cmds.append(["exact", "--rooted", "--t1", p[f"r{n}a"],
+                         "--t2", p[f"r{n}b"]] + js)
+    for n in (4, 5, 7):
+        cmds.append(["exact", "--method", "brute", "--t1", p[f"u{n}a"],
+                     "--t2", p[f"u{n}b"]])
+        cmds.append(["exact", "--method", "brute", "--rooted",
+                     "--t1", p[f"r{n}a"], "--t2", p[f"r{n}b"]])
+    # verify: true claims (exit 0) and false ones (exit 5).
+    for n in (5, 12, 64):
+        for leaves in ("1", "1,2,3", "1,2,3,4", "2,4,6,8,10",
+                       ",".join(str(i) for i in range(1, n + 1))):
+            for rooted in (False, True):
+                src = "r" if rooted else "u"
+                cmd = ["verify", "--t1", p[f"{src}{n}a"], "--t2",
+                       p[f"{src}{n}b"], "--leaves", leaves]
+                cmds.append(cmd + (["--rooted"] if rooted else []))
+        cmds.append(["verify", "--t1", p[f"u{n}a"], "--t2", p[f"u{n}a"],
+                     "--leaves", ",".join(str(i) for i in range(1, n + 1)),
+                     "--json"])
+    # experiment grids.
+    cmds.append(["experiment", "--n-min", "16", "--n-max", "1024",
+                 "--trials", "2", "--seed", "7", "--cap", "64"])
+    cmds.append(["experiment", "--n-min", "4", "--n-max", "256",
+                 "--trials", "3", "--seed", "3", "--cap", "0",
+                 "--models", "uniform", "--json"])
+    # gen for every model.
+    for model in GEN_MODELS:
+        for n in (1, 2, 3, 4, 8, 64):
+            for seed in ("1", "5"):
+                cmds.append(["gen", "--model", model, "--n", str(n),
+                             "--seed", seed])
+    # Malformed trees and bad flags.
+    good = p["u12b"]
+    for text in BAD_TREES:
+        cmds.append(["construct", "--t1", text, "--t2", good])
+    cmds += [
+        [],
+        ["construct"],
+        ["construct", "--t1", p["u12a"], "--t2", good, "--bogus"],
+        ["construct", "--t1", p["u12a"], "--t2", good, "--orient", "up"],
+        ["construct", "--t1", p["u12a"], "--t2", good, "--C", "x"],
+        ["construct", "--t1", p["u12a"], "--t2", good, "--C", "1"],
+        ["construct", "--t1", p["u12a"], "--t2", good, "--C", "-3"],
+        ["construct", "--t1", os.path.join(d, "missing.nwk"), "--t2", good],
+        ["construct", "--t1", "", "--t2", good],
+        ["construct", "--t1", p["u4a"], "--t2", p["x4"]],
+        ["construct", "--t1", p["u12a"], "--t2", p["u16b"]],
+        ["exact", "--t1", p["u12a"], "--t2", good, "--cap", "3"],
+        ["exact", "--t1", p["u12a"], "--t2", good, "--cap", "-1"],
+        ["exact", "--method", "brute", "--t1", p["u12a"], "--t2", good],
+        ["exact", "--rooted", "--t1", p["u12a"], "--t2", good],
+        ["verify", "--t1", p["u12a"], "--t2", good, "--leaves", ","],
+        ["verify", "--t1", p["u12a"], "--t2", good, "--leaves", "1,99"],
+        ["experiment", "--n-min", "3", "--n-max", "8"],
+        ["experiment", "--n-min", "4", "--n-max", "8", "--trials", "0"],
+        ["experiment", "--n-min", "4", "--n-max", "8", "--models", ","],
+        ["experiment", "--n-min", "4", "--n-max", "8", "--models", "nope"],
+        ["experiment", "--n-min", "6", "--n-max", "12"],
+        ["experiment", "--n-min", "4", "--n-max", "8", "--step-factor", "1"],
+        ["gen", "--model", "uniform", "--n", "0"],
+        ["gen", "--model", "balanced", "--n", "6"],
+        ["gen", "--model", "adversarial", "--n", "3"],
+        ["gen", "--model", "uniform", "--n", "4",
+         "--out", os.path.join(d, "no-such-dir", "t.nwk")],
+    ]
+    return cmds
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:  # argparse's usage errors
+            code = stop.code if isinstance(stop.code, int) else 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
+    os.environ.pop("MASTKIT_SEED", None)
+    codes: collections.Counter = collections.Counter()
+    with tempfile.TemporaryDirectory() as d:
+        paths = write_inputs(d)
+        for argv in corpus(paths, d):
+            code, out, err = run(argv)
+            codes[code] += 1
+            digests = [hashlib.sha256(s.replace(d, "$DIR").encode()).hexdigest()[:16]
+                       for s in (out, err)]
+            shown = shlex.join(argv).replace(d, "$DIR")
+            print(code, *digests, shown)
+    print("# commands per exit code:",
+          " ".join(f"{code}:{count}" for code, count in sorted(codes.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
