@@ -5,9 +5,10 @@ Two independent routes to ground truth:
 * a dynamic program that fills one table over pairs of rooted subtrees,
   one from each tree, and backtracks one optimal set from it.  For
   :func:`rooted_mast` the subtrees are those of the nodes.  For
-  :func:`unrooted_mast` they are the far sides of the directed edges, so
-  one table covers every way to root both trees (Steel and Warnow,
-  "Kaikoura tree theorems", Inf. Process. Lett. 48, 1993).  Both tables
+  :func:`unrooted_mast` they are the far sides of the directed edges,
+  read off each tree's canonical rooting, so one table covers every way
+  to root both trees (Steel and Warnow, "Kaikoura tree theorems", Inf.
+  Process. Lett. 48, 1993).  Both tables
   have O(n^2) cells.  The unrooted table is filled and stored in full.
   The rooted one is filled only where the two subtrees share a taxon,
   since every other cell is 0, and a finished row with few such cells
@@ -31,7 +32,9 @@ from .trees import (
     TaxaMismatch,
     TreeError,
     UnrootedTree,
+    canonical_root_edge,
     isomorphic,
+    orient_at_edge,
     sorted_labels,
 )
 
@@ -131,73 +134,56 @@ def _node_side(tree: RootedTree) -> _Side:
     return _Side(tree.postorder(), left, right, tree.labels, leaf_row)
 
 
-def _edge_side(tree: UnrootedTree,
-               rank: dict[str, int]) -> tuple[_Side, dict[str, int]]:
+def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
     """The directed edges of an unrooted tree on four or more taxa, and
     per taxon the id of the edge from its leaf to the leaf's neighbor.
 
     Edge p->c stands for the far side of the edge, rooted at c: a leaf
     edge carries c's taxon, any other edge has the children c->a and
-    c->b, the one with the smaller ``rank`` below it first, as
-    :func:`~mastkit.trees.root_at_edge` orders them.  So the subtree of
-    the edge leaving x's leaf is the tree rooted at x's pendant edge and
-    restricted to the other taxa, child order included.
+    c->b, the one with the smaller taxon below it first.  So the subtree
+    of the edge leaving a taxon's leaf is the tree rooted at that
+    pendant edge and restricted to the other taxa, child order included.
+    The edges are read off :func:`~mastkit.trees.orient_at_edge`'s
+    canonical rooting, hung from the pendant edge of the smallest taxon
+    x: edges down, away from x, keep its ranked children, and the far
+    side of every edge up holds x, so the child towards x comes first.
     """
-    adj, labels = tree.adj, tree.labels
-    top = len(adj)
-    # Hang the tree from node 0.  Edge par[v] -> v gets id v and edge
-    # v -> par[v] id top + v; node 0 has no parent, so ids 0 and top
-    # stand for no edge and are never filled.
-    par = [-1] * top
-    hung = [0]
-    for v in hung:
-        for w in adj[v]:
-            if w != par[v]:
-                par[w] = v
-                hung.append(w)
-
-    def edge(p: int, c: int) -> int:
-        return c if par[c] == p else top + p
-
-    left, right = [-1] * (2 * top), [-1] * (2 * top)
-    side_labels: list[Optional[str]] = [None] * (2 * top)
-    for p, nbrs in enumerate(adj):
-        for c in nbrs:
-            e = edge(p, c)
-            if labels[c] is not None:
-                side_labels[e] = labels[c]
-            else:
-                left[e], right[e] = (edge(c, w) for w in adj[c] if w != p)
-    # Down edges from the bottom up, then up edges from the top down:
+    left, right, labels, order = orient_at_edge(tree, canonical_root_edge(tree))
+    top = order.pop()
+    x, w = left[top], right[top]
+    # Edge down into v gets id v, edge up out of v id top + v.  The edges
+    # between x and w are the ones down into them, so top + x and top + w
+    # stand for no edge; the root's slot holds node 0's edge up, if any.
+    left += [-1] * (top - 1)
+    right += [-1] * (top - 1)
+    labels += [None] * (top - 1)
+    par = [top] * top
+    # Edges down from the bottom up, then edges up from the top down:
     # either way an edge's children come before it.
-    order = hung[:0:-1] + [top + v for v in hung[1:]]
-    low = [0] * (2 * top)  # rank of the smallest taxon beyond each edge
-    for e in order:
-        a = left[e]
-        if a == -1:
-            low[e] = rank[side_labels[e]]
-        else:
-            b = right[e]
-            if low[b] < low[a]:
-                left[e], right[e] = b, a
-                a = b
-            low[e] = low[a]
+    for p in order[::-1]:
+        a, b = left[p], right[p]
+        if a != -1:
+            par[a] = par[b] = p
+            towards_x = x if p == w else top + p
+            left[top + a], right[top + a] = towards_x, b
+            left[top + b], right[top + b] = towards_x, a
+            order += (top + a, top + b)
 
     def leaf_row(label: str) -> tuple[list[int], None]:
-        # The edges down the path from node 0 to the taxon's leaf hold
+        # The edges down the path from the root to the taxon's leaf hold
         # it, and every edge up except those back along that path.  No
         # support: these rows are about half ones.
         row = [0] * top + [1] * top
         v = tree.leaf_node(label)
-        while v != 0:
+        while v != top:
             row[v] = 1
             row[top + v] = 0
             v = par[v]
         return row, None
 
-    outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
-               if labels[v] is not None}
-    return _Side(order, left, right, side_labels, leaf_row), outward
+    outward = {labels[v]: top + v for v in range(top) if labels[v] is not None}
+    outward[labels[x]] = w
+    return _Side(order, left, right, labels, leaf_row), outward
 
 
 # A finished row is stored as its support cells only when the row is
@@ -366,8 +352,7 @@ def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
         # At most one topology exists, so the trees agree everywhere.
         return _certified(tree1, tree2, tree1.taxa)
     taxa = tree1.sorted_taxa()
-    rank = {label: i for i, label in enumerate(taxa)}
-    (one, out1), (two, out2) = _edge_side(tree1, rank), _edge_side(tree2, rank)
+    (one, out1), (two, out2) = _edge_side(tree1), _edge_side(tree2)
     table = _agreement_table(one, two)
     size, pick = -1, taxa[0]
     for label in taxa:

@@ -30,7 +30,8 @@ is the child arrays of :func:`orient_at_edge`.  :func:`prune` restricts
 them and the rooted builder numbers them, so a restricted rooting
 (:func:`rooted_restriction`, and unrooted restriction, which then
 suppresses the root again) builds only the restricted tree; isomorphism
-and the Newick writer read them and build no tree.
+and the Newick writer read them and build no tree, and the unrooted
+exact DP reads its directed edges off them.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -447,7 +448,8 @@ def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
                    ) -> tuple[list[int], list[int], list[Optional[str]], list[int]]:
     """``tree`` hung from a new root node that subdivides ``edge``, as
     fresh child arrays ``(left, right, labels, order)``: the one form of
-    a rooting, which is numbered, pruned, hashed or written from.
+    a rooting, which is numbered, pruned, hashed, written from or read
+    as directed edges.
 
     The new root is node ``len(tree.adj)``, the last.  ``order`` lists
     every node with children before their parents, the new root last.

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mastkit import (
     TaxaMismatch,
+    UnrootedTree,
     adversarial_pair,
     canonical_root_edge,
     isomorphic,
@@ -18,13 +19,17 @@ from mastkit import (
 from mastkit.exact import (
     SizeCapExceeded,
     _agreement_table,
+    _backtrack,
+    _edge_side,
     _node_side,
+    _Side,
     brute_force_mast,
     rooted_agreement_leaves,
     rooted_mast,
     unrooted_mast,
 )
 from mastkit.generators import MODELS, GenSpec, generate
+from mastkit.rng import SplitMix64
 
 from conftest import leaves_under, rooted, unrooted
 
@@ -411,3 +416,141 @@ def test_unrooted_result_verifies_and_is_deterministic(n, seed):
     assert first.agreement_set == second.agreement_set
     assert isomorphic(a.restrict(first.agreement_set),
                       b.restrict(first.agreement_set))
+
+
+def _oracle_edge_side(tree, rank):
+    """The directed edges as they were built before they were read off
+    the canonical rooting: hung from node 0 by a search of their own,
+    each child pair ordered by ``rank`` of the smallest taxon below."""
+    adj, labels = tree.adj, tree.labels
+    top = len(adj)
+    par = [-1] * top
+    hung = [0]
+    for v in hung:
+        for w in adj[v]:
+            if w != par[v]:
+                par[w] = v
+                hung.append(w)
+
+    def edge(p, c):
+        return c if par[c] == p else top + p
+
+    left, right = [-1] * (2 * top), [-1] * (2 * top)
+    side_labels = [None] * (2 * top)
+    for p, nbrs in enumerate(adj):
+        for c in nbrs:
+            e = edge(p, c)
+            if labels[c] is not None:
+                side_labels[e] = labels[c]
+            else:
+                left[e], right[e] = (edge(c, w) for w in adj[c] if w != p)
+    order = hung[:0:-1] + [top + v for v in hung[1:]]
+    low = [0] * (2 * top)
+    for e in order:
+        a = left[e]
+        if a == -1:
+            low[e] = rank[side_labels[e]]
+        else:
+            b = right[e]
+            if low[b] < low[a]:
+                left[e], right[e] = b, a
+                a = b
+            low[e] = low[a]
+
+    def leaf_row(label):
+        row = [0] * top + [1] * top
+        v = tree.leaf_node(label)
+        while v != 0:
+            row[v] = 1
+            row[top + v] = 0
+            v = par[v]
+        return row, None
+
+    outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
+               if labels[v] is not None}
+    return _Side(order, left, right, side_labels, leaf_row), outward
+
+
+def _oracle_unrooted(tree1, tree2):
+    """unrooted_mast's fill, pick and backtrack on the oracle's edges:
+    the agreement set and the witness text."""
+    taxa = tree1.sorted_taxa()
+    rank = {label: i for i, label in enumerate(taxa)}
+    (one, out1), (two, out2) = (_oracle_edge_side(tree1, rank),
+                                _oracle_edge_side(tree2, rank))
+    table = _agreement_table(one, two)
+    size, pick = -1, taxa[0]
+    for label in taxa:
+        m = table[out1[label]][out2[label]]
+        if m > size:
+            size, pick = m, label
+    leaves = _backtrack(one, two, table, (out1[pick], out2[pick])) + [pick]
+    return frozenset(leaves), write_newick(tree1.restrict(leaves))
+
+
+def _far_sides(side, outward):
+    """The edges of a side without their ids: each filled edge's far
+    side with its children's far sides in order, and each taxon's
+    outward edge's far side.  A child filled after its parent, or never,
+    raises KeyError."""
+    beyond, edges = {}, set()
+    for e in side.order:
+        a, b = side.left[e], side.right[e]
+        if a == -1:
+            beyond[e] = frozenset([side.labels[e]])
+            edges.add((beyond[e], None))
+        else:
+            beyond[e] = beyond[a] | beyond[b]
+            edges.add((beyond[e], (beyond[a], beyond[b])))
+    assert len(edges) == len(side.order)
+    return edges, {label: beyond[e] for label, e in outward.items()}
+
+
+def _reparsed(tree, seed):
+    """``tree`` written from a seeded rooting and read back unrooted: a
+    two-child top, suppressed by the reader."""
+    edges = [(v, w) for v, nbrs in enumerate(tree.adj) for w in nbrs]
+    rooting = root_at_edge(tree, edges[seed % len(edges)], SplitMix64(seed))
+    return parse_newick(write_newick(rooting), rooted=False)
+
+
+def _renamed(tree, name):
+    return UnrootedTree(tree.adj, [None if label is None else name[label]
+                                   for label in tree.labels])
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(MODELS + ("adversarial",)),
+       n=st.integers(min_value=4, max_value=60),
+       form=st.sampled_from(["plain", "reparsed", "renamed"]),
+       seed=st.integers(0, 2**32))
+def test_edge_sides_match_the_node_zero_oracle(model, n, form, seed):
+    # The canonical rooting gives the same directed edges, child order
+    # included, as hanging the tree from node 0 and ranking every pair,
+    # so unrooted_mast's answer is the oracle's.
+    if model in ("balanced", "adversarial"):
+        n = 1 << (n.bit_length() - 1)
+    if model == "adversarial":
+        one, two = adversarial_pair(n)
+    else:
+        one = generate(GenSpec(model, n, seed))
+        two = generate(GenSpec("uniform", n, seed ^ 0x9E3779B97F4A7C15))
+    if form == "reparsed":
+        one, two = _reparsed(one, seed), _reparsed(two, seed + 1)
+    elif form == "renamed":
+        # Non-decimal names in a seeded order: label order is not the
+        # order of the nodes.
+        taxa = sorted_labels(one.taxa)
+        names = list(taxa)
+        SplitMix64(seed).shuffle(names)
+        name = {label: "t" + new for label, new in zip(taxa, names)}
+        one, two = _renamed(one, name), _renamed(two, name)
+    res = unrooted_mast(one, two)
+    assert (res.agreement_set, write_newick(res.witness)) == \
+        _oracle_unrooted(one, two)
+    rank = {label: i for i, label in enumerate(one.sorted_taxa())}
+    for tree in (one, two):
+        side, outward = _edge_side(tree)
+        want, want_outward = _oracle_edge_side(tree, rank)
+        assert len(side.left) == len(want.left) == 4 * n - 4
+        assert _far_sides(side, outward) == _far_sides(want, want_outward)

@@ -12,9 +12,12 @@ The last line counts the commands per exit code.
 
 The corpus covers ``construct`` (main and weak, each ``--C``, both
 ``--orient`` values, plain and ``--json``, uniform and adversarial pairs
-at n = 4..4096), ``exact`` (unrooted, ``--rooted`` and brute),
-``verify`` with true and false claims, two ``experiment`` grids, ``gen``
-for every model, and malformed trees and flags that exit 2, 3, 4 and 5.
+at n = 4..4096, trees of one to three taxa, and block chains that split
+and nest), ``exact`` (unrooted, ``--rooted`` and brute, and unrooted on
+400 small inline pairs whose text is not in label order, so its
+tie-breaks show), ``verify`` with true and false claims, two
+``experiment`` grids, ``gen`` for every model, and malformed trees and
+flags that exit 2, 3, 4 and 5.
 Two checkouts give the same output exactly when every command gives the
 same exit code and bytes, so a refactor is checked with::
 
@@ -46,6 +49,7 @@ import mastkit  # noqa: E402
 from mastkit import cli  # noqa: E402
 from mastkit.generators import GenSpec, adversarial_pair, generate  # noqa: E402
 from mastkit.newick import write_newick  # noqa: E402
+from mastkit.rng import SplitMix64  # noqa: E402
 from mastkit.trees import canonical_root_edge, root_at_edge  # noqa: E402
 
 if os.path.dirname(os.path.abspath(mastkit.__file__)) != os.path.join(SRC, "mastkit"):
@@ -70,6 +74,37 @@ BAD_TREES = (
 )
 
 
+def comb(parts: list[str], left: bool) -> str:
+    """Subtree texts nested on the left, (((a,b),c),d), or on the right,
+    (a,(b,(c,d)))."""
+    if not left:
+        parts = parts[::-1]
+    text = parts[0]
+    for part in parts[1:]:
+        text = f"({text},{part})" if left else f"({part},{text})"
+    return text
+
+
+def block_combs(total: int, width: int, right_blocks: bool = False) -> tuple[str, str]:
+    """Taxon 1 beside a chain of blocks of taxa 2, 3, ...: the blocks hang
+    off a left comb in the first tree and a right comb in the second.
+    Each block is a left caterpillar, or in the second tree with
+    ``right_blocks`` a right one, so the nested constructions run."""
+    labels = [str(i) for i in range(2, 2 + total)]
+    blocks = [labels[i:i + width] for i in range(0, total, width)]
+    one = comb([comb(b, True) for b in blocks], True)
+    two = comb([comb(b, not right_blocks) for b in blocks], False)
+    return f"(1,{one});", f"(1,{two});"
+
+
+def reordered(tree, seed: int) -> str:
+    """``tree`` as the text of its rooting at a seeded edge, each child
+    pair flipped on a seeded coin: read unrooted, its neighbor lists are
+    not in label order, as those of ``write_newick``'s own form are."""
+    edges = [(v, w) for v, nbrs in enumerate(tree.adj) for w in nbrs]
+    return write_newick(root_at_edge(tree, edges[seed % len(edges)], SplitMix64(seed)))
+
+
 def write_inputs(d: str) -> dict:
     """The input trees as files under ``d``; returns name -> path."""
     paths = {}
@@ -91,6 +126,10 @@ def write_inputs(d: str) -> dict:
         one, two = adversarial_pair(n)
         put(f"a{n}a", write_newick(one))
         put(f"a{n}b", write_newick(two))
+    for name, pair in (("bc200", block_combs(200, 8)), ("bc60", block_combs(60, 3)),
+                       ("nc200", block_combs(200, 8, right_blocks=True))):
+        put(name + "a", pair[0])
+        put(name + "b", pair[1])
     put("x4", "(1,2,(3,5));")
     return paths
 
@@ -114,12 +153,30 @@ def corpus(p: dict, d: str) -> list[list[str]]:
                         if js:
                             cmd.append("--json")
                         cmds.append(cmd)
+    # construct on up to three taxa, and on block chains that split
+    # and nest.
+    for n in (1, 2, 3):
+        text = write_newick(generate(GenSpec("uniform", n, 1)))
+        cmds.append(["construct", "--t1", text, "--t2", text])
+        cmds.append(["construct", "--t1", text, "--t2", text, "--json"])
+    cmds.append(["construct", "--t1", "(1,2,3);", "--t2", "(1,2,4);"])
+    for one, two in (("bc200a", "bc200b"), ("bc60b", "bc60a"), ("nc200a", "nc200b")):
+        for c in ([], ["--C", "4"]):
+            cmds.append(["construct", "--t1", p[one], "--t2", p[two]] + c)
     # exact: unrooted dp, rooted dp and brute force.
     for n in (4, 5, 7, 12, 16, 33, 64, 100, 256):
         for js in ([], ["--json"]):
             cmds.append(["exact", "--t1", p[f"u{n}a"], "--t2", p[f"u{n}b"]] + js)
     for n in (4, 8, 16, 64, 256):
         cmds.append(["exact", "--t1", p[f"a{n}a"], "--t2", p[f"a{n}b"]])
+    # Small inline pairs, where the unrooted dp's tie-breaks show.
+    for n in range(5, 13):
+        caterpillar = generate(GenSpec("caterpillar", n))
+        for s in range(1, 26):
+            one = reordered(generate(GenSpec("uniform", n, 2 * s + 1)), 2 * s + 1)
+            two = reordered(generate(GenSpec("uniform", n, 2 * s + 2)), 2 * s + 2)
+            cmds.append(["exact", "--t1", one, "--t2", two])
+            cmds.append(["exact", "--t1", one, "--t2", reordered(caterpillar, s)])
     for n in (4, 12, 64, 512, 1024):
         for js in ([], ["--json"]):
             cmds.append(["exact", "--rooted", "--t1", p[f"r{n}a"],
