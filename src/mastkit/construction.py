@@ -324,7 +324,9 @@ def check_good_pair(state: IterationState, pair: GoodPair, c: int) -> None:
 
     Checks membership, the strict ancestor step in both trees, and the
     tier's size floor.  Both trees list a run of the core in one block, so
-    its ancestor is that of its two ends.
+    its ancestor is that of its two ends, found by one walk per tree.  The
+    ancestor of run plus pivot always lies above it, and strictly above
+    exactly when the pivot's leaf is not under it.
     """
     run, core = pair.survivors, state.size()
     if not 1 <= run.lo <= run.hi <= core or not 1 <= pair.pivot <= core:
@@ -332,11 +334,9 @@ def check_good_pair(state: IterationState, pair: GoodPair, c: int) -> None:
     if run.lo <= pair.pivot <= run.hi:
         raise TreeError("pivot may not survive itself")
     order = state.taxa
-    ends = [order[run.lo - 1], order[run.hi - 1], order[pair.pivot - 1]]
+    ends, pivot = (order[run.lo - 1], order[run.hi - 1]), order[pair.pivot - 1]
     for tree in (state.tree1, state.tree2):
-        low = tree.lca(ends[:2])
-        high = tree.lca(ends)
-        if low == high or not tree.is_ancestor(high, low):
+        if tree.is_ancestor(tree.lca(ends), tree.leaf_node(pivot)):
             raise TreeError("pivot fails the strict ancestor step")
     if pair.tier == "large":
         if run.size() * c < core:
@@ -460,11 +460,13 @@ def greedy_caterpillar(decomp: PathDecomposition, lo: int = 1,
     """Sweep positions lo..hi, taking one leaf then skipping past both
     pieces containing it.
 
-    The picks hit each piece of either list at most once, so restricting
-    either tree to them yields a caterpillar, and both caterpillars carry
-    the picks in the same spine order, hence agree once de-rooted.  If
-    every piece has size below (hi-lo+1)/B the sweep returns more than B
-    picks.
+    Each list's pieces tile 1..n in ascending order, so the piece holding
+    a position is the first whose end is not before it, found by bisecting
+    the list's ends.  The picks hit each piece of either list at most
+    once, so restricting either tree to them yields a caterpillar, and
+    both caterpillars carry the picks in the same spine order, hence agree
+    once de-rooted.  If every piece has size below (hi-lo+1)/B the sweep
+    returns more than B picks.
     """
     order = decomp.order
     n = len(order)
@@ -472,17 +474,13 @@ def greedy_caterpillar(decomp: PathDecomposition, lo: int = 1,
         hi = n
     if lo < 1 or hi > n or lo > hi:
         raise TreeError("sweep window out of range")
-    end1 = [0] * (n + 1)
-    end2 = [0] * (n + 1)
-    for pieces, ends in ((decomp.first, end1), (decomp.second, end2)):
-        for piece in pieces:
-            for pos in range(piece.lo, piece.hi + 1):
-                ends[pos] = piece.hi
+    end1 = [piece.hi for piece in decomp.first]
+    end2 = [piece.hi for piece in decomp.second]
     picks = []
     pos = lo
     while pos <= hi:
         picks.append(order[pos - 1])
-        e1, e2 = end1[pos], end2[pos]
+        e1, e2 = end1[bisect_left(end1, pos)], end2[bisect_left(end2, pos)]
         pos = (e1 if e1 >= e2 else e2) + 1
     return tuple(picks)
 
@@ -554,7 +552,7 @@ def _check_split(state: IterationState, split: IncomparableSplit) -> None:
     for tree in (state.tree1, state.tree2):
         a = tree.lca((order[nucleus.lo - 1], order[nucleus.hi - 1]))
         b = tree.lca((order[survivors.lo - 1], order[survivors.hi - 1]))
-        if tree.is_comparable(a, b):
+        if tree.is_ancestor(a, b) or tree.is_ancestor(b, a):
             raise TreeError("split ancestors are comparable")
 
 

@@ -370,8 +370,6 @@ def brute_force_mast(tree1: Tree, tree2: Tree, cap: int = 10) -> MastResult:
     Both trees must share rootedness and taxa.  Exponential; refuses more
     than ``cap`` leaves.
     """
-    if isinstance(tree1, RootedTree) != isinstance(tree2, RootedTree):
-        raise TypeError("trees must share rootedness")
     _check_pair(tree1, tree2, rooted=isinstance(tree1, RootedTree))
     n = len(tree1)
     if n > cap:

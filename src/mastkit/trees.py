@@ -205,10 +205,6 @@ class RootedTree(_LabeledTree):
         """True iff ``a`` lies on the path from ``b`` to the root (or a == b)."""
         return a <= b < a + 2 * self.leaf_counts()[a] - 1
 
-    def is_comparable(self, a: int, b: int) -> bool:
-        """True iff one of the nodes is an ancestor of the other."""
-        return self.is_ancestor(a, b) or self.is_ancestor(b, a)
-
     def lca(self, labels: Iterable[str]) -> int:
         """Least common ancestor node of a non-empty set of taxa."""
         nodes = [self.leaf_node(lab) for lab in labels]

@@ -6,6 +6,7 @@ assertion leans on the library's own re-verification plus the exact
 solver as an independent oracle.
 """
 
+import collections
 import math
 from dataclasses import replace
 
@@ -1058,6 +1059,118 @@ def test_fixed_tree_loop_matches_on_hand_built_blocks():
             state, _, _ = setup(one, two)
             assert both_loops(state, main_steps, c) == \
                 main_construct(one, two, c).agreement_set
+
+
+# -- the rules the one-walk checks replaced, as oracles -----------------------
+# check_good_pair once made two lca walks per tree, and the greedy sweep
+# once expanded every piece into a per-position array of piece ends.  These
+# copies of those rules check the one-walk step test and the sweep on piece
+# ends on seeded states in both frames.
+
+
+def oracle_strict_step(tree, ends, pivot):
+    """The two-walk rule: the ancestor of the survivors' ends lies strictly
+    below the ancestor of the ends plus the pivot."""
+    low = tree.lca(ends)
+    high = tree.lca(ends + [pivot])
+    return low != high and tree.is_ancestor(high, low)
+
+
+def oracle_sweep(decomp, lo, hi):
+    """The greedy sweep on per-position arrays of piece ends."""
+    order = decomp.order
+    n = len(order)
+    end1 = [0] * (n + 1)
+    end2 = [0] * (n + 1)
+    for pieces, ends in ((decomp.first, end1), (decomp.second, end2)):
+        for piece in pieces:
+            for pos in range(piece.lo, piece.hi + 1):
+                ends[pos] = piece.hi
+    picks = []
+    pos = lo
+    while pos <= hi:
+        picks.append(order[pos - 1])
+        e1, e2 = end1[pos], end2[pos]
+        pos = (e1 if e1 >= e2 else e2) + 1
+    return tuple(picks)
+
+
+def checked_steps(state, gen, count):
+    """``count`` seeded pairs inside the core, each with a pivot outside
+    its run and a tier floor the run meets: check_good_pair must raise the
+    strict-step error exactly when the two-walk rule fails in a tree.
+    Returns a Counter of the rule's (tree1, tree2) verdicts."""
+    core, order = state.size(), state.taxa
+    seen = collections.Counter()
+    for _ in range(count):
+        pivot = 1 + gen.randrange(core)
+        sides = [(1, pivot - 1)] * (pivot > 1) + [(pivot + 1, core)] * (pivot < core)
+        lo, hi = sides[gen.randrange(len(sides))]
+        a, b = sorted(lo + gen.randrange(hi - lo + 1) for _ in range(2))
+        ends = [order[a - 1], order[b - 1]]
+        verdict = tuple(oracle_strict_step(tree, ends, order[pivot - 1])
+                        for tree in (state.tree1, state.tree2))
+        pair = GoodPair(pivot, Piece(a, b), "large")
+        if all(verdict):
+            check_good_pair(state, pair, core)
+        else:
+            with pytest.raises(TreeError, match="strict ancestor step"):
+                check_good_pair(state, pair, core)
+        seen[verdict] += 1
+    return seen
+
+
+def checked_sweeps(decomp, gen, count):
+    """The whole sweep and ``count`` seeded windows against the oracle."""
+    n = len(decomp.order)
+    assert greedy_caterpillar(decomp) == oracle_sweep(decomp, 1, n)
+    for _ in range(count):
+        lo, hi = sorted(1 + gen.randrange(n) for _ in range(2))
+        assert greedy_caterpillar(decomp, lo, hi) == oracle_sweep(decomp, lo, hi)
+
+
+def model_state(model, size, seed, swap):
+    """The state setup makes for a pair of ``model`` against a uniform
+    tree, or for the adversarial pair; ``swap`` exchanges --t1 and --t2."""
+    if model in ("balanced", "adversarial"):
+        size = 1 << (size.bit_length() - 1)
+    if model == "adversarial":
+        one, two = adversarial_pair(size)
+    else:
+        one = generate(GenSpec(model, size, seed))
+        two = generate(GenSpec("uniform", size, seed ^ 0xC0FFEE))
+    if swap:
+        one, two = two, one
+    return setup(one, two)[0]
+
+
+def test_one_walk_checks_match_the_rules_they_replaced_on_fixtures():
+    steps = collections.Counter()
+    gen = SplitMix64(20)
+    for state in _fixture_states():
+        for flipped in (False, True):
+            state.flipped = flipped
+            steps += checked_steps(state, gen, 200)
+            checked_sweeps(path_decomposition(state), gen, 100)
+    # The rule passed, and failed in each tree alone, so a check of one
+    # tree, or of neither, cannot pass.
+    assert {(True, True), (True, False), (False, True)} <= set(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["uniform", "caterpillar", "balanced",
+                              "adversarial"]),
+       size=st.integers(4, 300), seed=st.integers(0, 2**32),
+       swap=st.booleans(), flipped=st.booleans(), data=st.data())
+def test_one_walk_checks_match_the_rules_they_replaced(model, size, seed, swap,
+                                                       flipped, data):
+    state = model_state(model, size, seed, swap)
+    lo = data.draw(st.integers(0, state.hi - 1))
+    hi = data.draw(st.integers(lo + 1, state.hi))
+    state.lo, state.hi, state.flipped = lo, hi, flipped
+    gen = SplitMix64(seed)
+    checked_steps(state, gen, 40)
+    checked_sweeps(path_decomposition(state), gen, 20)
 
 
 # -- verification -------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every name the
-package exports exists, and every function the benchmark tracer wraps
-still exists.
+package exports exists, every function the benchmark tracer wraps
+still exists, and every checked-in mutant still applies.
 
 ``__init__.py`` is left out of the import check: it imports names only to
 re-export them.
@@ -8,6 +8,7 @@ re-export them.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mastkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def load_file(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def imported_names(tree):
@@ -50,10 +58,7 @@ def test_package_exports_resolve_once():
 
 def test_tracer_targets_resolve():
     # perfbench is not a package; its tracer is loaded from its file.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_file("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     missing = []
     for module_name, path, _ in tracer.TARGETS:
         owner = importlib.import_module("mastkit." + module_name)
@@ -62,3 +67,26 @@ def test_tracer_targets_resolve():
         if not callable(owner):
             missing.append(f"{module_name}.{path}")
     assert tracer.TARGETS and not missing, f"tracer targets gone: {missing}"
+
+
+def test_mutants_still_apply():
+    # tools/mutants.py needs each old text exactly once in its file; an
+    # edit that moves the text would silently retire the mutant.
+    mutants = load_file("mastkit_mutants", ROOT / "tools" / "mutants.py")
+    names = [m.name for m in mutants.MUTANTS]
+    broken = [m.name for m in mutants.MUTANTS
+              if m.old == m.new or not (ROOT / m.tests[0]).is_file()
+              or (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
+    # A -k word that names no test makes pytest collect nothing.
+    unmatched = []
+    for m in mutants.MUTANTS:
+        if "-k" not in m.tests:
+            continue
+        text = (ROOT / m.tests[0]).read_text(encoding="utf-8")
+        words = m.tests[m.tests.index("-k") + 1].split()
+        unmatched += [f"{m.name}: {word}" for word in words
+                      if word not in ("or", "and", "not")
+                      and not re.search(rf"def test_\w*{re.escape(word)}", text)]
+    assert names and len(set(names)) == len(names)
+    assert not broken, f"mutants that no longer apply: {broken}"
+    assert not unmatched, f"-k words that name no test: {unmatched}"

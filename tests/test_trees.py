@@ -125,7 +125,6 @@ def test_lca_and_ancestry():
     assert sorted(leaves_under(tree, pair)) == ["2", "5"]
     assert tree.is_ancestor(tree.root, pair)
     assert not tree.is_ancestor(pair, tree.root)
-    assert tree.is_comparable(pair, tree.root)
     inner = tree.lca({"1", "2"})
     assert sorted(leaves_under(tree, inner)) == ["1", "2", "5"]
 

@@ -12,12 +12,16 @@ The last line counts the commands per exit code.
 
 The corpus covers ``construct`` (main and weak, each ``--C``, both
 ``--orient`` values, plain and ``--json``, uniform and adversarial pairs
-at n = 4..4096, trees of one to three taxa, and block chains that split
-and nest), ``exact`` (unrooted, ``--rooted`` and brute, and unrooted on
-400 small inline pairs whose text is not in label order, so its
-tie-breaks show), ``verify`` with true and false claims, two
-``experiment`` grids, ``gen`` for every model, and malformed trees and
-flags that exit 2, 3, 4 and 5.
+at n = 4..4096, the adversarial pair with its caterpillar first and a
+caterpillar against a uniform tree, trees of one to three taxa, block
+chains that split and nest, and sentinel combs whose main chain exits
+through each ``strong_split`` fallback), ``exact`` (unrooted,
+``--rooted`` and brute, and unrooted on 400 small inline pairs whose
+text is not in label order, so its tie-breaks show), ``exact`` and
+``construct`` on texts with branch lengths, internal labels and
+whitespace, ``verify`` with true and false claims, two ``experiment``
+grids, ``gen`` for every model, and malformed trees and flags that exit
+2, 3, 4 and 5.
 Two checkouts give the same output exactly when every command gives the
 same exit code and bytes, so a refactor is checked with::
 
@@ -34,6 +38,7 @@ import collections
 import hashlib
 import io
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -48,9 +53,9 @@ if SRC not in sys.path:
 import mastkit  # noqa: E402
 from mastkit import cli  # noqa: E402
 from mastkit.generators import GenSpec, adversarial_pair, generate  # noqa: E402
-from mastkit.newick import write_newick  # noqa: E402
+from mastkit.newick import parse_newick, write_newick  # noqa: E402
 from mastkit.rng import SplitMix64  # noqa: E402
-from mastkit.trees import canonical_root_edge, root_at_edge  # noqa: E402
+from mastkit.trees import canonical_root_edge, deroot, root_at_edge  # noqa: E402
 
 if os.path.dirname(os.path.abspath(mastkit.__file__)) != os.path.join(SRC, "mastkit"):
     raise ImportError(f"mastkit imported from {mastkit.__file__}, not from {SRC}")
@@ -58,6 +63,7 @@ if os.path.dirname(os.path.abspath(mastkit.__file__)) != os.path.join(SRC, "mast
 UNIFORM_SIZES = (4, 5, 7, 12, 16, 33, 64, 100, 256, 512, 1024, 4096)
 ADVERSARIAL_SIZES = (4, 8, 16, 32, 64, 256, 1024, 4096)
 GEN_MODELS = ("uniform", "caterpillar", "balanced", "adversarial")
+DECORATED_SIZES = (12, 64)  # uniform pairs also written with lengths and labels
 
 # Malformed trees, each given as --t1 of construct with a good --t2.
 BAD_TREES = (
@@ -97,6 +103,47 @@ def block_combs(total: int, width: int, right_blocks: bool = False) -> tuple[str
     return f"(1,{one});", f"(1,{two});"
 
 
+def sentinel_combs(parts1: list[str], parts2: list[str]) -> tuple[str, str]:
+    """Taxon 0 beside a left comb of ``parts1`` in the first tree and a
+    right comb of ``parts2`` in the second, each de-rooted and written as
+    Newick.  Rooted at taxon 0, the two combs are the core pair of the
+    test suite's hand-built strong_split states, one step in."""
+    return tuple(write_newick(deroot(parse_newick(f"(0,{comb(parts, left)});",
+                                                  rooted=True)))
+                 for parts, left in ((parts1, True), (parts2, False)))
+
+
+def sentinel_pairs() -> dict:
+    """Sentinel combs whose main chain (default and ``--C 4``) exits at its
+    second step through ``interval-sweep`` (200 single leaves),
+    ``side-sweep`` (2-leaf blocks in the middle window) and
+    ``transversal-exact`` (a 4-leaf block grazing the side window)."""
+    labels = [str(i) for i in range(1, 201)]
+    short = labels[:100]
+    window = [comb(short[i:i + 2], True) for i in range(40, 60, 2)]
+    side = short[:40] + window + short[60:]
+    graze = short[:16] + [comb(short[16:20], True)] + short[20:40] \
+        + window + short[60:]
+    return {"sc-interval": sentinel_combs(labels, labels),
+            "sc-side": sentinel_combs(side, side),
+            "sc-graze": sentinel_combs(graze, side)}
+
+
+def decorated(text: str) -> str:
+    """``text`` with a branch length after every leaf, a label and a
+    length after every group, and spaces, tabs and newlines between
+    tokens: the reader discards all three."""
+    out, groups = [], 0
+    for i, tok in enumerate(re.findall(r"[(),;]|[^(),;]+", text)):
+        if tok == ")":
+            groups += 1
+            tok = f") n{groups} :{groups}.5e-1"
+        elif tok not in ("(", ",", ";"):
+            tok = f"{tok}:0.{len(tok)}"
+        out.append(("", " ", "\t", "\n ")[i % 4] + tok)
+    return "".join(out)
+
+
 def reordered(tree, seed: int) -> str:
     """``tree`` as the text of its rooting at a seeded edge, each child
     pair flipped on a seeded coin: read unrooted, its neighbor lists are
@@ -122,6 +169,11 @@ def write_inputs(d: str) -> dict:
         if n <= 1024:  # a two-child top: the rooted text, read unrooted
             put(f"r{n}a", write_newick(root_at_edge(one, canonical_root_edge(one))))
             put(f"r{n}b", write_newick(root_at_edge(two, canonical_root_edge(two))))
+        if n in DECORATED_SIZES:
+            for src in ("u", "r"):
+                for side in ("a", "b"):
+                    with open(paths[f"{src}{n}{side}"], encoding="utf-8") as fh:
+                        put(f"d{src}{n}{side}", decorated(fh.read().strip()))
     for n in ADVERSARIAL_SIZES:
         one, two = adversarial_pair(n)
         put(f"a{n}a", write_newick(one))
@@ -130,6 +182,10 @@ def write_inputs(d: str) -> dict:
                        ("nc200", block_combs(200, 8, right_blocks=True))):
         put(name + "a", pair[0])
         put(name + "b", pair[1])
+    for name, pair in sentinel_pairs().items():
+        put(name + "a", pair[0])
+        put(name + "b", pair[1])
+    put("c64", write_newick(generate(GenSpec("caterpillar", 64))))
     put("x4", "(1,2,(3,5));")
     return paths
 
@@ -163,6 +219,32 @@ def corpus(p: dict, d: str) -> list[list[str]]:
     for one, two in (("bc200a", "bc200b"), ("bc60b", "bc60a"), ("nc200a", "nc200b")):
         for c in ([], ["--C", "4"]):
             cmds.append(["construct", "--t1", p[one], "--t2", p[two]] + c)
+    # Main chains that exit through each strong_split fallback.
+    for name in sentinel_pairs():
+        for c in ([], ["--C", "4"]):
+            for js in ([], ["--json"]):
+                cmds.append(["construct", "--t1", p[name + "a"],
+                             "--t2", p[name + "b"]] + c + js)
+    # The caterpillar as --t1, so the pair finders scan tree2's pieces.
+    swapped = [(f"a{n}b", f"a{n}a") for n in ADVERSARIAL_SIZES if 16 <= n <= 1024]
+    for one, two in swapped + [("c64", "u64b"), ("u64b", "c64")]:
+        for algorithm in ("main", "weak"):
+            cmds.append(["construct", "--t1", p[one], "--t2", p[two],
+                         "--algorithm", algorithm])
+    # Branch lengths, internal labels and whitespace, which the reader drops.
+    for n in DECORATED_SIZES:
+        cmds.append(["exact", "--t1", p[f"du{n}a"], "--t2", p[f"du{n}b"]])
+        cmds.append(["exact", "--rooted", "--t1", p[f"dr{n}a"],
+                     "--t2", p[f"dr{n}b"]])
+        for algorithm in ("main", "weak"):
+            cmds.append(["construct", "--t1", p[f"du{n}a"], "--t2", p[f"dr{n}b"],
+                         "--algorithm", algorithm])
+    for one, two in (("((1:0.5,2:1e-3)a:2,(3 ,4 )b:0.25, 5);",
+                      "(1:1,(2,3)x:0.5,(4,5)y);"),
+                     ("((1,2) x :1, 3, (4,(5,6)) inner) top ;",
+                      "(1:+1.5E-2,2:-3,((3:.5,4:7.)z,(5,6)w)v);")):
+        cmds.append(["exact", "--t1", one, "--t2", two])
+        cmds.append(["construct", "--t1", one, "--t2", two, "--json"])
     # exact: unrooted dp, rooted dp and brute force.
     for n in (4, 5, 7, 12, 16, 33, 64, 100, 256):
         for js in ([], ["--json"]):
