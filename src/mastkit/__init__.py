@@ -21,6 +21,7 @@ from .construction import (
     ROOTED_CATERPILLAR,
     UNROOTED_CATERPILLAR,
     common_monotone_subsequence,
+    construct,
     find_good_pair_big_subtree,
     find_good_pair_structural,
     greedy_caterpillar,
@@ -82,6 +83,7 @@ __all__ = [
     "brute_force_mast",
     "canonical_root_edge",
     "common_monotone_subsequence",
+    "construct",
     "deroot",
     "find_good_pair_big_subtree",
     "find_good_pair_structural",

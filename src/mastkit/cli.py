@@ -8,8 +8,9 @@ for the same reason.
 
 Exit codes: 0 success, 2 parse or usage failure (an --out file that
 cannot be written included), 3 taxon-set mismatch, 4 size cap exceeded,
-5 verification failure (a result failing its own certification exits 5
-without a report).
+5 verification failure (a result failing its own certification exits 5:
+``construct`` prints no report, ``experiment`` no row for that run but
+keeps the verified rows written before it).
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from typing import Optional
 from .construction import (
     CertificationError,
     ConstructionOutcome,
-    IterationState,
     UNROOTED_CATERPILLAR,
-    _main_loop,
     certified,
+    construct,
     setup,
     verify_outcome,
-    weak_construct,
 )
 from .exact import (
     EXACT,
@@ -109,16 +108,6 @@ def _tiny_outcome(tree1: UnrootedTree, tree2: UnrootedTree) -> ConstructionOutco
         frozenset(tree1.taxa), UNROOTED_CATERPILLAR, "tiny", float(len(tree1))))
 
 
-def _run_construction(state: IterationState, algorithm: str,
-                      c: Optional[int]) -> ConstructionOutcome:
-    # One construction on setup's state.  Weak builds its own state from
-    # the core pair; main shrinks this one.
-    if algorithm == "weak":
-        return weak_construct(state.tree1, state.tree2,
-                              n_param=state.n_param, c=c if c else 4)
-    return _main_loop(state, c if c else 40)
-
-
 def _cmd_construct(args) -> int:
     tree1 = _load_tree(args.t1, rooted=False)
     tree2 = _load_tree(args.t2, rooted=False)
@@ -126,8 +115,8 @@ def _cmd_construct(args) -> int:
     if len(tree1) < 4:
         outcome = _tiny_outcome(tree1, tree2)
     else:
-        state, _, _ = setup(tree1, tree2, rng)
-        outcome = _run_construction(state, args.algorithm, args.big_c)
+        outcome = construct(setup(tree1, tree2, rng)[0], args.algorithm,
+                            args.big_c)
     _emit(args, {
         "n": len(tree1),
         "algorithm": args.algorithm,
@@ -260,7 +249,8 @@ def _cmd_experiment(args) -> int:
 def _experiment_rows(n: int, seed: int, model: str, cap: int,
                      timing: bool):
     # One pair's rows, each yielded as it is done.  The two constructions
-    # share one setup (n >= 4 here), timed in the weak row.
+    # share one setup (n >= 4 here), timed in the weak row; weak leaves
+    # the state as it is.
     tree1, tree2 = _make_pair(model, n, seed)
     state = None
     for algorithm in ("weak", "main", "exact_dp"):
@@ -275,7 +265,7 @@ def _experiment_rows(n: int, seed: int, model: str, cap: int,
         else:
             if state is None:
                 state, _, _ = setup(tree1, tree2)
-            outcome = _run_construction(state, algorithm, None)
+            outcome = construct(state, algorithm)
             size = len(outcome.agreement_set)
             kind, branch = outcome.kind, outcome.branch
         millis = int((time.perf_counter() - start) * 1000) if timing else 0

@@ -17,11 +17,11 @@ explicit agreement set of logarithmic size.  The pipeline:
 
 Every intermediate object is checked as it is produced: candidate pairs
 are re-validated with explicit ancestor queries, splits with explicit
-incomparability queries, and each public construction certifies its
-final outcome once, with :func:`verify_outcome` against the core pair
-it was built on.  Every outcome is a subset of the core, and restriction
-composes, so the core pair accepts exactly the sets that the full rooted
-pair would.  A returned outcome is therefore a certificate.
+incomparability queries, and :func:`construct`, which runs both, then
+certifies the final outcome once with :func:`verify_outcome` against the
+core pair it was built on.  Every outcome is a subset of the core, and
+restriction composes, so the core pair accepts exactly the sets that the
+full rooted pair would.  A returned outcome is therefore a certificate.
 """
 
 from __future__ import annotations
@@ -496,6 +496,22 @@ def _peel(state: IterationState, peeled: Iterable[str],
     state.step += 1
 
 
+def construct(state: IterationState, algorithm: str = "main",
+              c: Optional[int] = None) -> ConstructionOutcome:
+    """Run the weak chain on a fresh state over :func:`setup`'s core pair,
+    or the main loop on ``state``, which it shrinks, at C = ``c`` (None or
+    0: 4 weak, 40 main); certify the outcome against the core pair."""
+    if algorithm == "weak":
+        out = _weak_loop(IterationState(0, len(state.tree1) - 1, state.tree1,
+                                        state.tree2, [], state.n_param),
+                         c if c else 4)
+    elif algorithm == "main":
+        out = _main_loop(state, c if c else 40)
+    else:
+        raise TreeError(f"unknown construction algorithm {algorithm!r}")
+    return certified(state.tree1, state.tree2, out)
+
+
 def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
                    c: int = 4) -> ConstructionOutcome:
     """Peel pivots until one taxon remains or a greedy caterpillar pays.
@@ -510,15 +526,14 @@ def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
         raise TaxaMismatch("input trees must share their taxon set")
     if n_param < 4:
         raise TreeError("size parameter must be at least 4")
-    if c < 4:  # below 4 a piece may hold more than half the core
-        raise TreeError(f"shrink-fraction constant C must be at least 4, got {c}")
-    state = IterationState(lo=0, hi=len(tree1) - 1, tree1=tree1, tree2=tree2,
-                           agreed=[], n_param=n_param)
-    return certified(tree1, tree2, _weak_loop(state, c))
+    return construct(IterationState(0, len(tree1) - 1, tree1, tree2, [],
+                                    n_param), "weak", c)
 
 
 def _weak_loop(state: IterationState, c: int) -> ConstructionOutcome:
-    # weak_construct's loop on ``state``, which it shrinks; uncertified.
+    # The weak chain on ``state``, which it shrinks; uncertified.
+    if c < 4:  # below 4 a piece may hold more than half the core
+        raise TreeError(f"shrink-fraction constant C must be at least 4, got {c}")
     tallies = {"large": 0, "regular": 0}
     lg = math.log2(state.n_param)
     while state.size() > 1:
@@ -650,18 +665,17 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     that step drops taxa, or ``degenerate-exact`` after a degenerate
     window.  A core of more than ``ROOTED_DP_CAP`` taxa is closed by a
     weak chain instead, as a nucleus is, and tagged ``degenerate-weak``.
-    The outcome is certified against the state's core pair.
+    :func:`construct` certifies the outcome against the core pair.
     """
-    state, _, _ = setup(tree1, tree2, rng)
-    return _main_loop(state, c)
+    return construct(setup(tree1, tree2, rng)[0], "main", c)
 
 
 def _main_loop(state: IterationState, c: int) -> ConstructionOutcome:
-    # main_construct after setup, on ``state``, which it shrinks; every
-    # outcome is a subset of the core, certified against the core pair.
+    # The main chain on ``state``, which it shrinks; every outcome is a
+    # subset of the core.  Uncertified.
     if c < 2:  # the claimed bound divides by log2(c)
         raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
-    n, core1, core2 = state.n_param, state.tree1, state.tree2
+    n = state.n_param
     singles = 0
     blocks = 0
     while state.size() ** 4 >= n:
@@ -675,10 +689,10 @@ def _main_loop(state: IterationState, c: int) -> ConstructionOutcome:
         if split is None:
             break
         if isinstance(split, ConstructionOutcome):
-            return certified(core1, core2, split)
+            return split
         nested = _nested_weak(state, split.nucleus)
         if nested.kind == UNROOTED_CATERPILLAR:
-            return certified(core1, core2, nested)
+            return nested
         _peel(state, nested.agreement_set, split.survivors)
         blocks += 1
     branch = f"block-chain(singles={singles} blocks={blocks})"
@@ -687,7 +701,7 @@ def _main_loop(state: IterationState, c: int) -> ConstructionOutcome:
         # such a core): a weak chain closes it instead.
         nested = _nested_weak(state, Piece(1, state.size()))
         if nested.kind == UNROOTED_CATERPILLAR:
-            return certified(core1, core2, nested)
+            return nested
         last = nested.agreement_set
         branch += ";degenerate-weak"
     else:
@@ -697,9 +711,9 @@ def _main_loop(state: IterationState, c: int) -> ConstructionOutcome:
             branch += ";degenerate-exact"
         elif len(last) < state.size():
             branch += ";final-exact"
-    return certified(core1, core2, ConstructionOutcome(
+    return ConstructionOutcome(
         frozenset(state.agreed).union(last), BLOCK_TREE, branch,
-        math.log2(n) / (4 * math.log2(c))))
+        math.log2(n) / (4 * math.log2(c)))
 
 
 def _nested_weak(state: IterationState, run: Piece) -> ConstructionOutcome:

@@ -10,8 +10,8 @@ Two flavors are distinguished by type:
   leaves has ``2n - 1`` nodes (a single-leaf tree is just its root).
 
 Nodes are small integers that are stable within one tree value.  Trees are
-immutable after construction: every operation that changes shape (restrict,
-mirror, rooting) returns a fresh tree and never aliases node ids of the
+immutable after construction: every operation that changes shape
+(restriction, rooting) returns a fresh tree and never aliases node ids of the
 source, except a restriction to every taxon, which returns the tree
 itself.  Because instances never change, subtree leaf counts, the leaf
 order and the taxa in label order are computed once on demand and cached.
@@ -235,10 +235,6 @@ class RootedTree(_LabeledTree):
             *prune(self.postorder(), self.left, self.right, self.labels, keepset),
             self.labels)
 
-    def mirror(self) -> "RootedTree":
-        """Swap the child order of every internal node."""
-        return rooted_from_arrays(0, self.right, self.left, self.labels)
-
     def validate(self) -> None:
         """Check every structural invariant, preorder ids included;
         raises :class:`TreeError`."""
@@ -282,9 +278,6 @@ class UnrootedTree(_LabeledTree):
         self.adj = adj
         if not _checked:
             self.validate()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < len(self.adj) and v in self.adj[u]
 
     def restrict(self, keep: Iterable[str]) -> "UnrootedTree":
         """Restriction to a non-empty taxon subset: the minimal spanning
@@ -454,9 +447,9 @@ def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
     the adjacency lists, and no taxon is sorted.
     """
     a, b = edge
-    if not tree.has_edge(a, b):
-        raise TreeError(f"no edge {edge!r} in tree")
     adj, labels = tree.adj, tree.labels
+    if not (0 <= a < len(adj) and b in adj[a]):
+        raise TreeError(f"no edge {edge!r} in tree")
     top = len(adj)  # the new root's id
     left = [-1] * (top + 1)
     right = [-1] * (top + 1)

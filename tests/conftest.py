@@ -1,10 +1,23 @@
 """Shared builders for the test suite.
 
 Newick fragments are assembled textually; every helper returns a parsed
-tree so tests stay independent of construction internals.
+tree so tests stay independent of construction internals.  The one
+exception is the ``forge_loop`` fixture, which swaps a construction loop
+for one that returns a set that does not agree.
 """
 
-from mastkit import deroot, parse_newick
+import pytest
+
+from mastkit import (
+    BLOCK_TREE,
+    ConstructionOutcome,
+    UNROOTED_CATERPILLAR,
+    construction,
+    deroot,
+    parse_newick,
+    verify_outcome,
+)
+from mastkit.trees import rooted_from_arrays
 
 
 def left_deep(labels):
@@ -46,6 +59,11 @@ def leaves_under(tree, node):
     return tuple(lab for lab in tree.labels[node:end] if lab is not None)
 
 
+def mirror(tree):
+    """``tree`` with the child order of every internal node swapped."""
+    return rooted_from_arrays(0, tree.right, tree.left, tree.labels)
+
+
 def rooted(text):
     return parse_newick(text, rooted=True)
 
@@ -66,3 +84,21 @@ def block_comb_pair(total, block_size, sentinel="1", start=2):
     one = rooted(f"({sentinel},{left_comb([left_deep(b) for b in blocks])});")
     two = rooted(f"({sentinel},{right_comb([left_deep(b) for b in blocks])});")
     return deroot(one), deroot(two)
+
+
+@pytest.fixture
+def forge_loop(monkeypatch):
+    """``forge_loop("main")`` or ``forge_loop("weak")`` makes that loop
+    return its whole core, main's as a block tree and weak's as an
+    unrooted caterpillar, and asserts that the set does not agree, so
+    only the certificate stands between the forgery and a report."""
+    def forge(algorithm):
+        kind = BLOCK_TREE if algorithm == "main" else UNROOTED_CATERPILLAR
+
+        def loop(state, c):
+            out = ConstructionOutcome(frozenset(state.taxa), kind, "forged", 0.0)
+            assert not verify_outcome(state.tree1, state.tree2, out)
+            return out
+
+        monkeypatch.setattr(construction, f"_{algorithm}_loop", loop)
+    return forge

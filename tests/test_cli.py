@@ -5,6 +5,7 @@ timeout and a memory limit instead, so a regression fails rather than
 hangs the suite.
 """
 
+import importlib.util
 import json
 import os
 import resource
@@ -51,7 +52,8 @@ PAIR3 = ("(1,(((((((((((2,7),6),(12,13)),16),15),9),10),14),3),8),4),(5,11));",
 PAIR2 = ("(((1,(((((((((((2,7),6),(12,13)),16),15),9),10),14),3),8),4)),5),11);",
          "(((((((1,(8,16)),5),7),9),10),(13,15)),((2,(3,14)),((4,6),(11,12))));")
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run(capsys, argv):
@@ -308,6 +310,33 @@ def test_experiment_sets_up_each_pair_once(capsys, monkeypatch):
     assert sorted(calls) == [n for n in (4, 8, 16, 32, 64) for _ in range(4)]
 
 
+def test_construct_exits_5_on_a_forged_loop(capsys, forge_loop):
+    one, two = (write_newick(generate(GenSpec("uniform", 64, seed)))
+                for seed in (1, 2))
+    for algorithm in ("main", "weak"):
+        forge_loop(algorithm)
+        code, out, err = run(capsys, ["construct", "--t1", one, "--t2", two,
+                                      "--algorithm", algorithm])
+        assert code == EXIT_VERIFY and out == ""
+        assert "failed certification" in err
+
+
+def test_experiment_stops_at_a_forged_loop(capsys, forge_loop):
+    # The rows written before the forged run stay, each verified; the
+    # forged run writes none.
+    argv = ["experiment", "--n-min", "64", "--n-max", "64", "--trials", "2",
+            "--models", "uniform", "--cap", "0"]
+    header = ",".join(CSV_FIELDS)
+    for forged, kept in (("main", ["weak"]), ("weak", [])):
+        forge_loop(forged)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_VERIFY and "failed certification" in err
+        lines = out.strip().split("\n")
+        assert lines[0] == header
+        assert [line.split(",")[3] for line in lines[1:]] == kept
+        assert all(line.split(",")[7] == "true" for line in lines[1:])
+
+
 def test_experiment_cap_skips_exact_rows(capsys, tmp_path):
     target = tmp_path / "capped.csv"
     code, _, _ = run(capsys, [
@@ -507,6 +536,23 @@ def _readme_transcripts():
         elif expected is not None:
             expected.append(line)
     return runs
+
+
+def test_cli_digest_matches_the_pinned_file(capsys, monkeypatch):
+    # tools/cli_digest.py, run in-process, prints one line per command of
+    # its corpus: exit code and hashes of stdout and stderr.  A change
+    # that alters outputs on purpose regenerates tests/cli_digest.txt.
+    path = ROOT / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("mastkit_cli_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "argv", [str(path)])  # no pytest flags
+    monkeypatch.delenv("MASTKIT_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # restored after the tool sets it
+    assert tool.main() == 0
+    got = capsys.readouterr().out.splitlines()
+    pinned = (ROOT / "tests" / "cli_digest.txt").read_text(encoding="utf-8")
+    assert got == pinned.splitlines()
 
 
 def test_readme_transcripts_match_the_cli(capsys):

@@ -38,6 +38,7 @@ from mastkit.construction import (
     certified,
     check_good_pair,
     common_monotone_subsequence,
+    construct,
     find_good_pair_big_subtree,
     find_good_pair_structural,
     greedy_caterpillar,
@@ -61,6 +62,7 @@ from conftest import (
     leaves_under,
     left_comb,
     left_deep,
+    mirror,
     right_comb,
     right_deep,
     rooted,
@@ -205,7 +207,7 @@ def full_rooting_setup(one, two, rng=None):
     common, direction = common_monotone_subsequence(rooted1.seq(),
                                                     rooted2.seq())
     if direction == "decreasing":
-        rooted2 = rooted2.mirror()
+        rooted2 = mirror(rooted2)
     keep = frozenset(common)
     return (rooted1.restrict(keep), rooted2.restrict(keep), rooted1, rooted2,
             direction)
@@ -882,8 +884,8 @@ def oracle_path_decomposition(state):
         counts = tree1.leaf_counts()
         root = tree1.root
         if counts[tree1.left[root]] < counts[tree1.right[root]]:
-            state.tree1 = tree1.mirror()
-            state.tree2 = tree2.mirror()
+            state.tree1 = mirror(tree1)
+            state.tree2 = mirror(tree2)
             tree1, tree2 = state.tree1, state.tree2
     order = tree1.seq()
     assert order == tree2.seq()
@@ -994,7 +996,7 @@ def oracle_nested_weak(state, run):
     taxa = state.taxa[run.lo - 1:run.hi]
     one, two = state.tree1.restrict(taxa), state.tree2.restrict(taxa)
     if state.flipped:
-        one, two = one.mirror(), two.mirror()
+        one, two = mirror(one), mirror(two)
     out = weak_construct(one, two, n_param=len(taxa) ** 2)
     return replace(out, branch="nested:" + out.branch)
 
@@ -1231,6 +1233,36 @@ def test_forged_full_agreement_fails_in_every_kind():
         assert not verify_outcome(one, two, claim(one.taxa, kind))
     with pytest.raises(CertificationError):
         certified(one, two, claim(one.taxa, BLOCK_TREE))
+
+
+def test_construct_runs_both_public_constructions():
+    a = generate(GenSpec("uniform", 64, 1))
+    b = generate(GenSpec("uniform", 64, 2))
+    state, _, _ = setup(a, b)
+    weak = construct(state, "weak", 0)
+    assert (state.lo, state.hi, state.agreed) == (0, len(state.tree1) - 1, [])
+    assert weak == weak_construct(state.tree1, state.tree2, 64)
+    assert construct(state, "main") == main_construct(a, b)
+    assert state.size() < len(state.tree1)
+    with pytest.raises(TreeError, match="unknown construction algorithm"):
+        construct(setup(a, b)[0], "exact")
+
+
+def test_constructions_refuse_a_forged_loop(forge_loop):
+    # Each loop returns the whole core of a pair where it does not agree;
+    # only the certificate in construct stops it.
+    a = generate(GenSpec("uniform", 64, 1))
+    b = generate(GenSpec("uniform", 64, 2))
+    forge_loop("main")
+    forge_loop("weak")
+    for algorithm in ("main", "weak"):
+        with pytest.raises(CertificationError):
+            construct(setup(a, b)[0], algorithm)
+    with pytest.raises(CertificationError):
+        main_construct(a, b)
+    state, _, _ = setup(a, b)
+    with pytest.raises(CertificationError):
+        weak_construct(state.tree1, state.tree2, 64)
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,7 +31,7 @@ from mastkit.exact import (
 from mastkit.generators import MODELS, GenSpec, generate
 from mastkit.rng import SplitMix64
 
-from conftest import leaves_under, rooted, unrooted
+from conftest import leaves_under, mirror, rooted, unrooted
 
 
 def test_three_leaf_rooted_disagreement():
@@ -317,7 +317,7 @@ def test_rooted_agreement_set_ignores_mirroring(model, n, seed):
         n = 1 << (n.bit_length() - 1)
     one, two = _shaped(model, n, seed), _shaped("uniform", n, seed ^ 0xF00D)
     assert set(rooted_agreement_leaves(one, two)) == \
-        set(rooted_agreement_leaves(one.mirror(), two.mirror()))
+        set(rooted_agreement_leaves(mirror(one), mirror(two)))
 
 
 def _dense_table(tree1, tree2):

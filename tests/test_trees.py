@@ -27,7 +27,7 @@ from mastkit.trees import (
 )
 from mastkit.generators import MODELS, GenSpec, generate
 
-from conftest import leaves_under, rooted, unrooted
+from conftest import leaves_under, mirror, rooted, unrooted
 
 
 def test_label_ordering_is_numeric_aware():
@@ -131,9 +131,9 @@ def test_lca_and_ancestry():
 
 def test_mirror_reverses_seq_and_is_an_involution():
     tree = rooted("(4,(3,(1,(2,5))));")
-    flipped = tree.mirror()
+    flipped = mirror(tree)
     assert flipped.seq() == ("5", "2", "1", "3", "4")
-    assert flipped.mirror().seq() == tree.seq()
+    assert mirror(flipped).seq() == tree.seq()
     assert isomorphic(tree, flipped)
 
 
@@ -223,7 +223,7 @@ def _rooted_sources(n, seed, pick):
              root_at_edge(base, edge),
              root_at_edge(base, edge, rng=SplitMix64(seed))]
     keep = sorted_labels(base.taxa)[pick % n:] or sorted_labels(base.taxa)
-    return trees + [t.restrict(keep) for t in trees] + [t.mirror() for t in trees]
+    return trees + [t.restrict(keep) for t in trees] + [mirror(t) for t in trees]
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,8 +27,11 @@ same exit code and bytes, so a refactor is checked with::
 
     diff <(python3 A/tools/cli_digest.py) <(python3 B/tools/cli_digest.py)
 
-Only the standard library is used.  ``--timing wall`` is left out: its
-output depends on the machine.
+``tests/cli_digest.txt`` pins the output at this checkout, and a tier-1
+test reruns the tool in-process against it; a change that alters
+outputs on purpose regenerates that file.  Only the standard library is
+used.  ``--timing wall`` is left out: its output depends on the machine.
+Usage errors are wrapped at 80 columns, whatever the terminal.
 """
 
 from __future__ import annotations
@@ -342,6 +345,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     os.environ.pop("MASTKIT_SEED", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage errors to the terminal
     codes: collections.Counter = collections.Counter()
     with tempfile.TemporaryDirectory() as d:
         paths = write_inputs(d)

@@ -77,6 +77,10 @@ MUTANTS = (
            "pos = (e1 if e1 >= e2 else e2) + 1",
            "pos = (e1 if e1 <= e2 else e2) + 1",
            (TEST_CONSTRUCTION, "-k", "rules_they_replaced")),
+    # The one certificate: construct certifies what either loop returns.
+    Mutant("construct-uncertified", CONSTRUCTION,
+           "return certified(state.tree1, state.tree2, out)", "return out",
+           (TEST_CONSTRUCTION, "tests/test_cli.py", "-k", "forged_loop")),
     # Earlier rewrites whose scratch mutations CHANGES.md records.
     Mutant("lca-off-by-one", "src/mastkit/trees.py",
            "if a < r <= b:", "if a < r < b:",
