@@ -22,6 +22,7 @@ from mastkit.exact import (
     _backtrack,
     _edge_side,
     _node_side,
+    _rooted_table,
     _Side,
     brute_force_mast,
     rooted_agreement_leaves,
@@ -301,7 +302,10 @@ def test_rooted_mast_is_frozen(model, n, swapped):
 def _shaped(model, n, seed):
     """A rooted tree of the model's shape, rooted at an edge the seed
     picks."""
-    tree = generate(GenSpec(model, n, seed))
+    return _rooted_at(generate(GenSpec(model, n, seed)), seed)
+
+
+def _rooted_at(tree, seed):
     edges = [(v, w) for v, nbrs in enumerate(tree.adj) for w in nbrs if v < w]
     return root_at_edge(tree, edges[seed % len(edges)])
 
@@ -351,12 +355,12 @@ def test_rooted_table_equals_dense_fill(model1, model2, n, seed):
         n = 1 << (n.bit_length() - 1)
     tree1 = _shaped(model1, n, seed)
     tree2 = _shaped(model2, n, seed ^ 0x9E3779B97F4A7C15)
-    _assert_same_cells(_agreement_table(_node_side(tree1), _node_side(tree2)),
+    _assert_same_cells(_rooted_table(_node_side(tree1), _node_side(tree2)),
                        _dense_table(tree1, tree2))
 
 
 def _assert_same_cells(table, dense):
-    """Every cell equal, read by index: rows may be lists or sparse."""
+    """Every cell equal, read by index through the rows' views."""
     ns = len(dense[0])
     assert len(table) == len(dense)
     for row, want in zip(table, dense):
@@ -364,22 +368,51 @@ def _assert_same_cells(table, dense):
 
 
 @pytest.mark.parametrize("model", ["uniform", "caterpillar"])
-def test_rooted_table_stores_short_rows_on_their_support(model):
+def test_rooted_table_stores_only_cells_its_lighter_child_reaches(model):
     tree1 = _shaped(model, 256, 5)
     tree2 = _shaped("uniform", 256, 6)
-    table = _agreement_table(_node_side(tree1), _node_side(tree2))
+    table = _rooted_table(_node_side(tree1), _node_side(tree2))
     _assert_same_cells(table, _dense_table(tree1, tree2))
-    # A row's support: the nodes of tree2 holding a taxon below its node.
-    sparse = 0
-    for u, row in enumerate(table):
-        if isinstance(row, list):
-            continue
-        sparse += 1
+    below2 = [set(leaves_under(tree2, v)) for v in range(tree2.num_nodes())]
+
+    def support(u):
+        # The nodes of tree2 holding a taxon below u: where row u is not 0.
         taxa = set(leaves_under(tree1, u))
-        support = {v for v in range(tree2.num_nodes())
-                   if taxa.intersection(leaves_under(tree2, v))}
-        assert set(row) <= support
-    assert sparse > 0
+        return {v for v, below in enumerate(below2) if taxa & below}
+
+    stored = reach = 0
+    for u, row in enumerate(table):
+        a, b = tree1.left[u], tree1.right[u]
+        if a == -1:
+            continue
+        if len(leaves_under(tree1, b)) > len(leaves_under(tree1, a)):
+            a, b = b, a
+        ids = row.chains.ids[u]
+        assert ids == sorted(ids) and set(ids) <= support(b)
+        stored += len(ids)
+        reach += len(support(u))
+    assert 0 < 4 * stored < reach
+
+
+@settings(max_examples=80, deadline=None)
+@given(model1=st.sampled_from(MODELS + ("adversarial",)),
+       model2=st.sampled_from(MODELS), swapped=st.booleans(),
+       n=st.integers(min_value=2, max_value=64), seed=st.integers(0, 2**32))
+def test_rooted_backtrack_equals_the_dense_tables(model1, model2, swapped, n, seed):
+    # The same table read through the views gives the same tie-breaks,
+    # so the very same leaves in the same order, not only as many.
+    if "balanced" in (model1, model2) or model1 == "adversarial":
+        n = 1 << (n.bit_length() - 1)
+    if model1 == "adversarial":
+        pair = [_rooted_at(tree, seed + i)
+                for i, tree in enumerate(adversarial_pair(max(n, 4)))]
+    else:
+        pair = [_shaped(model1, n, seed),
+                _shaped(model2, n, seed ^ 0x9E3779B97F4A7C15)]
+    tree1, tree2 = pair[::-1] if swapped else pair
+    want = _backtrack(_node_side(tree1), _node_side(tree2),
+                      _dense_table(tree1, tree2), (0, 0))
+    assert rooted_agreement_leaves(tree1, tree2) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +497,7 @@ def _oracle_edge_side(tree, rank):
             row[v] = 1
             row[top + v] = 0
             v = par[v]
-        return row, None
+        return row
 
     outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
                if labels[v] is not None}

@@ -69,24 +69,39 @@ def test_tracer_targets_resolve():
     assert tracer.TARGETS and not missing, f"tracer targets gone: {missing}"
 
 
+def _selected_files(tests):
+    """The test files of a pytest selection: the arguments before any
+    ``-k`` that are not options."""
+    end = tests.index("-k") if "-k" in tests else len(tests)
+    return [ROOT / arg for arg in tests[:end] if not arg.startswith("-")]
+
+
 def test_mutants_still_apply():
     # tools/mutants.py needs each old text exactly once in its file; an
     # edit that moves the text would silently retire the mutant.
     mutants = load_file("mastkit_mutants", ROOT / "tools" / "mutants.py")
     names = [m.name for m in mutants.MUTANTS]
     broken = [m.name for m in mutants.MUTANTS
-              if m.old == m.new or not (ROOT / m.tests[0]).is_file()
+              if m.old == m.new or not _selected_files(m.tests)
+              or not all(path.is_file() for path in _selected_files(m.tests))
               or (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
-    # A -k word that names no test makes pytest collect nothing.
+    # A -k word that names no test in any selected file makes pytest
+    # collect nothing for it, and a selected file none of whose tests
+    # the words name is a file the entry no longer runs.
     unmatched = []
     for m in mutants.MUTANTS:
-        if "-k" not in m.tests:
+        if "-k" not in m.tests or m.name in broken:
             continue
-        text = (ROOT / m.tests[0]).read_text(encoding="utf-8")
-        words = m.tests[m.tests.index("-k") + 1].split()
-        unmatched += [f"{m.name}: {word}" for word in words
-                      if word not in ("or", "and", "not")
-                      and not re.search(rf"def test_\w*{re.escape(word)}", text)]
+        words = [word for word in m.tests[m.tests.index("-k") + 1].split()
+                 if word not in ("or", "and", "not")]
+        hits = {path: {word for word in words
+                       if re.search(rf"def test_\w*{re.escape(word)}",
+                                    path.read_text(encoding="utf-8"))}
+                for path in _selected_files(m.tests)}
+        found = set().union(*hits.values())
+        unmatched += [f"{m.name}: {word}" for word in words if word not in found]
+        unmatched += [f"{m.name}: {path.name}" for path, hit in hits.items()
+                      if not hit]
     assert names and len(set(names)) == len(names)
     assert not broken, f"mutants that no longer apply: {broken}"
-    assert not unmatched, f"-k words that name no test: {unmatched}"
+    assert not unmatched, f"-k words or files that name no test: {unmatched}"

@@ -16,8 +16,10 @@ at n = 4..4096, the adversarial pair with its caterpillar first and a
 caterpillar against a uniform tree, trees of one to three taxa, block
 chains that split and nest, and sentinel combs whose main chain exits
 through each ``strong_split`` fallback), ``exact`` (unrooted,
-``--rooted`` and brute, and unrooted on 400 small inline pairs whose
-text is not in label order, so its tie-breaks show), ``exact`` and
+``--rooted`` and brute, unrooted on 400 and ``--rooted`` on 320 small
+inline pairs whose text is not in label order, so their tie-breaks show,
+and ``--rooted`` on caterpillar-uniform and adversarial pairs at n = 64
+and 256, each in both orders), ``exact`` and
 ``construct`` on texts with branch lengths, internal labels and
 whitespace, ``verify`` with true and false claims, two ``experiment``
 grids, ``gen`` for every model, and malformed trees and flags that exit
@@ -67,6 +69,7 @@ UNIFORM_SIZES = (4, 5, 7, 12, 16, 33, 64, 100, 256, 512, 1024, 4096)
 ADVERSARIAL_SIZES = (4, 8, 16, 32, 64, 256, 1024, 4096)
 GEN_MODELS = ("uniform", "caterpillar", "balanced", "adversarial")
 DECORATED_SIZES = (12, 64)  # uniform pairs also written with lengths and labels
+ROOTED_SHAPE_SIZES = (64, 256)  # rooted caterpillar and adversarial pairs
 
 # Malformed trees, each given as --t1 of construct with a good --t2.
 BAD_TREES = (
@@ -189,6 +192,12 @@ def write_inputs(d: str) -> dict:
         put(name + "a", pair[0])
         put(name + "b", pair[1])
     put("c64", write_newick(generate(GenSpec("caterpillar", 64))))
+    for n in ROOTED_SHAPE_SIZES:  # canonically rooted, for exact --rooted
+        caterpillar = generate(GenSpec("caterpillar", n))
+        put(f"rc{n}", write_newick(root_at_edge(caterpillar,
+                                                canonical_root_edge(caterpillar))))
+        for side, tree in zip("ab", adversarial_pair(n)):
+            put(f"ra{n}{side}", write_newick(root_at_edge(tree, canonical_root_edge(tree))))
     put("x4", "(1,2,(3,5));")
     return paths
 
@@ -266,6 +275,22 @@ def corpus(p: dict, d: str) -> list[list[str]]:
         for js in ([], ["--json"]):
             cmds.append(["exact", "--rooted", "--t1", p[f"r{n}a"],
                          "--t2", p[f"r{n}b"]] + js)
+    # Small inline rooted pairs, where the rooted dp's tie-breaks show,
+    # each in both orders.
+    for n in range(5, 13):
+        caterpillar = generate(GenSpec("caterpillar", n))
+        for s in range(1, 11):
+            one = reordered(generate(GenSpec("uniform", n, 2 * s + 1)), 2 * s + 1)
+            two = reordered(generate(GenSpec("uniform", n, 2 * s + 2)), 2 * s + 2)
+            for pair in ((one, two), (one, reordered(caterpillar, s))):
+                for first, second in (pair, pair[::-1]):
+                    cmds.append(["exact", "--rooted", "--t1", first, "--t2", second])
+    # Rooted caterpillar against uniform, and the adversarial pair, each
+    # in both orders.
+    for n in ROOTED_SHAPE_SIZES:
+        for pair in ((f"rc{n}", f"r{n}b"), (f"ra{n}a", f"ra{n}b")):
+            for first, second in (pair, pair[::-1]):
+                cmds.append(["exact", "--rooted", "--t1", p[first], "--t2", p[second]])
     for n in (4, 5, 7):
         cmds.append(["exact", "--method", "brute", "--t1", p[f"u{n}a"],
                      "--t2", p[f"u{n}b"]])

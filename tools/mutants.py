@@ -54,6 +54,8 @@ class Mutant(NamedTuple):
 
 CONSTRUCTION = "src/mastkit/construction.py"
 TEST_CONSTRUCTION = "tests/test_construction.py"
+EXACT = "src/mastkit/exact.py"
+TEST_EXACT = "tests/test_exact.py"
 
 MUTANTS = (
     # The one-walk strict step in check_good_pair.
@@ -89,14 +91,24 @@ MUTANTS = (
            "replace(state, agreed=[], n_param=run.size() ** 2)",
            "replace(state, agreed=[], n_param=run.size() ** 2, flipped=False)",
            (TEST_CONSTRUCTION, "-k", "nested or hand_built")),
-    Mutant("sparse-row-missing-one", "src/mastkit/exact.py",
-           "def __missing__(self, v: int) -> int:\n        return 0",
-           "def __missing__(self, v: int) -> int:\n        return 1",
-           ("tests/test_exact.py",)),
-    Mutant("edge-side-unranked", "src/mastkit/exact.py",
+    # The rooted fill on the lighter child's support, and its row view.
+    Mutant("chain-row-past-foot-one", EXACT,
+           "end, value = len(heavy), 0", "end, value = len(heavy), 1",
+           (TEST_EXACT,)),
+    Mutant("chain-walk-ignores-end", EXACT,
+           "last[0] <= u <= last[1]", "last[0] <= u",
+           (TEST_EXACT,)),
+    Mutant("rooted-scratch-not-reset", EXACT,
+           "for v in changed:\n            old[v] = _UNCHANGED",
+           "for v in ():\n            old[v] = _UNCHANGED",
+           (TEST_EXACT,)),
+    Mutant("rooted-support-ascending", EXACT,
+           "sb.sort(reverse=True)", "sb.sort()",
+           (TEST_EXACT,)),
+    Mutant("edge-side-unranked", EXACT,
            "orient_at_edge(tree, canonical_root_edge(tree))",
            "orient_at_edge(tree, canonical_root_edge(tree), ranked=False)",
-           ("tests/test_exact.py", "-k", "unrooted_mast_is_frozen")),
+           (TEST_EXACT, "-k", "unrooted_mast_is_frozen")),
     Mutant("label-key-isdigit", "src/mastkit/trees.py",
            "if label.isdecimal():\n        return (0, _magnitude(label), label)",
            "if label.isdigit():\n        return (0, _magnitude(label), label)",
