@@ -226,7 +226,7 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     """Root both trees at the pendant edge of their smallest taxon, align
     their leaf orders, and cut down to a common monotone subsequence of
     size at least ceil(sqrt(n)).  With ``rng``, child pairs are oriented
-    by coin flips instead of by smallest taxon (see :func:`root_at_edge`).
+    by coin flips instead of by smallest taxon (drawn by :func:`preorder`).
 
     Returns the initial state plus the two rooted trees' leaf orders, the
     second reversed when the alignment is decreasing.  The state's trees,

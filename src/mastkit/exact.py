@@ -96,15 +96,14 @@ def _check_pair(tree1: Tree, tree2: Tree, rooted: bool) -> None:
 
 
 class _Side(NamedTuple):
-    """One input tree as the DP table sees it: a family of rooted
-    subtrees, each with an integer id.
+    """An unrooted tree's directed edges as the unrooted table sees them:
+    a family of rooted subtrees, each with an integer id.
 
     ``order`` lists the ids with children before parents; ``left`` and
     ``right`` give each id's two child ids (-1 on leaves); ``labels``
     gives each leaf's taxon (``None`` elsewhere).  ``leaf_row(label)``
-    gives what a fill reads of the row that is 1 on the ids whose
-    subtree holds that taxon and 0 elsewhere: for nodes, the ids where
-    it is 1, root first; for directed edges, the whole row.
+    gives the row that is 1 on the ids whose subtree holds that taxon
+    and 0 elsewhere.
     """
 
     order: list[int]
@@ -112,24 +111,6 @@ class _Side(NamedTuple):
     right: list[int]
     labels: list[Optional[str]]
     leaf_row: Callable[[str], list[int]]
-
-
-def _node_side(tree: RootedTree) -> _Side:
-    """The node subtrees of a rooted tree, in its own child order."""
-    left, right = tree.left, tree.right
-
-    def leaf_row(label: str) -> list[int]:
-        # The ancestors: down from the root, through the child whose id
-        # range holds x.
-        x = tree.leaf_node(label)
-        v = 0
-        path = [0]
-        while v != x:
-            v = left[v] if x < right[v] else right[v]
-            path.append(v)
-        return path
-
-    return _Side(tree.postorder(), left, right, tree.labels, leaf_row)
 
 
 def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
@@ -233,7 +214,7 @@ _UNCHANGED = 1 << 62
 
 
 class _Chains(NamedTuple):
-    """What the rooted fill keeps of its rows.
+    """What the rooted fill keeps of its rows, read through :meth:`cell`.
 
     Per node of the first tree: its heavier child (-1 on leaves), the
     leaf at the foot of its heavy chain, and the ids whose cell it
@@ -250,26 +231,17 @@ class _Chains(NamedTuple):
     vals: list[list[int]]
     walks: dict[tuple[int, int], tuple[int, int, int]]
 
+    def cell(self, u: int, v: int) -> int:
+        """Cell (u, v): the value stored by the first node down the heavy
+        chain from ``u`` that changed it, and 0 past the chain's foot.
 
-class _ChainRow:
-    """Row ``u`` of the rooted table, read off its heavy chain.
-
-    Cell ``v`` is the value stored by the first node down the chain from
-    ``u`` that changed it, and 0 past the chain's foot.  Heavy children
-    have the larger ids, so a read that starts between the last read's
-    start and the node that held its cell has the same answer, and a
-    walk that reaches the last start takes over its answer: a backtrack
-    that descends a chain walks it about once per id.
-    """
-
-    __slots__ = ("u", "chains")
-
-    def __init__(self, u: int, chains: _Chains):
-        self.u, self.chains = u, chains
-
-    def __getitem__(self, v: int) -> int:
-        u = self.u
-        heavy, foot, ids, vals, walks = self.chains
+        Heavy children have the larger ids, so a read that starts between
+        the last read's start and the node that held its cell has the same
+        answer, and a walk that reaches the last start takes over its
+        answer: a backtrack that descends a chain walks it about once per
+        id.
+        """
+        heavy, foot, ids, vals, walks = self
         key = (foot[u], v)
         last = walks.get(key)
         if last is not None and last[0] <= u <= last[1]:
@@ -291,8 +263,8 @@ class _ChainRow:
         return value
 
 
-def _rooted_table(one: _Side, two: _Side) -> list[_ChainRow]:
-    """table[u][v] = size of a maximum agreement of the node subtrees
+def _rooted_table(tree1: RootedTree, tree2: RootedTree) -> _Chains:
+    """``cell(u, v)`` = size of a maximum agreement of the node subtrees
     u, v of two rooted trees.
 
     Take u with heavier child a (more taxa; the left one on ties) and
@@ -304,10 +276,12 @@ def _rooted_table(one: _Side, two: _Side) -> list[_ChainRow]:
     of heavy children keeps its support in the order its ids became
     nonzero, and it is sorted when the chain's top is a lighter child.
     Heavier subtrees are filled first, so at most log2(n) + 1 row lists
-    are open at a time.
+    are open at a time.  A leaf's row is 1 on its taxon's ancestors in
+    tree2, found down from the root through the child whose id range
+    holds the taxon's leaf.
     """
-    left1, right1, labels1 = one.left, one.right, one.labels
-    left2, right2, leaf_row = two.left, two.right, two.leaf_row
+    left1, right1, labels1 = tree1.left, tree1.right, tree1.labels
+    left2, right2, leaf_node = tree2.left, tree2.right, tree2.leaf_node
     n1, ns = len(left1), len(left2)
     chains = _Chains([-1] * n1, list(range(n1)), [None] * n1, [None] * n1, {})
     heavy, foot, ids, vals = chains.heavy, chains.foot, chains.ids, chains.vals
@@ -334,7 +308,11 @@ def _rooted_table(one: _Side, two: _Side) -> list[_ChainRow]:
     waiting: list[tuple[list[int], list[int]]] = []
     for u in order:
         if left1[u] == -1:
-            path = leaf_row(labels1[u])
+            x = leaf_node(labels1[u])
+            v, path = 0, [0]
+            while v != x:
+                v = left2[v] if x < right2[v] else right2[v]
+                path.append(v)
             row = [0] * ns
             for v in path:
                 row[v] = 1
@@ -398,17 +376,20 @@ def _rooted_table(one: _Side, two: _Side) -> list[_ChainRow]:
         changed.reverse()
         new.reverse()
         ids[u], vals[u] = changed, new
-    return [_ChainRow(u, chains) for u in range(n1)]
+    return chains
 
 
-def _backtrack(one: _Side, two: _Side, table: list,
+def _backtrack(one: Union[RootedTree, _Side], two: Union[RootedTree, _Side],
+               cell: Callable[[int, int], int],
                start: tuple[int, int]) -> list[str]:
     """Recover one optimal agreement set of the subtrees in ``start``
-    from a filled table.
+    from a filled table, read through ``cell(u, v)``.
 
-    Ties are broken by a fixed preference (straight pairing, crossed
-    pairing, then the four descents in order), so the recovered set is
-    deterministic for given inputs.
+    ``one`` and ``two`` give each id's children and leaf taxon: the two
+    rooted trees for the node table, the two edge sides for the unrooted
+    one.  Ties are broken by a fixed preference (straight pairing,
+    crossed pairing, then the four descents in order), so the recovered
+    set is deterministic for given inputs.
     """
     left1, right1 = one.left, one.right
     left2, right2 = two.left, two.right
@@ -416,7 +397,7 @@ def _backtrack(one: _Side, two: _Side, table: list,
     stack = [start]
     while stack:
         u, v = stack.pop()
-        m = table[u][v]
+        m = cell(u, v)
         if m == 0:
             continue
         if left1[u] == -1:
@@ -427,22 +408,21 @@ def _backtrack(one: _Side, two: _Side, table: list,
             continue
         a, b = left1[u], right1[u]
         c, d = left2[v], right2[v]
-        ra, rb, ru = table[a], table[b], table[u]
-        if ra[c] + rb[d] == m:
+        if cell(a, c) + cell(b, d) == m:
             stack.append((a, c))
             stack.append((b, d))
-        elif ra[d] + rb[c] == m:
+        elif cell(a, d) + cell(b, c) == m:
             stack.append((a, d))
             stack.append((b, c))
-        elif ra[v] == m:
+        elif cell(a, v) == m:
             stack.append((a, v))
-        elif rb[v] == m:
+        elif cell(b, v) == m:
             stack.append((b, v))
-        elif ru[c] == m:
+        elif cell(u, c) == m:
             stack.append((u, c))
         else:
             stack.append((u, d))
-    if len(out) != table[start[0]][start[1]]:
+    if len(out) != cell(*start):
         raise TreeError("internal error: backtracking lost leaves")
     return out
 
@@ -451,8 +431,7 @@ def rooted_agreement_leaves(tree1: RootedTree, tree2: RootedTree) -> list[str]:
     """One maximum agreement set of two rooted trees on the same taxa,
     uncertified: callers certify the result they build from it.
     """
-    one, two = _node_side(tree1), _node_side(tree2)
-    return _backtrack(one, two, _rooted_table(one, two), (0, 0))
+    return _backtrack(tree1, tree2, _rooted_table(tree1, tree2).cell, (0, 0))
 
 
 def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
@@ -496,7 +475,8 @@ def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
         m = table[out1[label]][out2[label]]
         if m > size:
             size, pick = m, label
-    leaves = _backtrack(one, two, table, (out1[pick], out2[pick]))
+    leaves = _backtrack(one, two, lambda u, v: table[u][v],
+                        (out1[pick], out2[pick]))
     return _certified(tree1, tree2, leaves + [pick])
 
 

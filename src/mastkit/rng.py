@@ -31,9 +31,9 @@ class SplitMix64:
         return _mix(self._state)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)`` via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in ``[0, bound)`` by rejection; 0 < bound <= 2**64."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be in 1 .. 2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next_u64()

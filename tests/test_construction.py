@@ -756,6 +756,39 @@ def test_strong_split_degenerate_windows():
     assert strong_split(state, path_decomposition(state)) is None
 
 
+def test_strong_split_none_when_window_piece_runs_do_not_meet():
+    # With C = 10 a block of 20 may reach into the window 40..60 from
+    # either side: tree one's pieces inside it end at 45, tree two's
+    # start at 55.
+    labels = [str(i) for i in range(1, 101)]
+    parts1 = labels[:45] + [left_deep(labels[45:65])] + labels[65:]
+    parts2 = labels[:34] + [left_deep(labels[34:54])] + labels[54:]
+    state = make_state(parts1, parts2, 100)
+    decomp = path_decomposition(state)
+    inside = [[p.lo for p in pieces if p.lo >= 40 and p.hi <= 60]
+              for pieces in (decomp.first, decomp.second)]
+    assert inside == [list(range(40, 46)), list(range(55, 61))]
+    assert strong_split(state, decomp, c=10) is None
+
+
+def test_strong_split_right_side_window_when_the_anchor_is_in_tree_two():
+    # Only tree two has blocks in the middle window, so the anchor is
+    # found there and the landmark is looked for in the last fifth.
+    labels = [str(i) for i in range(1, 201)]
+    landmark = [left_deep(labels[170:180])]
+    parts1 = labels[:170] + landmark + labels[180:]
+    parts2 = labels[:79] + [left_deep(b) for b in blocks_of(labels[79:119], 10)] \
+        + labels[119:170] + landmark + labels[180:]
+    state = make_state(parts1, parts2, 200)
+    decomp = path_decomposition(state)
+    split = strong_split(state, decomp)
+    assert split == IncomparableSplit(Piece(171, 180), Piece(80, 89))
+    assert run_labels(decomp.order, split.nucleus) == \
+        frozenset(labels[170:180])
+    assert run_labels(decomp.order, split.survivors) == \
+        frozenset(labels[79:89])
+
+
 def test_strong_split_guards_its_preconditions():
     labels = [str(i) for i in range(1, 81)]
     parts = [left_deep(labels[:60])] + labels[60:]

@@ -21,7 +21,6 @@ from mastkit.exact import (
     _agreement_table,
     _backtrack,
     _edge_side,
-    _node_side,
     _rooted_table,
     _Side,
     brute_force_mast,
@@ -355,24 +354,23 @@ def test_rooted_table_equals_dense_fill(model1, model2, n, seed):
         n = 1 << (n.bit_length() - 1)
     tree1 = _shaped(model1, n, seed)
     tree2 = _shaped(model2, n, seed ^ 0x9E3779B97F4A7C15)
-    _assert_same_cells(_rooted_table(_node_side(tree1), _node_side(tree2)),
-                       _dense_table(tree1, tree2))
+    _assert_same_cells(_rooted_table(tree1, tree2), _dense_table(tree1, tree2))
 
 
-def _assert_same_cells(table, dense):
-    """Every cell equal, read by index through the rows' views."""
+def _assert_same_cells(chains, dense):
+    """Every cell equal, read through the table's cell reader."""
     ns = len(dense[0])
-    assert len(table) == len(dense)
-    for row, want in zip(table, dense):
-        assert [row[v] for v in range(ns)] == want
+    assert len(chains.heavy) == len(dense)
+    for u, want in enumerate(dense):
+        assert [chains.cell(u, v) for v in range(ns)] == want
 
 
 @pytest.mark.parametrize("model", ["uniform", "caterpillar"])
 def test_rooted_table_stores_only_cells_its_lighter_child_reaches(model):
     tree1 = _shaped(model, 256, 5)
     tree2 = _shaped("uniform", 256, 6)
-    table = _rooted_table(_node_side(tree1), _node_side(tree2))
-    _assert_same_cells(table, _dense_table(tree1, tree2))
+    chains = _rooted_table(tree1, tree2)
+    _assert_same_cells(chains, _dense_table(tree1, tree2))
     below2 = [set(leaves_under(tree2, v)) for v in range(tree2.num_nodes())]
 
     def support(u):
@@ -381,13 +379,13 @@ def test_rooted_table_stores_only_cells_its_lighter_child_reaches(model):
         return {v for v, below in enumerate(below2) if taxa & below}
 
     stored = reach = 0
-    for u, row in enumerate(table):
+    for u in range(tree1.num_nodes()):
         a, b = tree1.left[u], tree1.right[u]
         if a == -1:
             continue
         if len(leaves_under(tree1, b)) > len(leaves_under(tree1, a)):
             a, b = b, a
-        ids = row.chains.ids[u]
+        ids = chains.ids[u]
         assert ids == sorted(ids) and set(ids) <= support(b)
         stored += len(ids)
         reach += len(support(u))
@@ -399,7 +397,7 @@ def test_rooted_table_stores_only_cells_its_lighter_child_reaches(model):
        model2=st.sampled_from(MODELS), swapped=st.booleans(),
        n=st.integers(min_value=2, max_value=64), seed=st.integers(0, 2**32))
 def test_rooted_backtrack_equals_the_dense_tables(model1, model2, swapped, n, seed):
-    # The same table read through the views gives the same tie-breaks,
+    # The same table read through the cell reader gives the same tie-breaks,
     # so the very same leaves in the same order, not only as many.
     if "balanced" in (model1, model2) or model1 == "adversarial":
         n = 1 << (n.bit_length() - 1)
@@ -410,8 +408,8 @@ def test_rooted_backtrack_equals_the_dense_tables(model1, model2, swapped, n, se
         pair = [_shaped(model1, n, seed),
                 _shaped(model2, n, seed ^ 0x9E3779B97F4A7C15)]
     tree1, tree2 = pair[::-1] if swapped else pair
-    want = _backtrack(_node_side(tree1), _node_side(tree2),
-                      _dense_table(tree1, tree2), (0, 0))
+    dense = _dense_table(tree1, tree2)
+    want = _backtrack(tree1, tree2, lambda u, v: dense[u][v], (0, 0))
     assert rooted_agreement_leaves(tree1, tree2) == want
 
 
@@ -517,7 +515,8 @@ def _oracle_unrooted(tree1, tree2):
         m = table[out1[label]][out2[label]]
         if m > size:
             size, pick = m, label
-    leaves = _backtrack(one, two, table, (out1[pick], out2[pick])) + [pick]
+    leaves = _backtrack(one, two, lambda u, v: table[u][v],
+                        (out1[pick], out2[pick])) + [pick]
     return frozenset(leaves), write_newick(tree1.restrict(leaves))
 
 

@@ -1,5 +1,7 @@
 """Deterministic random stream checks against frozen reference values."""
 
+import pytest
+
 from mastkit.rng import SplitMix64, mix64
 
 
@@ -24,6 +26,16 @@ def test_randrange_stays_in_bounds_and_is_frozen():
     draws = [gen.randrange(6) for _ in range(8)]
     assert draws == [1, 1, 0, 0, 4, 0, 1, 2]
     assert all(0 <= d < 6 for d in draws)
+
+
+def test_randrange_takes_bounds_up_to_two_to_the_64():
+    # Past 2**64 no 64-bit draw can be uniform, and every draw was
+    # rejected, so the call never returned.
+    gen = SplitMix64(1)
+    for bad in (0, -1, (1 << 64) + 1, 1 << 65):
+        with pytest.raises(ValueError):
+            gen.randrange(bad)
+    assert SplitMix64(0).randrange(1 << 64) == 0xE220A8397B1DCDAF
 
 
 def test_shuffle_is_frozen_and_a_permutation():

@@ -91,7 +91,8 @@ MUTANTS = (
            "replace(state, agreed=[], n_param=run.size() ** 2)",
            "replace(state, agreed=[], n_param=run.size() ** 2, flipped=False)",
            (TEST_CONSTRUCTION, "-k", "nested or hand_built")),
-    # The rooted fill on the lighter child's support, and its row view.
+    # The rooted fill on the lighter child's support, its leaf rows' root
+    # descent, and its cell reader.
     Mutant("chain-row-past-foot-one", EXACT,
            "end, value = len(heavy), 0", "end, value = len(heavy), 1",
            (TEST_EXACT,)),
@@ -104,6 +105,9 @@ MUTANTS = (
            (TEST_EXACT,)),
     Mutant("rooted-support-ascending", EXACT,
            "sb.sort(reverse=True)", "sb.sort()",
+           (TEST_EXACT,)),
+    Mutant("rooted-leaf-path-without-root", EXACT,
+           "v, path = 0, [0]", "v, path = 0, []",
            (TEST_EXACT,)),
     Mutant("edge-side-unranked", EXACT,
            "orient_at_edge(tree, canonical_root_edge(tree))",
