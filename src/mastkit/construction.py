@@ -38,6 +38,7 @@ from .trees import (
     TaxaMismatch,
     TreeError,
     UnrootedTree,
+    _pair_sorted_taxa,
     canonical_root_edge,
     deroot,
     is_caterpillar,
@@ -227,6 +228,8 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     their leaf orders, and cut down to a common monotone subsequence of
     size at least ceil(sqrt(n)).  With ``rng``, child pairs are oriented
     by coin flips instead of by smallest taxon (drawn by :func:`preorder`).
+    The two trees share their taxa, so their label order is sorted once,
+    on ``tree1``, and handed to ``tree2``.
 
     Returns the initial state plus the two rooted trees' leaf orders, the
     second reversed when the alignment is decreasing.  The state's trees,
@@ -240,6 +243,7 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     n = len(tree1)
     if n < 4:
         raise TreeError("setup needs at least 4 taxa")
+    _pair_sorted_taxa(tree1, tree2)
     hung = [orient_at_edge(tree, canonical_root_edge(tree), ranked=rng is None)
             for tree in (tree1, tree2)]
     orders = []
@@ -751,6 +755,7 @@ def verify_outcome(tree1: Tree, tree2: Tree, outcome) -> bool:
         return True  # agrees in every kind, and has no edge to root at
     if kind in _ROOTED_KINDS and isinstance(tree1, UnrootedTree):
         # Isomorphism and shape ignore child order, so none is ranked.
+        _pair_sorted_taxa(tree1, tree2)
         r1, r2 = [rooted_restriction(t, canonical_root_edge(t), a)
                   for t in (tree1, tree2)]
     else:

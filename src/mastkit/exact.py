@@ -34,6 +34,7 @@ from .trees import (
     TaxaMismatch,
     TreeError,
     UnrootedTree,
+    _pair_sorted_taxa,
     canonical_root_edge,
     isomorphic,
     orient_at_edge,
@@ -467,7 +468,7 @@ def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
     if len(tree1) <= 3:
         # At most one topology exists, so the trees agree everywhere.
         return _certified(tree1, tree2, tree1.taxa)
-    taxa = tree1.sorted_taxa()
+    taxa = _pair_sorted_taxa(tree1, tree2)
     (one, out1), (two, out2) = _edge_side(tree1), _edge_side(tree2)
     table = _agreement_table(one, two)
     size, pick = -1, taxa[0]

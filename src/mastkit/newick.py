@@ -15,8 +15,10 @@ group to have two.
 The reader tokenizes the whole text with one ``findall`` (a token is a
 label, a ``:`` with the branch length after it, or any other single
 character; whitespace is skipped), then builds the adjacency in one loop
-over the tokens as groups close.  An error's text offset is found only
-when it is raised, by scanning the text again up to the bad token.
+over the tokens as groups close.  A small state says what the next token
+may be, so each token is read once and never looked ahead to.  An
+error's text offset is found only when it is raised, by scanning the
+text again up to the bad token.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ def _error(text: str, k: int, message: str, past: int = 0) -> NewickError:
     return NewickError(message, match.start(1) + past)
 
 
-def _check_length(text: str, tokens: list[str], k: int) -> None:
-    """Check the branch length of the ':' token ``k``."""
-    tok = tokens[k]
+def _check_length(text: str, tok: str, k: int) -> None:
+    """Check the branch length of ``tok``, the ':' token ``k``."""
     if _LENGTH.fullmatch(tok, 1):
         return
     # A length's digits are those of ``str.isdigit``, which also takes
@@ -80,47 +81,49 @@ def parse_newick(text: str, rooted: bool):
     """Parse one tree; returns :class:`RootedTree` or :class:`UnrootedTree`.
 
     Nodes are numbered as they close, leaves and groups alike, and each
-    lists its children, then its parent.
+    lists its children, then its parent.  The first error in text order
+    is raised, with its offset; running out of tokens before ``;`` is the
+    token loop's ``else``.
     """
     tokens = _TOKEN.findall(text)
-    ntok = len(tokens)
     adj: list[list[int]] = []
     labels: list[Optional[str]] = []
     leaf_node: dict[str, int] = {}
-    stack: list[list[int]] = []  # the children of each open group
+    kids: list[int] = []  # the innermost open group's children (or the top)
+    outer: list[list[int]] = []  # the children of the groups around it
     open_at: list[int] = []  # the token index of each open group's '('
     wide = None  # (id, arity) of the first group with over two children
-    k = 0
-    expecting_subtree = True
-    while True:
-        if k == ntok:
-            raise NewickError("unexpected end of input", len(text))
-        tok = tokens[k]
-        k += 1
-        if expecting_subtree:
+    # The state says what the next token may be: a subtree alone, or else
+    # ',', ')' or ';' and before them an internal label then a length
+    # (after ')'), a length (after a leaf or an internal label) or nothing
+    # (after a length).  Locals, not module constants: the loop reads them
+    # on every token.
+    subtree, label_next, length_next, end_next = range(4)
+    state = subtree
+    for k, tok in enumerate(tokens):
+        if state == subtree:
             if tok == "(":
-                stack.append([])
-                open_at.append(k - 1)
+                outer.append(kids)
+                kids = []
+                open_at.append(k)
                 continue
             if tok[0] in _NOT_LABEL:
-                raise _error(text, k - 1,
-                             f"expected a subtree, found {tok[0]!r}")
+                raise _error(text, k, f"expected a subtree, found {tok[0]!r}")
             if tok in leaf_node:
-                raise _error(text, k - 1, f"duplicate leaf label {tok!r}")
+                raise _error(text, k, f"duplicate leaf label {tok!r}")
             node = len(adj)
             leaf_node[tok] = node
             adj.append([])
             labels.append(tok)
-            expecting_subtree = False
+            kids.append(node)
+            state = length_next
         elif tok == ",":
-            if not stack:
-                raise _error(text, k - 1, "',' outside any group")
-            expecting_subtree = True
-            continue
+            if not open_at:
+                raise _error(text, k, "',' outside any group")
+            state = subtree
         elif tok == ")":
-            if not stack:
-                raise _error(text, k - 1, "unbalanced ')'")
-            kids = stack.pop()
+            if not open_at:
+                raise _error(text, k, "unbalanced ')'")
             at = open_at.pop()
             if len(kids) < 2:
                 raise _error(text, at, "group with fewer than two children")
@@ -131,21 +134,24 @@ def parse_newick(text: str, rooted: bool):
                 adj[kid].append(node)
             adj.append(kids)
             labels.append(None)
-            if k < ntok and tokens[k][0] not in _NOT_LABEL:
-                k += 1  # the internal label is discarded
+            kids = outer.pop()
+            kids.append(node)
+            state = label_next
         elif tok == ";":
-            if stack:
+            if open_at:
                 raise _error(text, open_at[-1], "unbalanced '('")
-            if k < ntok:
-                raise _error(text, k, "trailing text after ';'")
+            if k + 1 < len(tokens):
+                raise _error(text, k + 1, "trailing text after ';'")
             break
+        elif tok[0] == ":" and state != end_next:
+            _check_length(text, tok, k)
+            state = end_next
+        elif state == label_next and tok[0] not in _NOT_LABEL:
+            state = length_next  # the internal label is discarded
         else:
-            raise _error(text, k - 1, f"unexpected character {tok[0]!r}")
-        if k < ntok and tokens[k][0] == ":":
-            _check_length(text, tokens, k)
-            k += 1
-        if stack:
-            stack[-1].append(node)
+            raise _error(text, k, f"unexpected character {tok[0]!r}")
+    else:
+        raise NewickError("unexpected end of input", len(text))
 
     top = len(adj) - 1  # the outermost subtree closes last
     if rooted:

@@ -121,7 +121,9 @@ class _LabeledTree:
         return self._taxa
 
     def sorted_taxa(self) -> tuple[str, ...]:
-        """The taxa in label order (see :func:`sorted_labels`)."""
+        """The taxa in label order (see :func:`sorted_labels`), sorted on
+        the first call, or taken from the other tree of a pair that shares
+        its taxa (see :func:`_pair_sorted_taxa`)."""
         if self._sorted_taxa is None:
             self._sorted_taxa = tuple(sorted_labels(self._leaf_node))
         return self._sorted_taxa
@@ -422,6 +424,17 @@ def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
         adj[u].append(v)
         adj[v].append(u)
     return UnrootedTree(adj, labels, _checked=True)
+
+
+def _pair_sorted_taxa(tree1: _LabeledTree, tree2: _LabeledTree
+                      ) -> tuple[str, ...]:
+    """``tree1.sorted_taxa()``, handed to ``tree2`` as well when the two
+    share their taxa: the label order depends on the taxon set alone, so
+    a pair that ranks both trees sorts its taxa once."""
+    taxa = tree1.sorted_taxa()
+    if tree2._sorted_taxa is None and tree1._taxa == tree2._taxa:
+        tree2._sorted_taxa = taxa
+    return taxa
 
 
 def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:

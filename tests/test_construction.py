@@ -197,6 +197,59 @@ def test_setup_calls_no_label_key(monkeypatch):
     assert calls == ["1"]
 
 
+def test_a_pair_that_shares_its_taxa_sorts_them_once(monkeypatch):
+    calls = []
+    sort = trees.sorted_labels
+
+    def counting_sort(labels):
+        calls.append(1)
+        return sort(labels)
+
+    monkeypatch.setattr(trees, "sorted_labels", counting_sort)
+    one = generate(GenSpec("uniform", 1024, 1))
+    two = generate(GenSpec("uniform", 1024, 2))
+    setup(one, two)
+    assert len(calls) == 1
+    assert two.sorted_taxa() == tuple(sort(two.taxa))
+
+    calls.clear()
+    one = generate(GenSpec("uniform", 128, 3))
+    two = generate(GenSpec("uniform", 128, 4))
+    unrooted_mast(one, two)
+    assert len(calls) == 1
+    assert two.sorted_taxa() == tuple(sort(two.taxa))
+
+    # A rooted kind against unrooted trees roots both at their smallest
+    # taxon.
+    calls.clear()
+    one = generate(GenSpec("uniform", 256, 5))
+    two = generate(GenSpec("uniform", 256, 6))
+    verify_outcome(one, two, claim(sort(one.taxa)[:3], BLOCK_TREE))
+    assert len(calls) == 1
+    assert two.sorted_taxa() == tuple(sort(two.taxa))
+
+
+@pytest.mark.parametrize("orient", [False, True])
+def test_shared_label_order_gives_the_same_setup(orient):
+    """Labels that meet every tie rule of label_key: spellings of one
+    number, a non-ASCII digit and a non-decimal label."""
+    texts = ("(7,07,(007,(x,٣)));", "(x,(7,٣),(07,007));")
+    seed = 5
+
+    def run(own_sort):
+        one, two = (unrooted(text) for text in texts)
+        if own_sort:
+            one.sorted_taxa(), two.sorted_taxa()
+        state, order1, order2 = setup(one, two,
+                                      SplitMix64(seed) if orient else None)
+        assert (two.sorted_taxa() is one.sorted_taxa()) != own_sort
+        assert two.sorted_taxa() == tuple(trees.sorted_labels(two.taxa))
+        return (arrays(state.tree1), arrays(state.tree2), state.lo, state.hi,
+                state.n_param, order1, order2)
+
+    assert run(own_sort=False) == run(own_sort=True)
+
+
 def full_rooting_setup(one, two, rng=None):
     """setup as it ran before it built only the core pair: both full
     rootings, the alignment on their leaf orders, the second mirrored on a

@@ -278,6 +278,16 @@ _SYMBOLS = list("()[],:;'\"") + list("0123456789") + list("abxyE") + [
 
 @settings(max_examples=400, deadline=None)
 @given(text=st.text(alphabet=st.sampled_from(_SYMBOLS), max_size=24))
+# Each change of the parser's state, whatever the draws: an internal
+# label then a length, a second length, a label after a leaf, a second
+# internal label, text after ';', a ':' where a subtree is due, no text.
+@example(text="((a,b)x:1,c,d);")
+@example(text="(a:1:2,b,c);")
+@example(text="(a b,c,d);")
+@example(text="((a,b)x y,c,d);")
+@example(text="(a,b,c);d")
+@example(text="(:1,b,c);")
+@example(text="")
 def test_parser_matches_the_character_oracle(text):
     for rooted in (True, False):
         assert _outcome(parse_newick, text, rooted) == _outcome(

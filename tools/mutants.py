@@ -56,6 +56,8 @@ CONSTRUCTION = "src/mastkit/construction.py"
 TEST_CONSTRUCTION = "tests/test_construction.py"
 EXACT = "src/mastkit/exact.py"
 TEST_EXACT = "tests/test_exact.py"
+NEWICK = "src/mastkit/newick.py"
+TEST_NEWICK = "tests/test_newick.py"
 
 MUTANTS = (
     # The one-walk strict step in check_good_pair.
@@ -117,6 +119,18 @@ MUTANTS = (
            "if label.isdecimal():\n        return (0, _magnitude(label), label)",
            "if label.isdigit():\n        return (0, _magnitude(label), label)",
            ("tests/test_trees.py", "-k", "label_ordering")),
+    # The parser's state loop: what may follow a length and a leaf, and
+    # where the text after ';' starts.
+    Mutant("parse-length-after-length", NEWICK,
+           'tok[0] == ":" and state != end_next', 'tok[0] == ":"',
+           (TEST_NEWICK,)),
+    Mutant("parse-label-after-leaf", NEWICK,
+           "state == label_next and", "state != end_next and",
+           (TEST_NEWICK,)),
+    Mutant("parse-trailing-offset", NEWICK,
+           "_error(text, k + 1, \"trailing text after ';'\")",
+           "_error(text, k, \"trailing text after ';'\")",
+           (TEST_NEWICK,)),
     Mutant("tree-file-without-bom", "src/mastkit/cli.py",
            'encoding="utf-8-sig"', 'encoding="utf-8"',
            ("tests/test_cli.py", "-k", "byte_order_mark")),
