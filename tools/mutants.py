@@ -93,8 +93,9 @@ MUTANTS = (
            "replace(state, agreed=[], n_param=run.size() ** 2)",
            "replace(state, agreed=[], n_param=run.size() ** 2, flipped=False)",
            (TEST_CONSTRUCTION, "-k", "nested or hand_built")),
-    # The rooted fill on the lighter child's support, its leaf rows' root
-    # descent, and its cell reader.
+    # The rooted fill on the lighter child's support, the walks up from
+    # tree2's leaves, the lighter-leaf update along such a walk, and the
+    # cell reader.
     Mutant("chain-row-past-foot-one", EXACT,
            "end, value = len(heavy), 0", "end, value = len(heavy), 1",
            (TEST_EXACT,)),
@@ -109,7 +110,14 @@ MUTANTS = (
            "sb.sort(reverse=True)", "sb.sort()",
            (TEST_EXACT,)),
     Mutant("rooted-leaf-path-without-root", EXACT,
-           "v, path = 0, [0]", "v, path = 0, []",
+           "row, path = [0] * ns, []\n            while v != -1:",
+           "row, path = [0] * ns, []\n            while v > 0:",
+           (TEST_EXACT,)),
+    Mutant("lighter-leaf-off-without-match", EXACT,
+           "r += 1", "r += 0",
+           (TEST_EXACT,)),
+    Mutant("lighter-leaf-reads-old-cell", EXACT,
+           "on, val = v, best", "on, val = v, x",
            (TEST_EXACT,)),
     Mutant("edge-side-unranked", EXACT,
            "orient_at_edge(tree, canonical_root_edge(tree))",
