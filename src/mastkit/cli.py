@@ -69,7 +69,7 @@ def _load_tree(value: str, rooted: bool):
             with open(value, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, ValueError) as err:  # NUL in the path, bad UTF-8
-            raise NewickError(f"cannot read tree file {value!r}: {err}", 0)
+            raise NewickError(f"cannot read tree file {value!r}: {err}")
     return parse_newick(text, rooted=rooted)
 
 

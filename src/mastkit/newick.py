@@ -15,8 +15,11 @@ group to have two.
 The reader tokenizes the whole text with one ``findall`` (a token is a
 label, a ``:`` with the branch length after it, or any other single
 character; whitespace is skipped), then builds the adjacency in one loop
-over the tokens as groups close.  A small state says what the next token
-may be, so each token is read once and never looked ahead to.  An
+over the tokens as groups close.  A leaf starts as ``()``, a group's
+children become its tuple when it closes, and each child gets its parent
+added then, so no list per node outlives the parse (why tuples: see
+:class:`~mastkit.trees.UnrootedTree`).  A small state says what the next
+token may be, so each token is read once and never looked ahead to.  An
 error's text offset is found only when it is raised, by scanning the
 text again up to the bad token.
 """
@@ -86,7 +89,7 @@ def parse_newick(text: str, rooted: bool):
     token loop's ``else``.
     """
     tokens = _TOKEN.findall(text)
-    adj: list[list[int]] = []
+    adj: list[tuple[int, ...]] = []
     labels: list[Optional[str]] = []
     leaf_node: dict[str, int] = {}
     kids: list[int] = []  # the innermost open group's children (or the top)
@@ -113,7 +116,7 @@ def parse_newick(text: str, rooted: bool):
                 raise _error(text, k, f"duplicate leaf label {tok!r}")
             node = len(adj)
             leaf_node[tok] = node
-            adj.append([])
+            adj.append(())
             labels.append(tok)
             kids.append(node)
             state = length_next
@@ -131,8 +134,8 @@ def parse_newick(text: str, rooted: bool):
             if len(kids) > 2 and wide is None:
                 wide = (node, len(kids))
             for kid in kids:
-                adj[kid].append(node)
-            adj.append(kids)
+                adj[kid] += (node,)
+            adj.append(tuple(kids))
             labels.append(None)
             kids = outer.pop()
             kids.append(node)
@@ -171,9 +174,9 @@ def parse_newick(text: str, rooted: bool):
     return UnrootedTree(adj, labels, _checked=True, _leaf_node=leaf_node)
 
 
-def _to_rooted(adj: list[list[int]], labels: list[Optional[str]],
+def _to_rooted(adj: list[tuple[int, ...]], labels: list[Optional[str]],
                top: int) -> RootedTree:
-    # A group's list starts with its two children.
+    # A group's tuple starts with its two children.
     left = [a[0] if lab is None else -1 for a, lab in zip(adj, labels)]
     right = [a[1] if lab is None else -1 for a, lab in zip(adj, labels)]
     return rooted_from_arrays(top, left, right, labels)

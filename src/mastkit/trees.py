@@ -22,16 +22,18 @@ mirroring, rooting, the Newick reader): it numbers the new nodes in
 preorder, so the root is 0, every left child is its parent plus one and
 every subtree is a contiguous id range.  Every rooted tree keeps that
 numbering and stores only its child arrays: traversal orders, parents
-and ancestry are read off the ids.  :func:`unrooted_from_edges` builds
-the adjacency of generated and derooted trees: each node lists its
-neighbors in the order its edges are given.  The Newick reader builds its
-own as groups close, in the same children-then-parent order.  A rooting
-is the child arrays of :func:`orient_at_edge`.  :func:`prune` restricts
-them and the rooted builder numbers them, so a restricted rooting
-(:func:`rooted_restriction`, and unrooted restriction, which then
-suppresses the root again) builds only the restricted tree; isomorphism
-and the Newick writer read them and build no tree, and the unrooted
-exact DP reads its directed edges off them.
+and ancestry are read off the ids.  An unrooted tree keeps one tuple of
+neighbors per node (see :class:`UnrootedTree`).
+:func:`unrooted_from_edges` builds the adjacency of generated and
+derooted trees: each node's tuple holds its neighbors in the order its
+edges are given.  The Newick reader builds its own as groups close, in
+the same children-then-parent order.  A rooting is the child arrays of
+:func:`orient_at_edge`.  :func:`prune` restricts them and the rooted
+builder numbers them, so a restricted rooting (:func:`rooted_restriction`,
+and unrooted restriction, which then suppresses the root again) builds
+only the restricted tree; isomorphism and the Newick writer read them
+and build no tree, and the unrooted exact DP reads its directed edges
+off them.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -269,16 +271,25 @@ class RootedTree(_LabeledTree):
 
 
 class UnrootedTree(_LabeledTree):
-    """An unrooted binary tree: internal degree 3, leaf degree 1."""
+    """An unrooted binary tree: internal degree 3, leaf degree 1.
+
+    ``adj`` maps each node id to a tuple of its neighbors (the public
+    constructor copies what it is given into tuples).  Tuples, not lists:
+    the cyclic garbage collector stops tracking a tuple of ints the first
+    time it looks at one, so a large tree adds nothing to later
+    collections, and a tuple is smaller than a list.
+    """
 
     __slots__ = ("adj",)
 
-    def __init__(self, adj: list[list[int]], labels: list[Optional[str]],
-                 _checked: bool = False,
+    def __init__(self, adj: Iterable[Iterable[int]],
+                 labels: list[Optional[str]], _checked: bool = False,
                  _leaf_node: Optional[dict[str, int]] = None):
         super().__init__(labels, _leaf_node)
-        self.adj = adj
-        if not _checked:
+        if _checked:  # the builders hand over tuples
+            self.adj = adj
+        else:
+            self.adj = [tuple(nbrs) for nbrs in adj]
             self.validate()
 
     def restrict(self, keep: Iterable[str]) -> "UnrootedTree":
@@ -416,13 +427,13 @@ def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
                         labels: list[Optional[str]]) -> UnrootedTree:
     """An unrooted tree on nodes ``0..num_nodes-1`` with the given edges.
 
-    Each node lists its neighbors in the order its edges come.  The edges
-    must form a binary tree; nothing is re-validated.
+    Each node's tuple holds its neighbors in the order its edges come.
+    The edges must form a binary tree; nothing is re-validated.
     """
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    adj: list[tuple[int, ...]] = [()] * num_nodes
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u] += (v,)
+        adj[v] += (u,)
     return UnrootedTree(adj, labels, _checked=True)
 
 

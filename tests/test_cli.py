@@ -617,6 +617,20 @@ def test_nul_byte_tree_argument_exits_2(capsys, command):
     assert "cannot read tree file" in err
 
 
+def test_unreadable_tree_file_reports_no_offset(capsys, tmp_path):
+    # Nothing was read, so there is no text for an offset to point into.
+    bad = tmp_path / "bad.nwk"
+    bad.write_bytes(b"\xff\xfe;")
+    for value in (str(tmp_path / "missing.nwk"), str(tmp_path),
+                  f"{tmp_path}/a\x00b", str(bad)):
+        for command in ("construct", "exact"):
+            code, out, err = run(capsys, [command, "--t1", value,
+                                          "--t2", "(1,2,(3,4));"])
+            assert code == EXIT_PARSE and out == ""
+            assert err.startswith("error: cannot read tree file")
+            assert "offset" not in err
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 _SEED_TREES = [CAT11, PAIR3[0], PAIR3[1], PAIR2[0], "(1,2,(3,(4,5)));",

@@ -1,5 +1,6 @@
 """Parser and writer checks: frozen strings first, round trips second."""
 
+import gc
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from mastkit import (
     root_at_edge,
     write_newick,
 )
-from mastkit.generators import GenSpec, generate
+from mastkit import generators, trees
+from mastkit.generators import MODELS, GenSpec, generate
 from mastkit.trees import _LabeledTree, rooted_from_arrays, unrooted_from_edges
 
 
@@ -292,6 +294,54 @@ def test_parser_matches_the_character_oracle(text):
     for rooted in (True, False):
         assert _outcome(parse_newick, text, rooted) == _outcome(
             _oracle_parse, text, rooted)
+
+
+def test_every_route_keeps_untracked_neighbor_tuples(monkeypatch):
+    """Each way an unrooted tree is made stores one tuple per node, with
+    the neighbors in the oracle's order (children then parent, or edge
+    order), and the garbage collector stops tracking every one of them."""
+    cases = []  # (tree, each node's neighbors in the expected order)
+    for text in ("(1,2,((3,4),5));", "((1,2),(3,(4,5)));", "1;"):
+        oracle = _oracle_parse(text, rooted=False)
+        cases.append((parse_newick(text, rooted=False),
+                      [list(nbrs) for nbrs in oracle.adj]))
+    given = [[4], [4], [5], [5], [5, 0, 1], [4, 3, 2]]
+    cases.append((UnrootedTree(given, ["a", "b", "c", "d", None, None]),
+                  given))
+
+    # The edge builder's routes: a node lists its edges in the order the
+    # builder was given them.
+    calls = []
+
+    def recording(num_nodes, edges, labels):
+        edges = list(edges)
+        calls.append((num_nodes, edges))
+        return unrooted_from_edges(num_nodes, edges, labels)
+
+    monkeypatch.setattr(trees, "unrooted_from_edges", recording)
+    monkeypatch.setattr(generators, "unrooted_from_edges", recording)
+
+    def built(tree):
+        num_nodes, edges = calls[-1]
+        nbrs = [[] for _ in range(num_nodes)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tree, nbrs
+
+    for model in MODELS:
+        cases.append(built(generate(GenSpec(model, 16, seed=5))))
+    cases.append(built(deroot(parse_newick("((1,2),(3,(4,5)));", rooted=True))))
+    uniform = generate(GenSpec("uniform", 16, seed=6))
+    cases.append(built(uniform.restrict(["2", "3", "5", "7", "11", "13"])))
+    cases.append(built(uniform.restrict(["9"])))
+
+    for tree, expected in cases:
+        assert all(type(nbrs) is tuple for nbrs in tree.adj)
+        assert [list(nbrs) for nbrs in tree.adj] == expected
+    gc.collect()
+    for tree, _ in cases:
+        assert not any(map(gc.is_tracked, tree.adj))
 
 
 _SPACES = [" ", "\t", "\n", "\u00a0", "  \n"]

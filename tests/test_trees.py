@@ -659,7 +659,7 @@ def _interchange(tree, rng):
             sibling, left[p] = left[p], left[v]
         left[v] = sibling
         return rooted_from_arrays(0, left, right, tree.labels)
-    adj, labels = [nbrs[:] for nbrs in tree.adj], tree.labels
+    adj, labels = [list(nbrs) for nbrs in tree.adj], tree.labels
     inner = [(u, v) for u in range(len(adj)) for v in adj[u]
              if u < v and labels[u] is None and labels[v] is None]
     if not inner:

@@ -142,6 +142,21 @@ MUTANTS = (
     Mutant("tree-file-without-bom", "src/mastkit/cli.py",
            'encoding="utf-8-sig"', 'encoding="utf-8"',
            ("tests/test_cli.py", "-k", "byte_order_mark")),
+    # One tuple of neighbors per node, from the parser and the edge
+    # builder alike.
+    Mutant("parse-group-keeps-kids-list", NEWICK,
+           "adj.append(tuple(kids))", "adj.append(kids)",
+           (TEST_NEWICK, "-k", "untracked")),
+    Mutant("edge-builder-appends-to-lists", "src/mastkit/trees.py",
+           "adj: list[tuple[int, ...]] = [()] * num_nodes\n"
+           "    for u, v in edges:\n"
+           "        adj[u] += (v,)\n"
+           "        adj[v] += (u,)",
+           "adj: list = [[] for _ in range(num_nodes)]\n"
+           "    for u, v in edges:\n"
+           "        adj[u].append(v)\n"
+           "        adj[v].append(u)",
+           (TEST_NEWICK, "-k", "untracked")),
 )
 
 
