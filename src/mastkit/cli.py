@@ -4,7 +4,9 @@ Inputs are Newick strings (any argument containing ';') or paths to
 Newick files.  All randomness flows from --seed (or MASTKIT_SEED), so
 identical invocations produce byte-identical output; the experiment
 subcommand keeps its millis column at 0 unless --timing wall is given,
-for the same reason.
+for the same reason.  ``main`` reads MASTKIT_SEED on every call, and a
+process builds one argument parser, plus one more each time it sees
+the variable change.
 
 Exit codes: 0 success, 2 parse or usage failure (an --out file that
 cannot be written included), 3 taxon-set mismatch, 4 size cap exceeded,
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -54,6 +57,10 @@ EXIT_TAXA = 3
 EXIT_CAP = 4
 EXIT_VERIFY = 5
 
+# The exit code of each library error, subclasses before TreeError.
+_EXITS = ((TaxaMismatch, EXIT_TAXA), (SizeCapExceeded, EXIT_CAP),
+          (CertificationError, EXIT_VERIFY), (TreeError, EXIT_PARSE))
+
 CSV_FIELDS = ("n", "seed", "generator", "algorithm", "size", "kind",
               "branch", "verified", "millis")
 
@@ -73,18 +80,14 @@ def _load_tree(value: str, rooted: bool):
     return parse_newick(text, rooted=rooted)
 
 
-@contextlib.contextmanager
 def _open_out(path: str, newline: Optional[str] = None):
     # "-" is stdout, left open; any other value is a path.
     if path == "-":
-        yield sys.stdout
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        out = open(path, "w", encoding="utf-8", newline=newline)
+        return open(path, "w", encoding="utf-8", newline=newline)
     except ValueError as err:  # a NUL byte: ValueError, not OSError
         raise OSError(f"{path!r}: {err}") from None
-    with out:
-        yield out
 
 
 def _emit(args, report: dict) -> None:
@@ -282,14 +285,14 @@ def _experiment_rows(n: int, seed: int, model: str, cap: int,
         }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _build_parser(default_seed: str) -> argparse.ArgumentParser:
+    # The string default (MASTKIT_SEED's text) goes through type=int when
+    # --seed is absent, so a bad value is a usage error (exit 2).
     parser = argparse.ArgumentParser(
         prog="mastkit",
         description="build, check, and measure agreement subtrees")
     parser.set_defaults(func=None)
-    # A string default goes through type=int when --seed is absent, so a
-    # bad MASTKIT_SEED is a usage error (exit 2).
-    default_seed = os.environ.get("MASTKIT_SEED", "0")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("construct", help="run a construction algorithm")
@@ -350,25 +353,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("MASTKIT_SEED", "0"))
     args = parser.parse_args(argv)
     if args.func is None:
         parser.print_help()
         return EXIT_PARSE
     try:
         return args.func(args)
-    except TaxaMismatch as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TAXA
-    except SizeCapExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except CertificationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VERIFY
     except TreeError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXITS if isinstance(err, kind))
     except OSError as err:
         # Tree files are read in _load_tree, so this is an --out file.
         print(f"error: cannot write: {err}", file=sys.stderr)

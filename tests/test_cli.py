@@ -5,6 +5,8 @@ timeout and a memory limit instead, so a regression fails rather than
 hangs the suite.
 """
 
+import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -267,6 +269,61 @@ def test_gen_seed_env_default(capsys, monkeypatch):
         "gen", "--model", "uniform", "--n", "8", "--seed", "7"])
     assert seeded == explicit
     assert seeded != baseline
+
+
+def test_seed_variable_is_read_on_every_call(capsys, monkeypatch):
+    # The parser is built once per MASTKIT_SEED value, so the variable
+    # must be read at each call, not when the parser is first built.
+    argv = ["gen", "--model", "uniform", "--n", "8"]
+    for value, seed in (("7", "7"), ("8", "8"), (None, "0"), ("7", "7")):
+        if value is None:
+            monkeypatch.delenv("MASTKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MASTKIT_SEED", value)
+        got = run(capsys, argv)
+        assert got == run(capsys, argv + ["--seed", seed])
+        assert got[0] == EXIT_OK
+    monkeypatch.setenv("MASTKIT_SEED", "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_PARSE
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_and_leaves_no_cycles(capsys, monkeypatch):
+    # After a warm-up call, calls that succeed or exit through a library
+    # error build no parser and leave nothing for the cyclic collector.
+    # Usage errors are left out: argparse's usage formatter makes cycles.
+    monkeypatch.delenv("MASTKIT_SEED", raising=False)
+    calls = [
+        (["exact", "--t1", "((1,2),(3,4),5);", "--t2", "((1,3),(2,4),5);"],
+         EXIT_OK),
+        (["construct", "--t1", PAIR3[0], "--t2", PAIR3[1]], EXIT_OK),
+        (["experiment", "--n-min", "4", "--n-max", "8", "--cap", "8"], EXIT_OK),
+        (["construct", "--t1", "(1,2,3);", "--t2", "(1,2,4);"], EXIT_TAXA),
+    ]
+    run(capsys, calls[0][0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        codes = [main(argv) for argv, _ in calls]
+        gc.collect()
+        cyclic = len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert codes == [code for _, code in calls]
+    assert built == [] and cyclic == 0
 
 
 def test_experiment_grid_and_determinism(capsys, tmp_path):

@@ -22,8 +22,8 @@ and ``--rooted`` on caterpillar-uniform and adversarial pairs at n = 64
 and 256, each in both orders), ``exact`` and
 ``construct`` on texts with branch lengths, internal labels and
 whitespace, ``verify`` with true and false claims, two ``experiment``
-grids, ``gen`` for every model, and malformed trees and flags that exit
-2, 3, 4 and 5.
+grids, ``gen`` for every model, the root help and each subcommand's
+``--help``, and malformed trees and flags that exit 2, 3, 4 and 5.
 Two checkouts give the same output exactly when every command gives the
 same exit code and bytes, so a refactor is checked with::
 
@@ -326,6 +326,8 @@ def corpus(p: dict, d: str) -> list[list[str]]:
         cmds.append(["construct", "--t1", text, "--t2", good])
     cmds += [
         [],
+        *([command, "--help"] for command in
+          ("construct", "exact", "verify", "gen", "experiment")),
         ["construct"],
         ["construct", "--t1", p["u12a"], "--t2", good, "--bogus"],
         ["construct", "--t1", p["u12a"], "--t2", good, "--orient", "up"],

@@ -58,6 +58,8 @@ EXACT = "src/mastkit/exact.py"
 TEST_EXACT = "tests/test_exact.py"
 NEWICK = "src/mastkit/newick.py"
 TEST_NEWICK = "tests/test_newick.py"
+CLI = "src/mastkit/cli.py"
+TEST_CLI = "tests/test_cli.py"
 
 MUTANTS = (
     # The one-walk strict step in check_good_pair.
@@ -139,9 +141,21 @@ MUTANTS = (
            "_error(text, k + 1, \"trailing text after ';'\")",
            "_error(text, k, \"trailing text after ';'\")",
            (TEST_NEWICK,)),
-    Mutant("tree-file-without-bom", "src/mastkit/cli.py",
+    # One parser per process, keyed on the seed variable, and one table
+    # of exit codes.
+    Mutant("seed-read-at-import", CLI,
+           'def main(argv=None) -> int:\n'
+           '    parser = _build_parser(os.environ.get("MASTKIT_SEED", "0"))',
+           'def main(argv=None, seed=os.environ.get("MASTKIT_SEED", "0")) -> int:\n'
+           '    parser = _build_parser(seed)',
+           (TEST_CLI, "-k", "read_on_every_call")),
+    Mutant("exits-tree-error-first", CLI,
+           "_EXITS = ((TaxaMismatch, EXIT_TAXA),",
+           "_EXITS = ((TreeError, EXIT_PARSE), (TaxaMismatch, EXIT_TAXA),",
+           (TEST_CLI, "-k", "cap_exit or forged_loop")),
+    Mutant("tree-file-without-bom", CLI,
            'encoding="utf-8-sig"', 'encoding="utf-8"',
-           ("tests/test_cli.py", "-k", "byte_order_mark")),
+           (TEST_CLI, "-k", "byte_order_mark")),
     # One tuple of neighbors per node, from the parser and the edge
     # builder alike.
     Mutant("parse-group-keeps-kids-list", NEWICK,
