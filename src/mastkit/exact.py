@@ -8,8 +8,11 @@ Two independent routes to ground truth:
   :func:`unrooted_mast` they are the far sides of the directed edges,
   read off each tree's canonical rooting, so one table covers every way
   to root both trees (Steel and Warnow, "Kaikoura tree theorems", Inf.
-  Process. Lett. 48, 1993).  Both tables have O(n^2) cells.  The
-  unrooted table is filled and stored in full.  A rooted row is its
+  Process. Lett. 48, 1993).  Both tables have O(n^2) cells.  An
+  unrooted row is filled only if it can be read: the first tree's
+  edges away from its smallest taxon always, which also give the
+  maximum size, and the edges up a taxon's root path only when sets
+  around smaller taxa fall short of it.  A rooted row is its
   heavier child's row with only the cells that the lighter child's
   taxa reach recomputed, the heavy-child reuse of the fast algorithms
   (Cole, Farach-Colton, Hariharan, Przytycka and Thorup, SIAM J.
@@ -27,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .trees import (
@@ -49,8 +53,10 @@ EXACT = "exact"
 
 # The largest inputs the DP takes by default: (2n-1)^2 node pairs rooted
 # and (4n-6)^2 directed-edge pairs unrooted, about 16.8M cells either way.
-# The unrooted fill visits them all; the rooted one about 1.3% of them on
-# two uniform trees at the cap and an eighth on two caterpillars.
+# The unrooted fill visits about half of them when the smallest taxon is
+# in a maximum set, and all of them at worst; the rooted one about 1.3%
+# of them on two uniform trees at the cap and an eighth on two
+# caterpillars.
 ROOTED_DP_CAP = 2048
 UNROOTED_DP_CAP = 1024
 
@@ -104,7 +110,8 @@ class _Side(NamedTuple):
     ``right`` give each id's two child ids (-1 on leaves); ``labels``
     gives each leaf's taxon (``None`` elsewhere).  ``leaf_row(label)``
     gives the row that is 1 on the ids whose subtree holds that taxon
-    and 0 elsewhere.
+    and 0 elsewhere.  ``reverse`` gives each id's edge the other way
+    round (-1 at ids that stand for no edge).
     """
 
     order: list[int]
@@ -112,6 +119,7 @@ class _Side(NamedTuple):
     right: list[int]
     labels: list[Optional[str]]
     leaf_row: Callable[[str], list[int]]
+    reverse: list[int]
 
 
 def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
@@ -160,14 +168,18 @@ def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
             v = par[v]
         return row
 
+    reverse = list(range(top, 2 * top)) + list(range(top))
+    reverse[x], reverse[w] = w, x
+    reverse[top + x] = reverse[top + w] = -1
     outward = {labels[v]: top + v for v in range(top) if labels[v] is not None}
     outward[labels[x]] = w
-    return _Side(order, left, right, labels, leaf_row), outward
+    return _Side(order, left, right, labels, leaf_row, reverse), outward
 
 
-def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
-    """table[u][v] = size of a maximum agreement of the subtrees u, v,
-    every cell filled: the unrooted table over directed edges.
+def _fill_rows(one: _Side, two: _Side, table: list, ids: Iterable[int]) -> None:
+    """Fill ``table[u]`` for each u of ``ids``, in turn: row u holds, per
+    id v of ``two``, the size of a maximum agreement of the subtrees u, v.
+    A child's row must be in the table, or come earlier in ``ids``.
 
     Internal-pair cells take the best of matching the two child pairs
     straight or crossed and of the four one-sided descents.  Rows for
@@ -177,8 +189,7 @@ def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
     ns = len(two.left)
     order2, left2, right2, leaf_row = two.order, two.left, two.right, two.leaf_row
     left1, right1, labels1 = one.left, one.right, one.labels
-    table: list = [None] * len(left1)
-    for u in one.order:
+    for u in ids:
         if left1[u] == -1:
             table[u] = leaf_row(labels1[u])
             continue
@@ -206,7 +217,41 @@ def _agreement_table(one: _Side, two: _Side) -> list[list[int]]:
                     best = z
             row[v] = best
         table[u] = row
-    return table
+
+
+def _best_over_rootings(one: _Side, two: _Side, table: list, down: list[int],
+                        best: int) -> int:
+    """The size of a maximum agreement of the two unrooted trees, read off
+    the rows of ``down``, the ids of the first tree's canonical rooting
+    below its root (children first), with ``best`` the size of the set
+    built around the smallest taxon x0.
+
+    A maximum agreement set is one of that rooting against the second
+    tree rooted on some edge, whose root has the two directions d, d' of
+    the edge as children.  So the maximum is the best, over the
+    rooting's internal nodes u with children a, b, of u's row and of
+    the pairings a[d] + b[d'] and a[d'] + b[d] over the edges: each is
+    the size of an agreement set.  A node's terms are at most its number
+    of taxa, so nodes no larger than the best so far are skipped, and
+    the nodes are read from the top down.  The root, whose children are
+    x0's leaf and the edge w leaving it, has no row: each of its terms
+    is at most the size of the set around x0 or a cell of w's row.
+    """
+    left1, right1 = one.left, one.right
+    ends = [v for v, r in enumerate(two.reverse) if v < r]
+    near = itemgetter(*ends)
+    far = itemgetter(*[two.reverse[v] for v in ends])
+    size = [1] * len(left1)
+    for u in down:
+        a = left1[u]
+        if a != -1:
+            size[u] = size[a] + size[right1[u]]
+    for u in reversed(down):
+        if size[u] > best:
+            ra, rb = table[left1[u]], table[right1[u]]
+            best = max(best, max(table[u]), max(map(add, near(ra), far(rb))),
+                       max(map(add, far(ra), near(rb))))
+    return best
 
 
 # Above every cell value: the scratch array's value at ids that the
@@ -517,33 +562,67 @@ def rooted_mast(tree1: RootedTree, tree2: RootedTree) -> MastResult:
     return _certified(tree1, tree2, rooted_agreement_leaves(tree1, tree2))
 
 
+def unrooted_agreement_leaves(tree1: UnrootedTree,
+                               tree2: UnrootedTree) -> list[str]:
+    """One maximum agreement set of two unrooted trees on the same four
+    or more taxa, uncertified, with the taxon it was built around last.
+
+    A set containing taxon x is x plus an agreement of the two rooted
+    trees left when x's leaf is cut off, each rooted at the leaf's
+    neighbor: the far sides of the directed edges leaving x's leaf.  The
+    set is built around the smallest x by label that is in some maximum
+    set.  The table over pairs of directed edges is filled only where it
+    is read.  First come the rows of the first tree's canonical rooting,
+    the edges pointing away from its smallest taxon x0, one per node:
+    those give the set around x0 and the maximum size.  Only when x0 is
+    in no maximum set are the other taxa tried in label order, each with
+    the rows of the edges up its root path, top down, which end in the
+    edge leaving its leaf.  The backtrack from the pick's edge reads
+    only rows of edges down and of the edges up the pick's path.
+    """
+    taxa = _pair_sorted_taxa(tree1, tree2)
+    (one, out1), (two, out2) = _edge_side(tree1), _edge_side(tree2)
+    table: list = [None] * len(one.left)
+    # The edges down, one per node of the canonical rooting below its
+    # root: the first half of the ids, listed first in one.order.
+    down = one.order[:len(one.left) // 2]
+    _fill_rows(one, two, table, down)
+    start = table[out1[taxa[0]]][out2[taxa[0]]] + 1
+    size = _best_over_rootings(one, two, table, down, start)
+    pick = taxa[0]
+    if size != start:
+        for pick in taxa[1:]:
+            # An edge up has the edge up from its parent (or x0's leaf)
+            # as its left child and a down edge as its right one.
+            path, u = [], out1[pick]
+            while table[u] is None:
+                path.append(u)
+                u = one.left[u]
+            path.reverse()
+            _fill_rows(one, two, table, path)
+            if table[out1[pick]][out2[pick]] + 1 == size:
+                break
+        else:
+            raise TreeError("internal error: no taxon reaches the maximum")
+    return _backtrack(one, two, lambda u, v: table[u][v],
+                      (out1[pick], out2[pick])) + [pick]
+
+
 def unrooted_mast(tree1: UnrootedTree, tree2: UnrootedTree) -> MastResult:
     """Maximum agreement of two unrooted trees on the same taxa.
 
-    An agreement set containing taxon x is x plus an agreement of the two
-    rooted trees left when x's leaf is cut off, each rooted at the
-    leaf's neighbor.  Those trees are the far sides of the directed edges
-    leaving x's leaf, so one table over pairs of directed edges, with
-    O(n^2) cells filled in O(n^2) time, holds the best set for every x.
-    Any maximum agreement set contains some taxon, so the best x gives
-    the maximum.  Ties go to the smallest x by label.  Only the winner is
-    certified.
+    One table over pairs of directed edges, O(n^2) cells in O(n^2) time,
+    holds the best set around every taxon (Steel and Warnow), but only
+    the cells that can be read are filled (see
+    :func:`unrooted_agreement_leaves`): half the rows when the smallest
+    taxon is in a maximum set, and all of them at worst.  Ties go to the
+    smallest taxon by label.  Only the result is certified.
     """
     _check_pair(tree1, tree2, rooted=False)
     if len(tree1) <= 3:
         # At most one topology exists, so the trees agree everywhere.
         return _certified(tree1, tree2, tree1.taxa)
-    taxa = _pair_sorted_taxa(tree1, tree2)
-    (one, out1), (two, out2) = _edge_side(tree1), _edge_side(tree2)
-    table = _agreement_table(one, two)
-    size, pick = -1, taxa[0]
-    for label in taxa:
-        m = table[out1[label]][out2[label]]
-        if m > size:
-            size, pick = m, label
-    leaves = _backtrack(one, two, lambda u, v: table[u][v],
-                        (out1[pick], out2[pick]))
-    return _certified(tree1, tree2, leaves + [pick])
+    return _certified(tree1, tree2, unrooted_agreement_leaves(tree1, tree2))
 
 
 def brute_force_mast(tree1: Tree, tree2: Tree, cap: int = 10) -> MastResult:

@@ -1,5 +1,6 @@
 """Exact solver checks: frozen instances, then brute-force equivalence."""
 
+import gc
 import re
 
 import pytest
@@ -16,16 +17,18 @@ from mastkit import (
     sorted_labels,
     write_newick,
 )
+from mastkit import exact
 from mastkit.exact import (
     SizeCapExceeded,
-    _agreement_table,
     _backtrack,
     _edge_side,
+    _fill_rows,
     _rooted_table,
     _Side,
     brute_force_mast,
     rooted_agreement_leaves,
     rooted_mast,
+    unrooted_agreement_leaves,
     unrooted_mast,
 )
 from mastkit.generators import MODELS, GenSpec, generate
@@ -487,9 +490,11 @@ def _oracle_edge_side(tree, rank):
 
     left, right = [-1] * (2 * top), [-1] * (2 * top)
     side_labels = [None] * (2 * top)
+    reverse = [-1] * (2 * top)
     for p, nbrs in enumerate(adj):
         for c in nbrs:
             e = edge(p, c)
+            reverse[e] = edge(c, p)
             if labels[c] is not None:
                 side_labels[e] = labels[c]
             else:
@@ -518,24 +523,32 @@ def _oracle_edge_side(tree, rank):
 
     outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
                if labels[v] is not None}
-    return _Side(order, left, right, side_labels, leaf_row), outward
+    return _Side(order, left, right, side_labels, leaf_row, reverse), outward
 
 
-def _oracle_unrooted(tree1, tree2):
-    """unrooted_mast's fill, pick and backtrack on the oracle's edges:
-    the agreement set and the witness text."""
-    taxa = tree1.sorted_taxa()
-    rank = {label: i for i, label in enumerate(taxa)}
-    (one, out1), (two, out2) = (_oracle_edge_side(tree1, rank),
-                                _oracle_edge_side(tree2, rank))
-    table = _agreement_table(one, two)
+def _full_leaves(side1, side2, taxa):
+    """The agreement list with the taxon it is built around last, from
+    every row of the table over two sides' edges, filled by the solver's
+    row loop: the pick is the smallest taxon whose set is largest."""
+    (one, out1), (two, out2) = side1, side2
+    table = [None] * len(one.left)
+    _fill_rows(one, two, table, one.order)
     size, pick = -1, taxa[0]
     for label in taxa:
         m = table[out1[label]][out2[label]]
         if m > size:
             size, pick = m, label
-    leaves = _backtrack(one, two, lambda u, v: table[u][v],
-                        (out1[pick], out2[pick])) + [pick]
+    return _backtrack(one, two, lambda u, v: table[u][v],
+                      (out1[pick], out2[pick])) + [pick]
+
+
+def _oracle_unrooted(tree1, tree2):
+    """The full table's fill, pick and backtrack on the oracle's edges:
+    the agreement set and the witness text."""
+    taxa = tree1.sorted_taxa()
+    rank = {label: i for i, label in enumerate(taxa)}
+    leaves = _full_leaves(_oracle_edge_side(tree1, rank),
+                          _oracle_edge_side(tree2, rank), taxa)
     return frozenset(leaves), write_newick(tree1.restrict(leaves))
 
 
@@ -543,7 +556,7 @@ def _far_sides(side, outward):
     """The edges of a side without their ids: each filled edge's far
     side with its children's far sides in order, and each taxon's
     outward edge's far side.  A child filled after its parent, or never,
-    raises KeyError."""
+    raises KeyError.  Each edge's reverse must hold the other taxa."""
     beyond, edges = {}, set()
     for e in side.order:
         a, b = side.left[e], side.right[e]
@@ -554,6 +567,9 @@ def _far_sides(side, outward):
             beyond[e] = beyond[a] | beyond[b]
             edges.add((beyond[e], (beyond[a], beyond[b])))
     assert len(edges) == len(side.order)
+    taxa = frozenset(outward)
+    assert all(beyond[side.reverse[e]] == taxa - beyond[e] for e in side.order)
+    assert sum(r != -1 for r in side.reverse) == len(side.order)
     return edges, {label: beyond[e] for label, e in outward.items()}
 
 
@@ -605,3 +621,84 @@ def test_edge_sides_match_the_node_zero_oracle(model, n, form, seed):
         want, want_outward = _oracle_edge_side(tree, rank)
         assert len(side.left) == len(want.left) == 4 * n - 4
         assert _far_sides(side, outward) == _far_sides(want, want_outward)
+
+
+def _recording_fill(monkeypatch):
+    """Every id the solver fills a row for, in order."""
+    filled = []
+    fill = exact._fill_rows
+
+    def recording(one, two, table, ids):
+        ids = list(ids)
+        filled.extend(ids)
+        fill(one, two, table, ids)
+
+    monkeypatch.setattr(exact, "_fill_rows", recording)
+    return filled
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("model", MODELS)
+def test_unrooted_rows_on_demand_equal_the_full_table(model, swapped):
+    # Filling only the rows that can be read gives the full table's
+    # list, pick included, and witness, also where the smallest taxon
+    # is in no maximum set and other taxa's root paths get filled.
+    past_smallest = 0
+    sample = [n for n in (4, 5, 6, 7, 8, 9, 12, 16, 23, 32, 47, 64)
+              if model != "balanced" or n & (n - 1) == 0]
+    for n in sample:
+        for seed in range(8):
+            one = generate(GenSpec(model, n, seed))
+            two = generate(GenSpec("uniform", n, seed ^ 0x9E3779B97F4A7C15))
+            if swapped:
+                one, two = two, one
+            want = _full_leaves(_edge_side(one), _edge_side(two),
+                                one.sorted_taxa())
+            assert unrooted_agreement_leaves(one, two) == want
+            assert write_newick(unrooted_mast(one, two).witness) == \
+                write_newick(one.restrict(want))
+            past_smallest += want[-1] != one.sorted_taxa()[0]
+    assert past_smallest >= len(sample)
+
+
+def test_unrooted_fill_makes_only_the_canonical_rows_when_the_smallest_wins(
+        monkeypatch):
+    filled = _recording_fill(monkeypatch)
+    one, two = adversarial_pair(64)
+    leaves = unrooted_agreement_leaves(one, two)
+    assert leaves[-1] == "1"
+    # The canonical rooting has 2n - 1 nodes; each below its root is the
+    # edge down into it, and fills one row.  No edge up fills one.
+    assert sorted(filled) == list(range(2 * 64 - 2))
+
+
+def test_unrooted_fill_walks_long_root_paths_at_the_cap(monkeypatch):
+    # A caterpillar with shuffled labels: the taxa tried before the pick
+    # sit deep on its spine, so their root paths are hundreds of edges
+    # long.  They are filled without recursion, each row once.
+    n = 1024
+    cat = generate(GenSpec("caterpillar", n, 0))
+    taxa = sorted_labels(cat.taxa)
+    names = list(taxa)
+    SplitMix64(1).shuffle(names)
+    cat = _renamed(cat, dict(zip(taxa, names)))
+    filled = _recording_fill(monkeypatch)
+    res = unrooted_mast(cat, generate(GenSpec("uniform", n, 101)))
+    assert res.size == len(res.agreement_set) > 1
+    up = [u for u in filled if u >= 2 * n - 2]
+    assert len(up) > n // 2 and len(set(filled)) == len(filled)
+
+
+def test_unrooted_mast_leaves_no_cyclic_garbage():
+    # No reference cycle holds the table: it is freed when the call
+    # returns, not at the next collection.
+    one = generate(GenSpec("uniform", 64, 1))
+    two = generate(GenSpec("uniform", 64, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        unrooted_mast(one, two)
+        cyclic = gc.collect()
+    finally:
+        gc.enable()
+    assert cyclic == 0

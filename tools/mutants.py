@@ -121,6 +121,18 @@ MUTANTS = (
     Mutant("lighter-leaf-reads-old-cell", EXACT,
            "on, val = v, best", "on, val = v, x",
            (TEST_EXACT,)),
+    # The unrooted fill on demand: the maximum over every rooting of the
+    # second tree, read off the first tree's canonical rows, decides
+    # whether taxa past the smallest are tried.
+    Mutant("unrooted-max-is-smallest-taxon", EXACT,
+           "size = _best_over_rootings(one, two, table, down, start)",
+           "size = start",
+           (TEST_EXACT, "-k", "rows_on_demand")),
+    Mutant("unrooted-max-without-pairings", EXACT,
+           "best = max(best, max(table[u]), max(map(add, near(ra), far(rb))),\n"
+           "                       max(map(add, far(ra), near(rb))))",
+           "best = max(best, max(table[u]))",
+           (TEST_EXACT, "-k", "rows_on_demand")),
     Mutant("edge-side-unranked", EXACT,
            "orient_at_edge(tree, canonical_root_edge(tree))",
            "orient_at_edge(tree, canonical_root_edge(tree), ranked=False)",
