@@ -42,6 +42,7 @@ from .exact import (
     ROOTED_DP_CAP,
     UNROOTED_DP_CAP,
     SizeCapExceeded,
+    _check_pair,
     brute_force_mast,
     rooted_mast,
     unrooted_mast,
@@ -142,6 +143,9 @@ def _cmd_exact(args) -> int:
     _check_cap(args.cap)
     tree1 = _load_tree(args.t1, rooted=args.rooted)
     tree2 = _load_tree(args.t2, rooted=args.rooted)
+    # Taxa before the cap, so a mismatch exits 3 under every method and
+    # in either argument order.
+    _check_pair(tree1, tree2, args.rooted)
     n = len(tree1)
     if args.method == "brute":
         cap = 10 if args.cap is None else args.cap

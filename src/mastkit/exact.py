@@ -12,7 +12,10 @@ Two independent routes to ground truth:
   unrooted row is filled only if it can be read: the first tree's
   edges away from its smallest taxon always, which also give the
   maximum size, and the edges up a taxon's root path only when sets
-  around smaller taxa fall short of it.  A rooted row is its
+  around smaller taxa fall short of it.  Within a row, a cell whose
+  subtrees share no taxon stays 0 and a cell with one such child
+  copies the other child's cell, so only the rest take the full
+  recurrence.  A rooted row is its
   heavier child's row with only the cells that the lighter child's
   taxa reach recomputed, the heavy-child reuse of the fast algorithms
   (Cole, Farach-Colton, Hariharan, Przytycka and Thorup, SIAM J.
@@ -54,9 +57,11 @@ EXACT = "exact"
 # The largest inputs the DP takes by default: (2n-1)^2 node pairs rooted
 # and (4n-6)^2 directed-edge pairs unrooted, about 16.8M cells either way.
 # The unrooted fill visits about half of them when the smallest taxon is
-# in a maximum set, and all of them at worst; the rooted one about 1.3%
-# of them on two uniform trees at the cap and an eighth on two
-# caterpillars.
+# in a maximum set, and all of them at worst, but runs the full
+# recurrence only where both children of the second tree's edge share a
+# taxon with the row (about one cell in six at n=128); the rooted one
+# visits about 1.3% of them on two uniform trees at the cap and an
+# eighth on two caterpillars.
 ROOTED_DP_CAP = 2048
 UNROOTED_DP_CAP = 1024
 
@@ -111,7 +116,11 @@ class _Side(NamedTuple):
     gives each leaf's taxon (``None`` elsewhere).  ``leaf_row(label)``
     gives the row that is 1 on the ids whose subtree holds that taxon
     and 0 elsewhere.  ``reverse`` gives each id's edge the other way
-    round (-1 at ids that stand for no edge).
+    round (-1 at ids that stand for no edge).  ``leaves`` lists the leaf
+    ids of ``order``; ``inner`` lists its other ids in order, their left
+    children and their right children, as three lists, so that a row
+    loop reads each id's children with no lookup and the side holds no
+    object per id for the garbage collector to count.
     """
 
     order: list[int]
@@ -120,6 +129,8 @@ class _Side(NamedTuple):
     labels: list[Optional[str]]
     leaf_row: Callable[[str], list[int]]
     reverse: list[int]
+    leaves: list[int]
+    inner: tuple[list[int], list[int], list[int]]
 
 
 def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
@@ -173,7 +184,11 @@ def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
     reverse[top + x] = reverse[top + w] = -1
     outward = {labels[v]: top + v for v in range(top) if labels[v] is not None}
     outward[labels[x]] = w
-    return _Side(order, left, right, labels, leaf_row, reverse), outward
+    leaves = [v for v in order if left[v] == -1]
+    ids = [v for v in order if left[v] != -1]
+    inner = (ids, [left[v] for v in ids], [right[v] for v in ids])
+    return (_Side(order, left, right, labels, leaf_row, reverse, leaves, inner),
+            outward)
 
 
 def _fill_rows(one: _Side, two: _Side, table: list, ids: Iterable[int]) -> None:
@@ -181,13 +196,20 @@ def _fill_rows(one: _Side, two: _Side, table: list, ids: Iterable[int]) -> None:
     id v of ``two``, the size of a maximum agreement of the subtrees u, v.
     A child's row must be in the table, or come earlier in ``ids``.
 
-    Internal-pair cells take the best of matching the two child pairs
-    straight or crossed and of the four one-sided descents.  Rows for
-    leaves of ``one`` are 1 exactly on the ids of ``two`` that hold the
-    same taxon.
+    Rows for leaves of ``one`` are 1 exactly on the ids of ``two`` that
+    hold the same taxon.  A cell is at least 1 exactly when its two
+    subtrees share a taxon, so on u with children a, b, a leaf v of
+    ``two`` is 1 where a or b holds its taxon.  An internal v with
+    children c, d takes two short cuts: where cell (u, d) is 0, d's
+    subtree holds no taxon of u, so v's subtree restricted to u's taxa
+    is c's and the cell is cell (u, c), left 0 when that is 0 too; where
+    only cell (u, c) is 0, the cell is cell (u, d).  Only where both are
+    nonzero does the cell take the best of matching the two child pairs
+    straight or crossed and of the four one-sided descents.  Ids that
+    stand for no edge stay 0.
     """
     ns = len(two.left)
-    order2, left2, right2, leaf_row = two.order, two.left, two.right, two.leaf_row
+    leaves2, inner2, leaf_row = two.leaves, two.inner, two.leaf_row
     left1, right1, labels1 = one.left, one.right, one.labels
     for u in ids:
         if left1[u] == -1:
@@ -196,26 +218,33 @@ def _fill_rows(one: _Side, two: _Side, table: list, ids: Iterable[int]) -> None:
         ra = table[left1[u]]
         rb = table[right1[u]]
         row = [0] * ns
-        for v in order2:
-            x = ra[v]
-            y = rb[v]
-            best = x if x >= y else y
-            c = left2[v]
-            if c != -1:
-                d = right2[v]
-                z = row[c]
+        for v in leaves2:
+            if ra[v] or rb[v]:
+                row[v] = 1
+        for v, c, d in zip(*inner2):
+            rd = row[d]
+            rc = row[c]
+            if not rd:
+                if rc:
+                    row[v] = rc
+            elif not rc:
+                row[v] = rd
+            else:
+                best = ra[v]
+                z = rb[v]
                 if z > best:
                     best = z
-                z = row[d]
-                if z > best:
-                    best = z
+                if rc > best:
+                    best = rc
+                if rd > best:
+                    best = rd
                 z = ra[c] + rb[d]
                 if z > best:
                     best = z
                 z = ra[d] + rb[c]
                 if z > best:
                     best = z
-            row[v] = best
+                row[v] = best
         table[u] = row
 
 

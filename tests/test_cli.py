@@ -168,6 +168,26 @@ def test_exact_cap_zero_solves_nothing(capsys):
         assert code == EXIT_CAP and out == "" and "cap is 0" in err
 
 
+@pytest.mark.parametrize("method", ["dp", "brute"])
+@pytest.mark.parametrize("rooted", [False, True])
+def test_exact_checks_the_taxa_before_the_cap(capsys, method, rooted):
+    # A pair whose taxa differ exits 3 under every method and in either
+    # argument order, also when the first tree is above the cap.
+    trees = (("(1,2,(3,(4,5)));", "(1,2,(3,(4,6)));", "(1,2,(3,4));")
+             if not rooted else
+             ("((1,2),(3,(4,5)));", "((1,2),(3,(4,6)));", "((1,2),(3,4));"))
+    extra = ["--rooted"] if rooted else []
+    for i, j in [(0, 1), (1, 0), (0, 2), (2, 0)]:
+        code, out, err = run(capsys, [
+            "exact", "--t1", trees[i], "--t2", trees[j], "--method", method,
+            "--cap", "4", *extra])
+        assert code == EXIT_TAXA and out == ""
+        assert "taxon sets differ" in err
+    _, _, err = run(capsys, ["exact", "--t1", trees[0], "--t2", trees[1],
+                             "--method", method, "--cap", "4", *extra])
+    assert "taxon sets differ: ['5', '6'] not shared" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["exact"],
     ["exact", "--rooted"],

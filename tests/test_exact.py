@@ -523,16 +523,38 @@ def _oracle_edge_side(tree, rank):
 
     outward = {labels[v]: edge(v, adj[v][0]) for v in range(top)
                if labels[v] is not None}
-    return _Side(order, left, right, side_labels, leaf_row, reverse), outward
+    leaves = [e for e in order if left[e] == -1]
+    ids = [e for e in order if left[e] != -1]
+    inner = (ids, [left[e] for e in ids], [right[e] for e in ids])
+    return _Side(order, left, right, side_labels, leaf_row, reverse, leaves,
+                 inner), outward
+
+
+def _dense_rows(one, two):
+    """Every row of the table over two sides' edges, each cell from the
+    full recurrence: the best of the two child pairings and the four
+    one-sided descents, with no short cut."""
+    table = [None] * len(one.left)
+    for u in one.order:
+        a, b = one.left[u], one.right[u]
+        if a == -1:
+            table[u] = two.leaf_row(one.labels[u])
+            continue
+        ra, rb, row = table[a], table[b], [0] * len(two.left)
+        for v in two.order:
+            c, d = two.left[v], two.right[v]
+            row[v] = max(ra[v], rb[v]) if c == -1 else max(
+                ra[v], rb[v], row[c], row[d], ra[c] + rb[d], ra[d] + rb[c])
+        table[u] = row
+    return table
 
 
 def _full_leaves(side1, side2, taxa):
     """The agreement list with the taxon it is built around last, from
-    every row of the table over two sides' edges, filled by the solver's
-    row loop: the pick is the smallest taxon whose set is largest."""
+    every row of the dense table over two sides' edges: the pick is the
+    smallest taxon whose set is largest."""
     (one, out1), (two, out2) = side1, side2
-    table = [None] * len(one.left)
-    _fill_rows(one, two, table, one.order)
+    table = _dense_rows(one, two)
     size, pick = -1, taxa[0]
     for label in taxa:
         m = table[out1[label]][out2[label]]
@@ -659,6 +681,33 @@ def test_unrooted_rows_on_demand_equal_the_full_table(model, swapped):
                 write_newick(one.restrict(want))
             past_smallest += want[-1] != one.sorted_taxa()[0]
     assert past_smallest >= len(sample)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("model", MODELS + ("adversarial",))
+def test_unrooted_row_fill_equals_the_dense_rows(model, swapped):
+    # The fill's short cuts (leaf cells, cells whose one child shares no
+    # taxon) give every cell of every row, edges down and up, that the
+    # full recurrence gives; ids that stand for no edge stay 0.
+    for n in (4, 5, 6, 7, 8, 9, 12, 16, 23, 32, 47, 64):
+        if model in ("balanced", "adversarial") and n & (n - 1):
+            continue
+        for seed in range(1 if model == "adversarial" else 6):
+            if model == "adversarial":
+                one, two = adversarial_pair(n)
+            else:
+                one = generate(GenSpec(model, n, seed))
+                two = generate(GenSpec("uniform", n, seed ^ 0x9E3779B97F4A7C15))
+            if swapped:
+                one, two = two, one
+            (side1, _), (side2, _) = _edge_side(one), _edge_side(two)
+            table = [None] * len(side1.left)
+            _fill_rows(side1, side2, table, side1.order)
+            assert table == _dense_rows(side1, side2)
+            no_edge = [v for v, r in enumerate(side2.reverse) if r == -1]
+            assert len(no_edge) == 2
+            assert all(table[u][v] == 0 for u in side1.order
+                       if side1.left[u] != -1 for v in no_edge)
 
 
 def test_unrooted_fill_makes_only_the_canonical_rows_when_the_smallest_wins(

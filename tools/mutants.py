@@ -133,6 +133,22 @@ MUTANTS = (
            "                       max(map(add, far(ra), near(rb))))",
            "best = max(best, max(table[u]))",
            (TEST_EXACT, "-k", "rows_on_demand")),
+    # The unrooted row fill's short cuts: leaf cells, and cells where
+    # one child of the second side's id shares no taxon with the row.
+    Mutant("unrooted-fill-copies-the-empty-child", EXACT,
+           "elif not rc:\n                row[v] = rd",
+           "elif not rc:\n                row[v] = rc",
+           (TEST_EXACT, "-k", "row_fill_equals_the_dense_rows")),
+    Mutant("unrooted-fill-leaf-reads-left-only", EXACT,
+           "if ra[v] or rb[v]:", "if ra[v]:",
+           (TEST_EXACT, "-k", "row_fill_equals_the_dense_rows")),
+    Mutant("unrooted-fill-without-crossed-pairing", EXACT,
+           "                z = ra[d] + rb[c]\n"
+           "                if z > best:\n"
+           "                    best = z\n"
+           "                row[v] = best",
+           "                row[v] = best",
+           (TEST_EXACT, "-k", "row_fill_equals_the_dense_rows")),
     Mutant("edge-side-unranked", EXACT,
            "orient_at_edge(tree, canonical_root_edge(tree))",
            "orient_at_edge(tree, canonical_root_edge(tree), ranked=False)",
