@@ -256,8 +256,7 @@ def _cmd_experiment(args) -> int:
 def _experiment_rows(n: int, seed: int, model: str, cap: int,
                      timing: bool):
     # One pair's rows, each yielded as it is done.  The two constructions
-    # share one setup (n >= 4 here), timed in the weak row; weak leaves
-    # the state as it is.
+    # share one setup (n >= 4 here), timed in the weak row.
     tree1, tree2 = _make_pair(model, n, seed)
     state = None
     for algorithm in ("weak", "main", "exact_dp"):

@@ -502,15 +502,15 @@ def _peel(state: IterationState, peeled: Iterable[str],
 
 def construct(state: IterationState, algorithm: str = "main",
               c: Optional[int] = None) -> ConstructionOutcome:
-    """Run the weak chain on a fresh state over :func:`setup`'s core pair,
-    or the main loop on ``state``, which it shrinks, at C = ``c`` (None or
-    0: 4 weak, 40 main); certify the outcome against the core pair."""
+    """On a fresh state over ``state``'s whole core pair, run the weak chain
+    or the main loop at C = ``c`` (None or 0: 4 weak, 40 main) and certify
+    the outcome against that pair; ``state`` itself is never changed."""
+    fresh = IterationState(0, len(state.tree1) - 1, state.tree1, state.tree2,
+                           [], state.n_param)
     if algorithm == "weak":
-        out = _weak_loop(IterationState(0, len(state.tree1) - 1, state.tree1,
-                                        state.tree2, [], state.n_param),
-                         c if c else 4)
+        out = _weak_loop(fresh, c if c else 4)
     elif algorithm == "main":
-        out = _main_loop(state, c if c else 40)
+        out = _main_loop(fresh, c if c else 40)
     else:
         raise TreeError(f"unknown construction algorithm {algorithm!r}")
     return certified(state.tree1, state.tree2, out)
@@ -669,7 +669,8 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
     that step drops taxa, or ``degenerate-exact`` after a degenerate
     window.  A core of more than ``ROOTED_DP_CAP`` taxa is closed by a
     weak chain instead, as a nucleus is, and tagged ``degenerate-weak``.
-    :func:`construct` certifies the outcome against the core pair.
+    :func:`construct` runs the loop on a fresh copy of setup's state and
+    certifies the outcome against the core pair.
     """
     return construct(setup(tree1, tree2, rng)[0], "main", c)
 

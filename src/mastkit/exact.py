@@ -177,6 +177,7 @@ def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
             row[v] = 1
             row[top + v] = 0
             v = par[v]
+        row[top + x] = row[top + w] = 0
         return row
 
     reverse = list(range(top, 2 * top)) + list(range(top))

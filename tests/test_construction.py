@@ -450,6 +450,7 @@ def test_check_good_pair_rejects_each_broken_promise():
     cases = [
         (GoodPair(1, Piece(2, 3), "large"), "strict ancestor"),
         (GoodPair(8, Piece(7, 7), "large"), "size floor"),
+        (GoodPair(8, Piece(7, 7), "regular"), "size floor"),
         (GoodPair(3, Piece(3, 6), "large"), "survive itself"),
         (GoodPair(5, Piece(3, 6), "large"), "survive itself"),
         (GoodPair(9, Piece(1, 2), "large"), "pivot in the core"),
@@ -519,6 +520,13 @@ def test_regular_pair_returns_none_below_its_floor():
     two = rooted(right_deep(labels) + ";")
     state = whole_state(one, two, 8)
     assert find_good_pair_big_subtree(state, path_decomposition(state)) is None
+
+
+def test_regular_pair_refuses_a_one_taxon_core():
+    state = identical_state(8)
+    state.lo = state.hi = 3
+    with pytest.raises(TreeError, match="at least two taxa to form a pair"):
+        find_good_pair_big_subtree(state, path_decomposition(state))
 
 
 def rule_case(name, t1, t2, n_param, c, pivot, survivors, tier):
@@ -1329,9 +1337,29 @@ def test_construct_runs_both_public_constructions():
     assert (state.lo, state.hi, state.agreed) == (0, len(state.tree1) - 1, [])
     assert weak == weak_construct(state.tree1, state.tree2, 64)
     assert construct(state, "main") == main_construct(a, b)
-    assert state.size() < len(state.tree1)
+    assert (state.lo, state.hi, state.agreed) == (0, len(state.tree1) - 1, [])
     with pytest.raises(TreeError, match="unknown construction algorithm"):
         construct(setup(a, b)[0], "exact")
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+@pytest.mark.parametrize("model", ["uniform", "adversarial"])
+def test_construct_keeps_its_state_and_repeats_its_outcome(model, n):
+    # Each call runs on a fresh copy, so neither loop sees what an earlier
+    # call on the same state did, in either order.
+    if model == "adversarial":
+        a, b = adversarial_pair(n)
+    else:
+        a = generate(GenSpec("uniform", n, mix64(0, 1)))
+        b = generate(GenSpec("uniform", n, mix64(0, 2)))
+    state, _, _ = setup(a, b)
+    frame = (0, len(state.tree1) - 1, False, 1, [])
+    first = {}
+    for algorithm in ("main", "weak") * 2 + ("weak", "main") * 2:
+        out = construct(state, algorithm)
+        assert first.setdefault(algorithm, out) == out
+        assert (state.lo, state.hi, state.flipped, state.step,
+                state.agreed) == frame
 
 
 def test_constructions_refuse_a_forged_loop(forge_loop):

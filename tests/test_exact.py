@@ -89,6 +89,14 @@ def test_mismatched_taxa_raise():
         rooted_mast(rooted("(1,2);"), rooted("(1,3);"))
 
 
+def test_solvers_refuse_the_other_rootedness():
+    star, cherry = unrooted("(1,2,3);"), rooted("((1,2),3);")
+    with pytest.raises(TypeError, match="expected two RootedTree inputs"):
+        rooted_mast(star, star)
+    with pytest.raises(TypeError, match="expected two UnrootedTree inputs"):
+        unrooted_mast(cherry, cherry)
+
+
 def test_brute_force_cap():
     big = generate(GenSpec("uniform", 11, 3))
     with pytest.raises(SizeCapExceeded) as err:
@@ -704,10 +712,10 @@ def test_unrooted_row_fill_equals_the_dense_rows(model, swapped):
             table = [None] * len(side1.left)
             _fill_rows(side1, side2, table, side1.order)
             assert table == _dense_rows(side1, side2)
+            # Leaf rows included: each taxon's row is side2.leaf_row.
             no_edge = [v for v, r in enumerate(side2.reverse) if r == -1]
             assert len(no_edge) == 2
-            assert all(table[u][v] == 0 for u in side1.order
-                       if side1.left[u] != -1 for v in no_edge)
+            assert all(table[u][v] == 0 for u in side1.order for v in no_edge)
 
 
 def test_unrooted_fill_makes_only_the_canonical_rows_when_the_smallest_wins(

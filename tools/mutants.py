@@ -83,10 +83,15 @@ MUTANTS = (
            "pos = (e1 if e1 >= e2 else e2) + 1",
            "pos = (e1 if e1 <= e2 else e2) + 1",
            (TEST_CONSTRUCTION, "-k", "rules_they_replaced")),
-    # The one certificate: construct certifies what either loop returns.
+    # The one certificate: construct certifies what either loop returns,
+    # each loop run on a fresh state.
     Mutant("construct-uncertified", CONSTRUCTION,
            "return certified(state.tree1, state.tree2, out)", "return out",
            (TEST_CONSTRUCTION, "tests/test_cli.py", "-k", "forged_loop")),
+    Mutant("construct-main-on-callers-state", CONSTRUCTION,
+           "out = _main_loop(fresh, c if c else 40)",
+           "out = _main_loop(state, c if c else 40)",
+           (TEST_CONSTRUCTION, "-k", "keeps_its_state")),
     # Earlier rewrites whose scratch mutations CHANGES.md records.
     Mutant("lca-off-by-one", "src/mastkit/trees.py",
            "if a < r <= b:", "if a < r < b:",
@@ -148,6 +153,10 @@ MUTANTS = (
            "                    best = z\n"
            "                row[v] = best",
            "                row[v] = best",
+           (TEST_EXACT, "-k", "row_fill_equals_the_dense_rows")),
+    # A leaf row is 0 at the two ids that stand for no edge.
+    Mutant("edge-leaf-row-stray-cell", EXACT,
+           "        row[top + x] = row[top + w] = 0\n", "",
            (TEST_EXACT, "-k", "row_fill_equals_the_dense_rows")),
     Mutant("edge-side-unranked", EXACT,
            "orient_at_edge(tree, canonical_root_edge(tree))",
