@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -356,11 +357,19 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused: it makes
+    no reference cycles, so a collection would only rescan the objects it
+    has just built.  The collector is left as the caller had it.
+    """
     parser = _build_parser(os.environ.get("MASTKIT_SEED", "0"))
     args = parser.parse_args(argv)
     if args.func is None:
         parser.print_help()
         return EXIT_PARSE
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except TreeError as err:
@@ -370,6 +379,9 @@ def main(argv=None) -> int:
         # Tree files are read in _load_tree, so this is an --out file.
         print(f"error: cannot write: {err}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

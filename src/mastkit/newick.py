@@ -12,16 +12,18 @@ trees require the outermost group to have three children (two are accepted
 and merged, so the output of rooted writers round-trips) and every nested
 group to have two.
 
-The reader tokenizes the whole text with one ``findall`` (a token is a
-label, a ``:`` with the branch length after it, or any other single
-character; whitespace is skipped), then builds the adjacency in one loop
-over the tokens as groups close.  A leaf starts as ``()``, a group's
+The reader tokenizes the whole text with C-level string passes (a token
+is a label, a ``:`` with the branch length after it, or any other single
+character; whitespace is skipped): each of ``( ) , ; ' " [ ]`` gets
+spaces around it, each ``:`` one before it, and ``str.split`` cuts the
+result.  It then builds the adjacency in one loop over the tokens as
+groups close.  A leaf starts as ``()``, a group's
 children become its tuple when it closes, and each child gets its parent
 added then, so no list per node outlives the parse (why tuples: see
 :class:`~mastkit.trees.UnrootedTree`).  A small state says what the next
 token may be, so each token is read once and never looked ahead to.  An
-error's text offset is found only when it is raised, by scanning the
-text again up to the bad token.
+error's text offset is found only when it is raised, by finding each
+token in the text in turn up to the bad one.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ from .trees import (
     rooted_from_arrays,
 )
 
-# One token per match: a ':' with the label characters that follow it (a
-# branch length, checked later), a label, or any other single character,
-# each after the whitespace before it.  ``\s`` is exactly ``str.isspace``.
-_TOKEN = re.compile(r"\s*(:[^\s(),:;'\"\[\]]*|[^\s(),:;'\"\[\]]+|\S)")
 # ``\d`` is exactly ``str.isdecimal``.
 _LENGTH = re.compile(r"[\d+\-.eE]+")
 _NOT_LABEL = frozenset("(),:;'\"[]")
@@ -59,10 +57,27 @@ class NewickError(TreeError):
         self.position = position
 
 
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``: a ':' with the label characters that follow
+    it (a branch length, checked later), a label, or any other single
+    character.  ``str.split`` cuts at ``str.isspace`` characters, which are
+    exactly those of ``re``'s ``\\s``."""
+    for c in "(),;'\"[]":
+        if c in text:
+            text = text.replace(c, f" {c} ")
+    return text.replace(":", " :").split()
+
+
 def _error(text: str, k: int, message: str, past: int = 0) -> NewickError:
-    """The error ``past`` characters into token ``k`` of ``text``."""
-    match = next(islice(_TOKEN.finditer(text), k, None))
-    return NewickError(message, match.start(1) + past)
+    """The error ``past`` characters into token ``k`` of ``text``.
+
+    Tokens are whitespace-free and in text order, with only whitespace
+    between them, so each one is found where the one before it ends."""
+    end = 0
+    for tok in islice(_tokens(text), k + 1):
+        start = text.find(tok, end)
+        end = start + len(tok)
+    return NewickError(message, start + past)
 
 
 def _check_length(text: str, tok: str, k: int) -> None:
@@ -88,7 +103,7 @@ def parse_newick(text: str, rooted: bool):
     is raised, with its offset; running out of tokens before ``;`` is the
     token loop's ``else``.
     """
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     adj: list[tuple[int, ...]] = []
     labels: list[Optional[str]] = []
     leaf_node: dict[str, int] = {}

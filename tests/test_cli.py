@@ -310,18 +310,26 @@ def test_seed_variable_is_read_on_every_call(capsys, monkeypatch):
     assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
+# Calls that succeed or exit through each library error.
+LIBRARY_EXITS = [
+    (["exact", "--t1", "((1,2),(3,4),5);", "--t2", "((1,3),(2,4),5);"],
+     EXIT_OK),
+    (["construct", "--t1", PAIR3[0], "--t2", PAIR3[1]], EXIT_OK),
+    (["experiment", "--n-min", "4", "--n-max", "8", "--cap", "8"], EXIT_OK),
+    (["construct", "--t1", "((1,2;", "--t2", "(1,2,3);"], EXIT_PARSE),
+    (["construct", "--t1", "(1,2,3);", "--t2", "(1,2,4);"], EXIT_TAXA),
+    (["exact", "--t1", CAT11, "--t2", CAT11, "--cap", "10"], EXIT_CAP),
+    (["verify", "--t1", "((1,2),3);", "--t2", "((1,3),2);", "--rooted",
+      "--leaves", "1,2,3"], EXIT_VERIFY),
+]
+
+
 def test_main_builds_one_parser_and_leaves_no_cycles(capsys, monkeypatch):
     # After a warm-up call, calls that succeed or exit through a library
     # error build no parser and leave nothing for the cyclic collector.
     # Usage errors are left out: argparse's usage formatter makes cycles.
     monkeypatch.delenv("MASTKIT_SEED", raising=False)
-    calls = [
-        (["exact", "--t1", "((1,2),(3,4),5);", "--t2", "((1,3),(2,4),5);"],
-         EXIT_OK),
-        (["construct", "--t1", PAIR3[0], "--t2", PAIR3[1]], EXIT_OK),
-        (["experiment", "--n-min", "4", "--n-max", "8", "--cap", "8"], EXIT_OK),
-        (["construct", "--t1", "(1,2,3);", "--t2", "(1,2,4);"], EXIT_TAXA),
-    ]
+    calls = LIBRARY_EXITS
     run(capsys, calls[0][0])
     built = []
     init = argparse.ArgumentParser.__init__
@@ -344,6 +352,43 @@ def test_main_builds_one_parser_and_leaves_no_cycles(capsys, monkeypatch):
     capsys.readouterr()
     assert codes == [code for _, code in calls]
     assert built == [] and cyclic == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_leaves_it_as_found(capsys, monkeypatch,
+                                                          enabled):
+    # Each command runs with the collector paused, whatever its exit, and
+    # main leaves the collector on or off as the caller had it: also when
+    # the command raises an error main does not handle.
+    paused = []
+    load = cli._load_tree
+
+    def recording_load(value, rooted):
+        paused.append(not gc.isenabled())
+        return load(value, rooted)
+
+    def broken_load(value, rooted):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr(cli, "_load_tree", recording_load)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in LIBRARY_EXITS:
+            paused.clear()
+            got = main(argv)
+            assert (got, gc.isenabled()) == (code, enabled)
+            assert all(paused)  # experiment reads no tree
+        monkeypatch.setattr(cli, "_load_tree", broken_load)
+        paused.clear()
+        with pytest.raises(RuntimeError, match="not a library error"):
+            main(LIBRARY_EXITS[0][0])
+        assert gc.isenabled() == enabled and paused == [True]
+    finally:
+        (gc.enable if was else gc.disable)()
+        capsys.readouterr()
 
 
 def test_experiment_grid_and_determinism(capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import gc
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +19,7 @@ from mastkit import (
     root_at_edge,
     write_newick,
 )
-from mastkit import generators, trees
+from mastkit import generators, newick, trees
 from mastkit.generators import MODELS, GenSpec, generate
 from mastkit.trees import _LabeledTree, rooted_from_arrays, unrooted_from_edges
 
@@ -294,6 +296,36 @@ def test_parser_matches_the_character_oracle(text):
     for rooted in (True, False):
         assert _outcome(parse_newick, text, rooted) == _outcome(
             _oracle_parse, text, rooted)
+
+
+# -- the regex tokenizer the string passes replaced --------------------------
+# Kept as the oracle of the tokenizer test below: one token per match, a ':'
+# with the label characters that follow it, a label, or any other single
+# character, each after the whitespace before it.
+
+_TOKEN = re.compile(r"\s*(:[^\s(),:;'\"\[\]]*|[^\s(),:;'\"\[\]]+|\S)")
+
+# ASCII whitespace, then whitespace past ASCII, then U+FEFF, which is not.
+_TOKEN_SYMBOLS = list("(),:;'\"[]") + list("ab19E.+-\u00b2") + list(
+    " \t\n\r\x0b\x0c") + ["\x1c", "\x85", "\u00a0", "\u3000", "\ufeff"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(_TOKEN_SYMBOLS), max_size=32))
+@example(text="(a:1,b[c]:2.5e-1, \u3000d\ufeff)x:1;")
+@example(text="")
+def test_tokens_and_error_offsets_match_the_regex_oracle(text):
+    matches = list(_TOKEN.finditer(text))
+    assert newick._tokens(text) == [m.group(1) for m in matches]
+    for k, match in enumerate(matches):
+        assert newick._error(text, k, "m").position == match.start(1)
+
+
+def test_str_isspace_is_the_regex_whitespace_class():
+    # ``_tokens`` cuts with ``str.split``, which splits at ``str.isspace``
+    # characters; the regex oracle skips ``\s``.  They agree everywhere.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 def test_every_route_keeps_untracked_neighbor_tuples(monkeypatch):

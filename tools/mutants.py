@@ -60,6 +60,13 @@ NEWICK = "src/mastkit/newick.py"
 TEST_NEWICK = "tests/test_newick.py"
 CLI = "src/mastkit/cli.py"
 TEST_CLI = "tests/test_cli.py"
+# cli.main's docstring, between its signature and its first line.
+MAIN_DOC = (
+    '    """Run one command and return its exit code.\n\n'
+    "    The command runs with the cyclic garbage collector paused: it makes\n"
+    "    no reference cycles, so a collection would only rescan the objects it\n"
+    "    has just built.  The collector is left as the caller had it.\n"
+    '    """\n')
 
 MUTANTS = (
     # The one-walk strict step in check_good_pair.
@@ -181,10 +188,10 @@ MUTANTS = (
     # One parser per process, keyed on the seed variable, and one table
     # of exit codes.
     Mutant("seed-read-at-import", CLI,
-           'def main(argv=None) -> int:\n'
+           'def main(argv=None) -> int:\n' + MAIN_DOC +
            '    parser = _build_parser(os.environ.get("MASTKIT_SEED", "0"))',
            'def main(argv=None, seed=os.environ.get("MASTKIT_SEED", "0")) -> int:\n'
-           '    parser = _build_parser(seed)',
+           + MAIN_DOC + '    parser = _build_parser(seed)',
            (TEST_CLI, "-k", "read_on_every_call")),
     Mutant("exits-tree-error-first", CLI,
            "_EXITS = ((TaxaMismatch, EXIT_TAXA),",
@@ -193,6 +200,19 @@ MUTANTS = (
     Mutant("tree-file-without-bom", CLI,
            'encoding="utf-8-sig"', 'encoding="utf-8"',
            (TEST_CLI, "-k", "byte_order_mark")),
+    # The tokenizer's string passes: ':' starts a token, and each of
+    # ( ) , ; ' " [ ] is one.
+    Mutant("tokens-colon-joined", NEWICK,
+           'return text.replace(":", " :").split()', "return text.split()",
+           (TEST_NEWICK, "-k", "regex_oracle")),
+    Mutant("tokens-bracket-joined", NEWICK,
+           """for c in "(),;'\\"[]":""", """for c in "(),;'\\"]":""",
+           (TEST_NEWICK, "-k", "regex_oracle")),
+    # Each command runs with the collector paused, and main leaves it as
+    # the caller had it.
+    Mutant("main-collector-always-enabled", CLI,
+           "if enabled:\n            gc.enable()", "gc.enable()",
+           (TEST_CLI, "-k", "collector")),
     # One tuple of neighbors per node, from the parser and the edge
     # builder alike.
     Mutant("parse-group-keeps-kids-list", NEWICK,
