@@ -148,18 +148,18 @@ def _cmd_exact(args) -> int:
     # in either argument order.
     _check_pair(tree1, tree2, args.rooted)
     n = len(tree1)
+    cap = args.cap
+    if cap is None:
+        cap = (10 if args.method == "brute" else
+               ROOTED_DP_CAP if args.rooted else UNROOTED_DP_CAP)
+    if n > cap:
+        raise SizeCapExceeded(n, cap)
     if args.method == "brute":
-        cap = 10 if args.cap is None else args.cap
         result = brute_force_mast(tree1, tree2, cap=cap)
+    elif args.rooted:
+        result = rooted_mast(tree1, tree2)
     else:
-        default = ROOTED_DP_CAP if args.rooted else UNROOTED_DP_CAP
-        cap = default if args.cap is None else args.cap
-        if n > cap:
-            raise SizeCapExceeded(n, cap)
-        if args.rooted:
-            result = rooted_mast(tree1, tree2)
-        else:
-            result = unrooted_mast(tree1, tree2)
+        result = unrooted_mast(tree1, tree2)
     _emit(args, {
         "n": n,
         "method": args.method,

@@ -104,7 +104,8 @@ class IterationState:
     and ``taxa`` lists the core's labels in that frame; a nested weak
     chain starts from a narrowed copy and inherits it.  ``agreed`` lists
     the peeled taxa, oldest first.  ``n_param`` is the size parameter all
-    logarithmic thresholds refer to; it stays fixed as the core shrinks.
+    logarithmic thresholds refer to; it stays fixed as the core shrinks,
+    and is at least 4, the fewest taxa the constructions are stated for.
     """
 
     lo: int
@@ -117,6 +118,8 @@ class IterationState:
     flipped: bool = False
 
     def __post_init__(self) -> None:
+        if self.n_param < 4:
+            raise TreeError("size parameter must be at least 4")
         if self.tree1.seq() != self.tree2.seq():
             raise TreeError("the trees must list their leaves in one order")
 
@@ -390,7 +393,7 @@ def _cut_pair(state: IterationState, n: int, lo: int, hi: int,
 
 def find_good_pair_structural(
         state: IterationState, decomp: PathDecomposition,
-        c: int = 4) -> Optional[GoodPair]:
+        c: int) -> Optional[GoodPair]:
     """Look for a pair whose survivors keep at least a 1/C fraction.
 
     Returns None exactly when every piece of the decomposition has size
@@ -503,41 +506,40 @@ def _peel(state: IterationState, peeled: Iterable[str],
 def construct(state: IterationState, algorithm: str = "main",
               c: Optional[int] = None) -> ConstructionOutcome:
     """On a fresh state over ``state``'s whole core pair, run the weak chain
-    or the main loop at C = ``c`` (None or 0: 4 weak, 40 main) and certify
-    the outcome against that pair; ``state`` itself is never changed."""
-    fresh = IterationState(0, len(state.tree1) - 1, state.tree1, state.tree2,
-                           [], state.n_param)
+    or the main loop at C = ``c`` and certify the outcome against that
+    pair; ``state`` itself is never changed.  C's default (None or 0: 4
+    weak, 40 main) and floor are set here and nowhere else."""
+    # C's floor: below 4 a weak chain's piece may hold more than half the
+    # core, and main's claimed bound divides by log2(C).
     if algorithm == "weak":
-        out = _weak_loop(fresh, c if c else 4)
+        c, floor, loop = c or 4, 4, _weak_loop
     elif algorithm == "main":
-        out = _main_loop(fresh, c if c else 40)
+        c, floor, loop = c or 40, 2, _main_loop
     else:
         raise TreeError(f"unknown construction algorithm {algorithm!r}")
-    return certified(state.tree1, state.tree2, out)
+    if c < floor:
+        raise TreeError(
+            f"shrink-fraction constant C must be at least {floor}, got {c}")
+    fresh = IterationState(0, len(state.tree1) - 1, state.tree1, state.tree2,
+                           [], state.n_param)
+    return certified(state.tree1, state.tree2, loop(fresh, c))
 
 
-def weak_construct(tree1: RootedTree, tree2: RootedTree, n_param: int,
-                   c: int = 4) -> ConstructionOutcome:
+def weak_construct(tree1: UnrootedTree, tree2: UnrootedTree,
+                   c: Optional[int] = None) -> ConstructionOutcome:
     """Peel pivots until one taxon remains or a greedy caterpillar pays.
 
-    Inputs are two rooted trees with identical leaf orders (as produced
-    by :func:`setup`).  Each pair step keeps at least a 1/(2 log2 n_param)
-    fraction, so starting from at least sqrt(n_param) taxa the rooted
-    exit has size >= log2(n_param) / (2 log2(2 log2 n_param)) + 1; the
-    caterpillar exit has size >= log2(n_param).
+    Runs :func:`setup`, whose core holds at least sqrt(n) of the n taxa,
+    then the weak chain on it through :func:`construct`.  Each pair step
+    keeps at least a 1/(2 log2 n) fraction, so the rooted exit has size
+    >= log2(n) / (2 log2(2 log2 n)) + 1; the caterpillar exit has size
+    >= log2(n).
     """
-    if tree1.taxa != tree2.taxa:
-        raise TaxaMismatch("input trees must share their taxon set")
-    if n_param < 4:
-        raise TreeError("size parameter must be at least 4")
-    return construct(IterationState(0, len(tree1) - 1, tree1, tree2, [],
-                                    n_param), "weak", c)
+    return construct(setup(tree1, tree2)[0], "weak", c)
 
 
 def _weak_loop(state: IterationState, c: int) -> ConstructionOutcome:
     # The weak chain on ``state``, which it shrinks; uncertified.
-    if c < 4:  # below 4 a piece may hold more than half the core
-        raise TreeError(f"shrink-fraction constant C must be at least 4, got {c}")
     tallies = {"large": 0, "regular": 0}
     lg = math.log2(state.n_param)
     while state.size() > 1:
@@ -575,8 +577,7 @@ def _check_split(state: IterationState, split: IncomparableSplit) -> None:
             raise TreeError("split ancestors are comparable")
 
 
-def strong_split(state: IterationState, decomp: PathDecomposition,
-                 c: int = 40
+def strong_split(state: IterationState, decomp: PathDecomposition, c: int
                  ) -> Union[IncomparableSplit, ConstructionOutcome, None]:
     """With only small pieces left, cut the core in two incomparable
     parts, or fall back to an explicit caterpillar agreement.
@@ -652,7 +653,8 @@ def strong_split(state: IterationState, decomp: PathDecomposition,
         lg / 48)
 
 
-def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
+def main_construct(tree1: UnrootedTree, tree2: UnrootedTree,
+                   c: Optional[int] = None,
                    rng: Optional[SplitMix64] = None) -> ConstructionOutcome:
     """Build an agreement set by peeling singletons and whole blocks.
 
@@ -678,8 +680,6 @@ def main_construct(tree1: UnrootedTree, tree2: UnrootedTree, c: int = 40,
 def _main_loop(state: IterationState, c: int) -> ConstructionOutcome:
     # The main chain on ``state``, which it shrinks; every outcome is a
     # subset of the core.  Uncertified.
-    if c < 2:  # the claimed bound divides by log2(c)
-        raise TreeError(f"shrink-fraction constant C must be at least 2, got {c}")
     n = state.n_param
     singles = 0
     blocks = 0

@@ -315,23 +315,21 @@ class UnrootedTree(_LabeledTree):
         nleaves = len(self._leaf_node)
         if n == 0:
             raise TreeError("empty tree")
-        edge_ends = 0
         for v in range(n):
             d = len(self.adj[v])
-            edge_ends += d
             for u in self.adj[v]:
                 if not (0 <= u < n) or v not in self.adj[u]:
                     raise TreeError(f"asymmetric adjacency at {v}-{u}")
             if self.labels[v] is not None:
-                if d not in (0, 1) or (d == 0 and n != 1):
+                if d != (n > 1):  # a lone leaf has no neighbor
                     raise TreeError(f"leaf {v} has degree {d}")
             else:
                 if d != 3:
                     raise TreeError(f"internal node {v} has degree {d}")
+        # With these degrees and node count the degrees sum to 2(n - 1),
+        # so a connected graph is a tree.
         if n != (2 * nleaves - 2 if nleaves > 1 else 1):
             raise TreeError(f"{n} nodes for {nleaves} leaves")
-        if edge_ends != 2 * (n - 1):
-            raise TreeError("edge count is not nodes - 1")
         seen, stack = {0}, [0]
         while stack:
             for u in self.adj[stack.pop()]:

@@ -68,9 +68,7 @@ def test_02_constructions_always_verify():
     assert len(pairs) >= 1000
     bad = 0
     for one, two in pairs:
-        n = len(one)
-        state, _, _ = setup(one, two)
-        weak = weak_construct(state.tree1, state.tree2, n_param=n)
+        weak = weak_construct(one, two)
         strong = main_construct(one, two)
         if not (verify_outcome(one, two, weak)
                 and verify_outcome(one, two, strong)):
@@ -90,8 +88,7 @@ def test_03_weak_dichotomy_at_desk_scale():
         unrooted_floor = math.ceil(lg)
         for s in range(50):
             one, two = uniform_pair(n, 103, n, s)
-            state, _, _ = setup(one, two)
-            out = weak_construct(state.tree1, state.tree2, n_param=n)
+            out = weak_construct(one, two)
             exits[out.kind] += 1
             size = len(out.agreement_set)
             floor = (rooted_floor if out.kind == "rooted_caterpillar"

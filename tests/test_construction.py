@@ -663,18 +663,18 @@ def test_finders_cover_all_three_weak_steps():
     # The weak loop's three moves: a large pair, else a regular pair, else
     # (both finders empty) a full greedy sweep.
     state = identical_state(8)
-    pair = find_good_pair_structural(state, path_decomposition(state))
+    pair = find_good_pair_structural(state, path_decomposition(state), 4)
     assert pair.tier == "large"
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
     state = whole_state(one, two, 256)
     decomp = path_decomposition(state)
-    assert find_good_pair_structural(state, decomp) is None
+    assert find_good_pair_structural(state, decomp, 4) is None
     assert find_good_pair_big_subtree(state, decomp).tier == "regular"
     state = whole_state(one, two, 8)
     decomp = path_decomposition(state)
-    assert find_good_pair_structural(state, decomp) is None
+    assert find_good_pair_structural(state, decomp, 4) is None
     assert find_good_pair_big_subtree(state, decomp) is None
     assert len(greedy_caterpillar(decomp)) == 8
 
@@ -684,7 +684,7 @@ def test_finders_cover_all_three_weak_steps():
 
 def test_weak_pair_chain_on_identical_caterpillars():
     tree = rooted(left_deep([str(i) for i in range(1, 9)]) + ";")
-    out = weak_construct(tree, tree, 8)
+    out = construct(whole_state(tree, tree, 8), "weak")
     assert out.kind == ROOTED_CATERPILLAR
     assert out.branch == "pair-chain(large=6 regular=1)"
     assert out.agreement_set == tree.taxa
@@ -695,7 +695,7 @@ def test_weak_greedy_exit_on_opposed_caterpillars():
     labels = [str(i) for i in range(1, 9)]
     one = rooted(left_deep(labels) + ";")
     two = rooted(right_deep(labels) + ";")
-    out = weak_construct(one, two, 8)
+    out = construct(whole_state(one, two, 8), "weak")
     assert out.kind == UNROOTED_CATERPILLAR
     assert out.branch == "greedy-caterpillar(step=1)"
     assert out.agreement_set == one.taxa
@@ -716,19 +716,66 @@ def test_weak_loop_sees_every_iteration():
         _peel(state, [decomp.order[pair.pivot - 1]], pair.survivors)
     assert seen == [(8, "large"), (7, "large"), (6, "large"), (5, "large"),
                     (4, "large"), (3, "large"), (2, "regular")]
-    assert weak_construct(tree, tree, 8).agreement_set == \
+    assert construct(whole_state(tree, tree, 8), "weak").agreement_set == \
         frozenset(state.agreed).union(state.taxa)
 
 
 def test_weak_rejects_bad_inputs():
+    # Each case reaches its own rule: the state's size and leaf-order
+    # rules, then setup's taxa and size rules behind weak_construct.
     tree = rooted("((1,2),3);")
-    other = rooted("((1,3),2);")
-    with pytest.raises(TreeError):
-        weak_construct(tree, tree, 3)
-    with pytest.raises(TreeError):
-        weak_construct(tree, other, 8)
+    with pytest.raises(TreeError, match="size parameter must be at least 4"):
+        whole_state(tree, tree, 3)
+    with pytest.raises(TreeError, match="list their leaves in one order"):
+        whole_state(tree, rooted("((1,3),2);"), 8)
     with pytest.raises(TaxaMismatch):
-        weak_construct(tree, rooted("((1,2),4);"), 8)
+        weak_construct(unrooted("(1,2,(3,4));"), unrooted("(1,2,(3,5));"))
+    with pytest.raises(TreeError, match="at least 4 taxa"):
+        weak_construct(unrooted("(1,2,3);"), unrooted("(1,2,3);"))
+
+
+@pytest.mark.parametrize("n_param", [-5, 0, 1, 2, 3])
+def test_state_refuses_a_size_parameter_below_4(n_param):
+    # Before the leaf-order check, so a state that breaks both names size.
+    t = rooted(left_deep([str(i) for i in range(1, 9)]) + ";")
+    other = rooted(right_deep([str(i) for i in range(8, 0, -1)]) + ";")
+    for two in (t, other):
+        with pytest.raises(TreeError) as err:
+            IterationState(0, 7, t, two, [], n_param)
+        assert str(err.value) == "size parameter must be at least 4"
+    assert IterationState(0, 7, t, t, [], 4).n_param == 4
+
+
+def test_construct_owns_the_shrink_constant():
+    # None and 0 give the default; below the floor fails in either
+    # public construction with the same message.
+    a = generate(GenSpec("uniform", 64, 1))
+    b = generate(GenSpec("uniform", 64, 2))
+    state, _, _ = setup(a, b)
+    for algorithm, default, floor in (("weak", 4, 4), ("main", 40, 2)):
+        out = construct(state, algorithm, default)
+        assert construct(state, algorithm) == out
+        assert construct(state, algorithm, 0) == out
+        construct(state, algorithm, floor)
+        message = f"C must be at least {floor}, got {floor - 1}$"
+        with pytest.raises(TreeError, match=message):
+            construct(state, algorithm, floor - 1)
+    with pytest.raises(TreeError, match="at least 4, got 3$"):
+        weak_construct(a, b, 3)
+    with pytest.raises(TreeError, match="at least 2, got -1$"):
+        main_construct(a, b, -1)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+@pytest.mark.parametrize("model", ["uniform", "adversarial"])
+def test_weak_construct_is_construct_on_setup(model, n):
+    if model == "adversarial":
+        a, b = adversarial_pair(n)
+    else:
+        a = generate(GenSpec("uniform", n, mix64(3, 1)))
+        b = generate(GenSpec("uniform", n, mix64(3, 2)))
+    for c in (None, 0, 4, 8):
+        assert weak_construct(a, b, c) == construct(setup(a, b)[0], "weak", c)
 
 
 @settings(max_examples=25, deadline=None)
@@ -737,7 +784,7 @@ def test_weak_dichotomy_on_random_pairs(n, seed):
     a = generate(GenSpec("uniform", n, seed))
     b = generate(GenSpec("uniform", n, seed ^ 0xC0FFEE))
     state, _, _ = setup(a, b)
-    out = weak_construct(state.tree1, state.tree2, n)
+    out = construct(state, "weak")
     assert verify_outcome(a, b, out)
     lg = math.log2(n)
     if out.kind == ROOTED_CATERPILLAR:
@@ -759,7 +806,7 @@ def test_strong_split_frozen_incomparable_blocks():
     parts = [left_deep(b) for b in blocks_of(labels, 10)]
     state = make_state(parts, parts, 200)
     decomp = path_decomposition(state)
-    split = strong_split(state, decomp)
+    split = strong_split(state, decomp, 40)
     assert isinstance(split, IncomparableSplit)
     assert run_labels(decomp.order, split.nucleus) == \
         frozenset(str(i) for i in range(11, 21))
@@ -770,7 +817,7 @@ def test_strong_split_frozen_incomparable_blocks():
 def test_strong_split_interval_sweep_when_no_window_anchor():
     labels = [str(i) for i in range(1, 201)]
     state = make_state(labels, labels, 200)
-    split = strong_split(state, path_decomposition(state))
+    split = strong_split(state, path_decomposition(state), 40)
     assert isinstance(split, ConstructionOutcome)
     assert split.kind == UNROOTED_CATERPILLAR
     assert split.branch == "interval-sweep(step=1)"
@@ -783,7 +830,7 @@ def test_strong_split_side_sweep_when_no_side_landmark():
     parts = labels[:40] + [left_deep(b) for b in blocks_of(labels[40:60], 2)] \
         + labels[60:]
     state = make_state(parts, parts, 100)
-    split = strong_split(state, path_decomposition(state))
+    split = strong_split(state, path_decomposition(state), 40)
     assert isinstance(split, ConstructionOutcome)
     assert split.kind == UNROOTED_CATERPILLAR
     assert split.branch == "side-sweep(step=1)"
@@ -798,7 +845,7 @@ def test_strong_split_transversal_when_pieces_only_graze():
         + window_blocks + labels[60:]
     parts2 = labels[:40] + window_blocks + labels[60:]
     state = make_state(parts1, parts2, 100)
-    split = strong_split(state, path_decomposition(state))
+    split = strong_split(state, path_decomposition(state), 40)
     assert isinstance(split, ConstructionOutcome)
     assert split.kind == UNROOTED_CATERPILLAR
     assert split.branch == "transversal-exact(step=1 partners=4)"
@@ -811,10 +858,10 @@ def test_strong_split_transversal_when_pieces_only_graze():
 def test_strong_split_degenerate_windows():
     # The side window is empty.
     state = make_state(["1", "2"], ["1", "2"], 16)
-    assert strong_split(state, path_decomposition(state)) is None
+    assert strong_split(state, path_decomposition(state), 40) is None
     # No piece fits the middle window.
     state = make_state(["1", "2", "3"], ["1", "2", "3"], 81)
-    assert strong_split(state, path_decomposition(state)) is None
+    assert strong_split(state, path_decomposition(state), 40) is None
 
 
 def test_strong_split_none_when_window_piece_runs_do_not_meet():
@@ -842,7 +889,7 @@ def test_strong_split_right_side_window_when_the_anchor_is_in_tree_two():
         + labels[119:170] + landmark + labels[180:]
     state = make_state(parts1, parts2, 200)
     decomp = path_decomposition(state)
-    split = strong_split(state, decomp)
+    split = strong_split(state, decomp, 40)
     assert split == IncomparableSplit(Piece(171, 180), Piece(80, 89))
     assert run_labels(decomp.order, split.nucleus) == \
         frozenset(labels[170:180])
@@ -855,10 +902,10 @@ def test_strong_split_guards_its_preconditions():
     parts = [left_deep(labels[:60])] + labels[60:]
     state = make_state(parts, parts, 80)
     with pytest.raises(TreeError):
-        strong_split(state, path_decomposition(state))
+        strong_split(state, path_decomposition(state), 40)
     state = make_state(["1", "2", "3", "4"], ["1", "2", "3", "4"], 4096)
     with pytest.raises(TreeError):
-        strong_split(state, path_decomposition(state))
+        strong_split(state, path_decomposition(state), 40)
 
 
 # -- main construction --------------------------------------------------------
@@ -918,6 +965,27 @@ def test_main_closes_degenerate_cores_exactly():
     assert out.branch == "block-chain(singles=6 blocks=0);degenerate-exact"
     assert out.agreement_set == cat.taxa
     assert verify_outcome(cat, cat, out)
+
+
+def test_main_closes_a_capped_core_with_a_nested_caterpillar(monkeypatch):
+    # With the exact table capped at 2 taxa the 5-taxon core left by the
+    # loop goes to a weak chain, whose caterpillar exit is returned as is.
+    monkeypatch.setattr(construction, "ROOTED_DP_CAP", 2)
+    runs, nested_weak = [], construction._nested_weak
+
+    def spy(state, run):
+        runs.append((state.size(), run))
+        return nested_weak(state, run)
+
+    monkeypatch.setattr(construction, "_nested_weak", spy)
+    a = generate(GenSpec("uniform", 1024, mix64(2, 1)))
+    b = generate(GenSpec("uniform", 1024, mix64(2, 2)))
+    out = construct(setup(a, b)[0], "main", 40)
+    assert runs == [(5, Piece(1, 5))]
+    assert out.kind == UNROOTED_CATERPILLAR
+    assert out.branch == "nested:greedy-caterpillar(step=1)"
+    assert out.agreement_set == frozenset({"29", "533", "681", "784", "955"})
+    assert verify_outcome(a, b, out)
 
 
 def test_main_frozen_uniform_instance():
@@ -1080,18 +1148,17 @@ def test_fixed_tree_loop_matches_the_restricting_loop(model, size, seed, c,
     if c >= 4:
         state, _, _ = setup(a, b, rng())
         got = both_loops(state, weak_steps, c)
-        assert weak_construct(state.tree1, state.tree2, size, c
-                              ).agreement_set == got
+        assert construct(state, "weak", c).agreement_set == got
 
 
 def oracle_nested_weak(state, run):
     """The nested chain as it once ran: both trees restricted to the run's
-    labels, mirrored when the frame is flipped, then weak_construct."""
+    labels, mirrored when the frame is flipped, then the weak chain."""
     taxa = state.taxa[run.lo - 1:run.hi]
     one, two = state.tree1.restrict(taxa), state.tree2.restrict(taxa)
     if state.flipped:
         one, two = mirror(one), mirror(two)
-    out = weak_construct(one, two, n_param=len(taxa) ** 2)
+    out = construct(whole_state(one, two, len(taxa) ** 2), "weak")
     return replace(out, branch="nested:" + out.branch)
 
 
@@ -1335,7 +1402,7 @@ def test_construct_runs_both_public_constructions():
     state, _, _ = setup(a, b)
     weak = construct(state, "weak", 0)
     assert (state.lo, state.hi, state.agreed) == (0, len(state.tree1) - 1, [])
-    assert weak == weak_construct(state.tree1, state.tree2, 64)
+    assert weak == weak_construct(a, b)
     assert construct(state, "main") == main_construct(a, b)
     assert (state.lo, state.hi, state.agreed) == (0, len(state.tree1) - 1, [])
     with pytest.raises(TreeError, match="unknown construction algorithm"):
@@ -1374,9 +1441,8 @@ def test_constructions_refuse_a_forged_loop(forge_loop):
             construct(setup(a, b)[0], algorithm)
     with pytest.raises(CertificationError):
         main_construct(a, b)
-    state, _, _ = setup(a, b)
     with pytest.raises(CertificationError):
-        weak_construct(state.tree1, state.tree2, 64)
+        weak_construct(a, b)
 
 
 @settings(max_examples=200, deadline=None)

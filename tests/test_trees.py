@@ -201,6 +201,65 @@ def test_rooted_validate_rejects_child_ids_past_the_end(left, right, labels):
         RootedTree(left, right, labels)
 
 
+@pytest.mark.parametrize("left, right, labels, message", [
+    ([-1], [-1, -1], ["a"], "array length mismatch"),
+    ([], [], [], "empty tree"),
+    ([1, -1], [-1, -1], [None, "a"], "node 0 has exactly one child"),
+    ([-1], [-1], [None], "leaf 0 is unlabeled"),
+    ([1, -1, -1], [2, -1, -1], ["x", "a", "b"],
+     "internal node 0 carries a label"),
+    ([1, -1, -1], [2, -1, -1], [None, "a", "a"], "duplicate leaf label 'a'"),
+], ids=["lengths", "empty", "one-child", "unlabeled-leaf", "labeled-inner",
+        "duplicate"])
+def test_rooted_constructor_rejects_each_broken_rule(left, right, labels,
+                                                     message):
+    with pytest.raises(TreeError) as err:
+        RootedTree(left, right, labels)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("adj, labels, message", [
+    ([[]], ["a", "b"], "array length mismatch"),
+    ([], [], "empty tree"),
+    ([[1], []], ["a", "b"], "asymmetric adjacency at 0-1"),
+    ([[1], [0, 2], [1]], ["a", "b", "c"], "leaf 1 has degree 2"),
+    ([[0]], ["a"], "leaf 0 has degree 1"),  # a lone leaf lists itself
+    ([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], [None] * 4,
+     "4 nodes for 0 leaves"),
+    # Two joined leaves beside a triangle of internal nodes with one leaf
+    # each: every degree and the node count are right, 7 edges on 8 nodes.
+    ([[1], [0], [3, 4, 5], [2, 4, 6], [2, 3, 7], [2], [3], [4]],
+     ["a", "b", None, None, None, "c", "d", "e"], "tree is not connected"),
+    ([[1], [0]], ["a", "a"], "duplicate leaf label 'a'"),
+], ids=["lengths", "empty", "asymmetric", "leaf-degree", "lone-leaf-loop",
+        "node-count", "disconnected", "duplicate"])
+def test_unrooted_constructor_rejects_each_broken_rule(adj, labels, message):
+    with pytest.raises(TreeError) as err:
+        UnrootedTree(adj, labels)
+    assert str(err.value) == message
+
+
+def test_tree_queries_refuse_what_has_no_answer():
+    one = rooted("((1,2),3);")
+    quartet = unrooted("((1,2),(3,4));")
+    for tree in (one, quartet):
+        with pytest.raises(TreeError, match="unknown taxon '5'"):
+            tree.leaf_node("5")
+    with pytest.raises(TreeError, match="single-leaf tree has no edges"):
+        canonical_root_edge(UnrootedTree([[]], ["a"]))
+    with pytest.raises(TreeError, match="cannot deroot a single-leaf tree"):
+        deroot(RootedTree([-1], [-1], ["a"]))
+    leaves = (quartet.leaf_node("1"), quartet.leaf_node("3"))
+    for edge in (leaves, (6, 0), (-1, 0)):
+        with pytest.raises(TreeError, match="no edge"):
+            orient_at_edge(quartet, edge)
+    with pytest.raises(TypeError, match="same rootedness"):
+        isomorphic(one, quartet)
+    for call in (is_caterpillar, write_newick):
+        with pytest.raises(TypeError, match="not a tree"):
+            call("((1,2),3);")
+
+
 def _ancestors(tree, v):
     """The nodes from ``v`` up to the root, through a parent map built
     from the child arrays."""

@@ -93,12 +93,25 @@ MUTANTS = (
     # The one certificate: construct certifies what either loop returns,
     # each loop run on a fresh state.
     Mutant("construct-uncertified", CONSTRUCTION,
-           "return certified(state.tree1, state.tree2, out)", "return out",
+           "return certified(state.tree1, state.tree2, loop(fresh, c))",
+           "return loop(fresh, c)",
            (TEST_CONSTRUCTION, "tests/test_cli.py", "-k", "forged_loop")),
     Mutant("construct-main-on-callers-state", CONSTRUCTION,
-           "out = _main_loop(fresh, c if c else 40)",
-           "out = _main_loop(state, c if c else 40)",
+           "state.tree2, loop(fresh, c))", "state.tree2, loop(state, c))",
            (TEST_CONSTRUCTION, "-k", "keeps_its_state")),
+    # Each rule on a run's inputs in its one place: C's floor in
+    # construct, the size parameter's in the state, a leaf's degree in
+    # the unrooted constructor.
+    Mutant("construct-weak-floor-3", CONSTRUCTION,
+           "c, floor, loop = c or 4, 4, _weak_loop",
+           "c, floor, loop = c or 4, 3, _weak_loop",
+           (TEST_CLI, "-k", "weak_route_needs_shrink_constant_4")),
+    Mutant("state-size-floor-dropped", CONSTRUCTION,
+           "if self.n_param < 4:", "if False:",
+           (TEST_CONSTRUCTION, "-k", "size_parameter_below_4")),
+    Mutant("unrooted-lone-leaf-degree-loose", "src/mastkit/trees.py",
+           "if d != (n > 1):", "if d > 1 or (d == 0 and n > 1):",
+           ("tests/test_trees.py", "-k", "unrooted_constructor_rejects")),
     # Earlier rewrites whose scratch mutations CHANGES.md records.
     Mutant("lca-off-by-one", "src/mastkit/trees.py",
            "if a < r <= b:", "if a < r < b:",
