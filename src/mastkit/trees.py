@@ -326,9 +326,9 @@ class UnrootedTree(_LabeledTree):
             else:
                 if d != 3:
                     raise TreeError(f"internal node {v} has degree {d}")
-        # With these degrees and node count the degrees sum to 2(n - 1),
-        # so a connected graph is a tree.
-        if n != (2 * nleaves - 2 if nleaves > 1 else 1):
+        # These degrees with n = max(L, 2L - 2) for L leaves sum to
+        # 2(n - 1), so a connected graph is a tree.
+        if n != max(nleaves, 2 * nleaves - 2):
             raise TreeError(f"{n} nodes for {nleaves} leaves")
         seen, stack = {0}, [0]
         while stack:

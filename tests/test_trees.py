@@ -226,13 +226,14 @@ def test_rooted_constructor_rejects_each_broken_rule(left, right, labels,
     ([[0]], ["a"], "leaf 0 has degree 1"),  # a lone leaf lists itself
     ([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], [None] * 4,
      "4 nodes for 0 leaves"),
+    ([[0, 0, 0]], [None], "1 nodes for 0 leaves"),  # a looped lone node
     # Two joined leaves beside a triangle of internal nodes with one leaf
     # each: every degree and the node count are right, 7 edges on 8 nodes.
     ([[1], [0], [3, 4, 5], [2, 4, 6], [2, 3, 7], [2], [3], [4]],
      ["a", "b", None, None, None, "c", "d", "e"], "tree is not connected"),
     ([[1], [0]], ["a", "a"], "duplicate leaf label 'a'"),
 ], ids=["lengths", "empty", "asymmetric", "leaf-degree", "lone-leaf-loop",
-        "node-count", "disconnected", "duplicate"])
+        "node-count", "no-leaf-loop", "disconnected", "duplicate"])
 def test_unrooted_constructor_rejects_each_broken_rule(adj, labels, message):
     with pytest.raises(TreeError) as err:
         UnrootedTree(adj, labels)

@@ -112,6 +112,10 @@ MUTANTS = (
     Mutant("unrooted-lone-leaf-degree-loose", "src/mastkit/trees.py",
            "if d != (n > 1):", "if d > 1 or (d == 0 and n > 1):",
            ("tests/test_trees.py", "-k", "unrooted_constructor_rejects")),
+    Mutant("unrooted-no-leaf-count-loose", "src/mastkit/trees.py",
+           "if n != max(nleaves, 2 * nleaves - 2):",
+           "if n != (2 * nleaves - 2 if nleaves > 1 else 1):",
+           ("tests/test_trees.py", "-k", "unrooted_constructor_rejects")),
     # Earlier rewrites whose scratch mutations CHANGES.md records.
     Mutant("lca-off-by-one", "src/mastkit/trees.py",
            "if a < r <= b:", "if a < r < b:",
