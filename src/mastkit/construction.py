@@ -43,9 +43,10 @@ from .trees import (
     deroot,
     is_caterpillar,
     isomorphic,
+    leaf_ranks,
     orient_at_edge,
+    path_cut,
     preorder,
-    prune,
     rooted_from_arrays,
     rooted_restriction,
 )
@@ -183,7 +184,7 @@ def _longest_increasing(values: Sequence[int]) -> list[int]:
     # subsequence of maximum length, deterministically.
     tails: list[int] = []
     tails_idx: list[int] = []
-    prev = [-1] * len(values)
+    prev: list[int] = []
     for i, v in enumerate(values):
         j = bisect_left(tails, v)
         if j == len(tails):
@@ -192,7 +193,7 @@ def _longest_increasing(values: Sequence[int]) -> list[int]:
         else:
             tails[j] = v
             tails_idx[j] = i
-        prev[i] = tails_idx[j - 1] if j else -1
+        prev.append(tails_idx[j - 1] if j else -1)
     out: list[int] = []
     i = tails_idx[-1] if tails_idx else -1
     while i != -1:
@@ -202,25 +203,33 @@ def _longest_increasing(values: Sequence[int]) -> list[int]:
     return out
 
 
+def _longest_monotone(perm: Sequence[int]) -> tuple[list[int], str]:
+    # Indices of a longest increasing or decreasing subsequence of a
+    # permutation, with which it is; ties prefer increasing.
+    inc = _longest_increasing(perm)
+    dec = _longest_increasing([-v for v in perm])
+    if len(inc) >= len(dec):
+        return inc, "increasing"
+    return dec, "decreasing"
+
+
 def common_monotone_subsequence(
         a: Sequence[str], b: Sequence[str]) -> tuple[tuple[str, ...], str]:
     """Longest subsequence of ``a`` that is also a subsequence of ``b``
     or of reversed ``b``; returns it with ``"increasing"`` or
     ``"decreasing"`` telling which.  Ties prefer increasing.
 
-    Both sequences must enumerate the same distinct labels.  The result
-    length is at least ceil(sqrt(n)): mapping each label to its position
-    in ``b`` turns the question into longest monotone run in a
-    permutation, and a permutation of n items always carries one.
+    Both sequences must enumerate the same distinct labels, else
+    :class:`TaxaMismatch` is raised.  The result length is at least
+    ceil(sqrt(n)): mapping each label to its position in ``b`` turns the
+    question into longest monotone run in a permutation, and a
+    permutation of n items always carries one.
     """
-    if len(a) != len(b) or set(a) != set(b):
-        raise TaxaMismatch("sequences must list the same labels")
+    labels = set(a)
+    if len(a) != len(b) or len(labels) != len(a) or labels != set(b):
+        raise TaxaMismatch("sequences must list the same distinct labels")
     pos = {lab: i for i, lab in enumerate(b)}
-    perm = [pos[lab] for lab in a]
-    inc = _longest_increasing(perm)
-    dec = _longest_increasing([-v for v in perm])
-    picked = inc if len(inc) >= len(dec) else dec
-    direction = "increasing" if len(inc) >= len(dec) else "decreasing"
+    picked, direction = _longest_monotone([pos[lab] for lab in a])
     return tuple(a[i] for i in picked), direction
 
 
@@ -233,6 +242,14 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     by coin flips instead of by smallest taxon (drawn by :func:`preorder`).
     The two trees share their taxa, so their label order is sorted once,
     on ``tree1``, and handed to ``tree2``.
+
+    Taxa are handled as their ranks in that order (see
+    :func:`~mastkit.trees.leaf_ranks`): each rooting's leaf walk lists
+    ranks, tree2's ranks map to positions through a list, and the
+    alignment runs on the permutation of positions.  The core pair is
+    each rooting cut along its kept leaves' root paths (see
+    :func:`~mastkit.trees.path_cut`); when the core holds every taxon
+    the rootings are the core pair and no cut runs.
 
     Returns the initial state plus the two rooted trees' leaf orders, the
     second reversed when the alignment is decreasing.  The state's trees,
@@ -247,28 +264,41 @@ def setup(tree1: UnrootedTree, tree2: UnrootedTree,
     if n < 4:
         raise TreeError("setup needs at least 4 taxa")
     _pair_sorted_taxa(tree1, tree2)
-    hung = [orient_at_edge(tree, canonical_root_edge(tree), ranked=rng is None)
-            for tree in (tree1, tree2)]
-    orders = []
-    for left, right, labels, order in hung:
+    hung, leaves, ranks, orders = [], [], [], []
+    for tree in (tree1, tree2):
+        rank = leaf_ranks(tree)
+        left, right, labels, order, par = orient_at_edge(
+            tree, canonical_root_edge(tree),
+            ranks=rank if rng is None else None)
         # Walking each rooting's preorder, tree1's first, draws rng's flips
         # as root_at_edge would, and lists the leaves.
-        walk = preorder(order[-1], left, right, rng)
-        orders.append(tuple([labels[v] for v in walk if left[v] == -1]))
-    common, direction = common_monotone_subsequence(*orders)
-    if len(common) * len(common) < n:
+        walk = [v for v in preorder(order[-1], left, right, rng)
+                if left[v] == -1]
+        hung.append((left, right, labels, par))
+        leaves.append(walk)
+        ranks.append(list(map(rank.__getitem__, walk)))
+        orders.append(tuple(map(labels.__getitem__, walk)))
+    pos = [0] * n  # pos[r]: where tree2's walk lists the taxon of rank r
+    for i, r in enumerate(ranks[1]):
+        pos[r] = i
+    perm = list(map(pos.__getitem__, ranks[0]))
+    picked, direction = _longest_monotone(perm)
+    if len(picked) * len(picked) < n:
         raise TreeError("internal error: common subsequence below sqrt floor")
-    keep = frozenset(common)
+    kept = ([leaves[0][i] for i in picked], [leaves[1][perm[i]] for i in picked])
     cores = []
     while hung:  # each tree's full arrays go once its core is built
-        left, right, labels, order = hung.pop(0)
-        top, kept_left, kept_right = prune(order, left, right, labels, keep)
+        left, right, labels, par = hung.pop(0)
+        if len(picked) < n:
+            top, left, right = path_cut(kept[len(cores)], left, right, par)
+        else:
+            top = len(par) - 1
         if cores and direction == "decreasing":  # mirror the second tree
-            kept_left, kept_right = kept_right, kept_left
-        cores.append(rooted_from_arrays(top, kept_left, kept_right, labels))
+            left, right = right, left
+        cores.append(rooted_from_arrays(top, left, right, labels))
     if direction == "decreasing":
         orders[1] = orders[1][::-1]
-    state = IterationState(lo=0, hi=len(common) - 1, tree1=cores[0],
+    state = IterationState(lo=0, hi=len(picked) - 1, tree1=cores[0],
                            tree2=cores[1], agreed=[], n_param=n)
     return state, orders[0], orders[1]
 

@@ -44,6 +44,7 @@ from .trees import (
     _pair_sorted_taxa,
     canonical_root_edge,
     isomorphic,
+    leaf_ranks,
     orient_at_edge,
     sorted_labels,
 )
@@ -147,7 +148,8 @@ def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
     x: edges down, away from x, keep its ranked children, and the far
     side of every edge up holds x, so the child towards x comes first.
     """
-    left, right, labels, order = orient_at_edge(tree, canonical_root_edge(tree))
+    left, right, labels, order, par = orient_at_edge(
+        tree, canonical_root_edge(tree), ranks=leaf_ranks(tree))
     top = order.pop()
     x, w = left[top], right[top]
     # Edge down into v gets id v, edge up out of v id top + v.  The edges
@@ -156,13 +158,11 @@ def _edge_side(tree: UnrootedTree) -> tuple[_Side, dict[str, int]]:
     left += [-1] * (top - 1)
     right += [-1] * (top - 1)
     labels += [None] * (top - 1)
-    par = [top] * top
     # Edges down from the bottom up, then edges up from the top down:
     # either way an edge's children come before it.
     for p in order[::-1]:
         a, b = left[p], right[p]
         if a != -1:
-            par[a] = par[b] = p
             towards_x = x if p == w else top + p
             left[top + a], right[top + a] = towards_x, b
             left[top + b], right[top + b] = towards_x, a

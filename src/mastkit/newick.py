@@ -38,6 +38,7 @@ from .trees import (
     UnrootedTree,
     canonical_root_edge,
     deroot,
+    leaf_ranks,
     orient_at_edge,
     rooted_from_arrays,
 )
@@ -231,7 +232,8 @@ def write_newick(tree) -> str:
     if isinstance(tree, UnrootedTree):
         if len(tree) == 1:
             return f"{tree.labels[0]};"
-        left, right, labels, _ = orient_at_edge(tree, canonical_root_edge(tree))
+        left, right, labels, _, _ = orient_at_edge(
+            tree, canonical_root_edge(tree), ranks=leaf_ranks(tree))
         leaf, rest = left[-1], right[-1]  # the new root's children
         # Two leaves give (x,y); more suppress the root: (x,A,B);
         kids = [rest] if left[rest] == -1 else [right[rest], ",", left[rest]]

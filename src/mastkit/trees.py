@@ -27,13 +27,17 @@ neighbors per node (see :class:`UnrootedTree`).
 :func:`unrooted_from_edges` builds the adjacency of generated and
 derooted trees: each node's tuple holds its neighbors in the order its
 edges are given.  The Newick reader builds its own as groups close, in
-the same children-then-parent order.  A rooting is the child arrays of
-:func:`orient_at_edge`.  :func:`prune` restricts them and the rooted
-builder numbers them, so a restricted rooting (:func:`rooted_restriction`,
-and unrooted restriction, which then suppresses the root again) builds
-only the restricted tree; isomorphism and the Newick writer read them
-and build no tree, and the unrooted exact DP reads its directed edges
-off them.
+the same children-then-parent order.  A rooting is the child and
+parent arrays of :func:`orient_at_edge`.  :func:`path_cut` cuts them
+along the kept leaves' root paths and the rooted builder numbers them,
+so a restricted rooting (:func:`rooted_restriction`, unrooted
+restriction, which then suppresses the root again, and the core pair of
+``construction.setup``) builds only the restricted tree; isomorphism and
+the Newick writer read them and build no tree, and the unrooted exact
+DP reads its directed edges off them.  :func:`prune`, a pass over every
+node, restricts a rooted tree, which keeps no parent array.  Taxa are
+ranked in label order by :func:`leaf_ranks`, the ranks a ranked
+rooting orders its child pairs by.
 
 All traversals are iterative; trees may be path-like and deeper than the
 interpreter recursion limit.
@@ -421,6 +425,57 @@ def prune(order: list[int], left: list[int], right: list[int],
     return rep[order[-1]], kept_left, kept_right
 
 
+def path_cut(leaves: list[int], left: list[int], right: list[int],
+             parent: list[int]) -> tuple[int, list[int], list[int]]:
+    """The restriction of a tree given as arrays to the distinct leaf
+    nodes ``leaves``, as ``(top, kept_left, kept_right)`` for
+    :func:`rooted_from_arrays`: :func:`prune`'s result, found by walking
+    up from each kept leaf instead of visiting every node.
+
+    ``parent`` maps each node to its parent and the root to -1.  Only the
+    kept leaves' root paths are visited.  Nodes left with a single kept
+    child are suppressed; the others keep their child order.  Nothing
+    passed in is written.
+    """
+    n = len(parent)
+    # First walks: hits[v] counts v's children with a kept leaf below, so
+    # a node is kept when it is 2.  A walk stops at the first node an
+    # earlier walk has passed: that walk went on up from there.
+    hits = [0] * n
+    for v in leaves:
+        p = parent[v]
+        while p != -1:
+            hits[p] += 1
+            if hits[p] == 2:
+                break
+            p = parent[p]
+    # Second walks: each carries the node standing for what it has passed
+    # (its leaf, then the last kept node) and hands it to the side of the
+    # next kept node it comes from; the first walk to reach a kept node
+    # stops, the second goes on from it.  The one walk that leaves the
+    # root carries the top.
+    kept_left = [-1] * n
+    kept_right = [-1] * n
+    top = -1
+    for v in leaves:
+        rep, p = v, parent[v]
+        while p != -1:
+            if hits[p] == 2:
+                if left[p] == v:
+                    kept_left[p] = rep
+                    if kept_right[p] == -1:
+                        break
+                else:
+                    kept_right[p] = rep
+                    if kept_left[p] == -1:
+                        break
+                rep = p
+            v, p = p, parent[p]
+        else:
+            top = rep
+    return top, kept_left, kept_right
+
+
 def unrooted_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]],
                         labels: list[Optional[str]]) -> UnrootedTree:
     """An unrooted tree on nodes ``0..num_nodes-1`` with the given edges.
@@ -454,19 +509,35 @@ def canonical_root_edge(tree: UnrootedTree) -> tuple[int, int]:
     return (leaf, tree.adj[leaf][0])
 
 
+def leaf_ranks(tree: UnrootedTree) -> list[int]:
+    """Per node of ``tree``, the rank of its taxon in label order (0 on
+    internal nodes), plus a last slot for a rooting's new root: the
+    ``ranks`` that :func:`orient_at_edge` orders child pairs by."""
+    ranks = [0] * (len(tree.adj) + 1)
+    leaf_node = tree._leaf_node
+    for rank, label in enumerate(tree.sorted_taxa()):
+        ranks[leaf_node[label]] = rank
+    return ranks
+
+
 def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
-                   ranked: bool = True
-                   ) -> tuple[list[int], list[int], list[Optional[str]], list[int]]:
+                   ranks: Optional[list[int]] = None
+                   ) -> tuple[list[int], list[int], list[Optional[str]],
+                              list[int], list[int]]:
     """``tree`` hung from a new root node that subdivides ``edge``, as
-    fresh child arrays ``(left, right, labels, order)``: the one form of
-    a rooting, which is numbered, pruned, hashed, written from or read
+    fresh arrays ``(left, right, labels, order, parent)``: the one form
+    of a rooting, which is numbered, cut, hashed, written from or read
     as directed edges.
 
     The new root is node ``len(tree.adj)``, the last.  ``order`` lists
     every node with children before their parents, the new root last.
-    With ``ranked``, the child whose subtree holds the smaller taxon is
-    the left one; without, each pair keeps the order of ``edge`` and of
-    the adjacency lists, and no taxon is sorted.
+    ``parent`` maps each node to its parent: the two ends of ``edge`` to
+    the new root, the new root to -1.  Without ``ranks``, each child
+    pair keeps the order of ``edge`` and of the adjacency lists, and no
+    taxon is sorted.  With ``ranks`` (see :func:`leaf_ranks`), the child
+    whose subtree holds the strictly smaller rank is the left one, and
+    each internal node's entry is overwritten with the smallest rank
+    below it; the leaves' entries are left as they were.
     """
     a, b = edge
     adj, labels = tree.adj, tree.labels
@@ -477,8 +548,9 @@ def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
     right = [-1] * (top + 1)
     left[top], right[top] = a, b
     # Orient away from the new root: a node's children are its neighbors
-    # other than its parent, in adjacency order.
-    par = [-1] * top
+    # other than its parent, in adjacency order.  Until the walk is done
+    # the ends of ``edge`` hold each other as parent.
+    par = [-1] * (top + 1)
     par[a], par[b] = b, a
     order = [a, b]
     for v in order:
@@ -493,25 +565,21 @@ def orient_at_edge(tree: UnrootedTree, edge: tuple[int, int], *,
             par[x] = par[y] = v
             order.append(x)
             order.append(y)
+    par[a] = par[b] = top
     order.reverse()
     order.append(top)
-    if ranked:
-        # best[v] is the rank of the smallest taxon below v; children are
-        # ranked before their parents, and the new root last.
-        best = [0] * (top + 1)
-        leaf_node = tree._leaf_node
-        for rank, label in enumerate(tree.sorted_taxa()):
-            best[leaf_node[label]] = rank
+    if ranks is not None:
+        # Children are ranked before their parents, and the new root last.
         for v in order:
             x = left[v]
             if x != -1:
                 y = right[v]
-                if best[y] < best[x]:
+                if ranks[y] < ranks[x]:
                     left[v], right[v] = y, x
-                    best[v] = best[y]
+                    ranks[v] = ranks[y]
                 else:
-                    best[v] = best[x]
-    return left, right, labels + [None], order
+                    ranks[v] = ranks[x]
+    return left, right, labels + [None], order, par
 
 
 def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
@@ -526,7 +594,8 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
       in the new tree's preorder (see :func:`preorder`); heads swaps the
       pair from the order of ``edge`` and of the adjacency lists.
     """
-    left, right, labels, order = orient_at_edge(tree, edge, ranked=rng is None)
+    left, right, labels, order, _ = orient_at_edge(
+        tree, edge, ranks=leaf_ranks(tree) if rng is None else None)
     if rng is not None:
         preorder(order[-1], left, right, rng)  # flips the fresh arrays
     return rooted_from_arrays(order[-1], left, right, labels)
@@ -535,12 +604,12 @@ def root_at_edge(tree: UnrootedTree, edge: tuple[int, int],
 def rooted_restriction(tree: UnrootedTree, edge: tuple[int, int],
                        keep: Iterable[str]) -> RootedTree:
     """``tree`` hung from ``edge``, unranked, and cut down to ``keep``: the
-    :func:`orient_at_edge` arrays pruned, so only the restricted tree is
-    built."""
+    :func:`orient_at_edge` arrays cut along the kept leaves' root paths
+    (see :func:`path_cut`), so only the restricted tree is built."""
     keepset = tree._keep_set(keep)
-    left, right, labels, order = orient_at_edge(tree, edge, ranked=False)
-    return rooted_from_arrays(*prune(order, left, right, labels, keepset),
-                              labels)
+    left, right, labels, _, par = orient_at_edge(tree, edge)
+    leaves = [tree._leaf_node[label] for label in keepset]
+    return rooted_from_arrays(*path_cut(leaves, left, right, par), labels)
 
 
 def deroot(tree: RootedTree) -> UnrootedTree:
@@ -622,7 +691,7 @@ def isomorphic(a, b) -> bool:
         hung = []
         for t in (a, b):
             leaf = t.leaf_node(taxon)
-            hung.append(orient_at_edge(t, (leaf, t.adj[leaf][0]), ranked=False))
+            hung.append(orient_at_edge(t, (leaf, t.adj[leaf][0]))[:4])
     elif not (isinstance(a, RootedTree) and isinstance(b, RootedTree)):
         raise TypeError("isomorphism needs two trees of the same rootedness")
     elif a.taxa != b.taxa:

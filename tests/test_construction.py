@@ -6,6 +6,7 @@ assertion leans on the library's own re-verification plus the exact
 solver as an independent oracle.
 """
 
+import bisect
 import collections
 import math
 from dataclasses import replace
@@ -117,6 +118,59 @@ def test_monotone_subsequence_prefers_increasing_on_ties():
 def test_monotone_subsequence_rejects_different_labels():
     with pytest.raises(TaxaMismatch):
         common_monotone_subsequence(("1", "2"), ("1", "3"))
+
+
+@pytest.mark.parametrize("a, b", [(("a", "a"), ("a", "a")),
+                                  (("1", "1", "2"), ("1", "2", "2"))])
+def test_monotone_subsequence_rejects_repeated_labels(a, b, monkeypatch):
+    def no_work(values):
+        raise AssertionError("aligned before checking its input")
+
+    monkeypatch.setattr(construction, "_longest_increasing", no_work)
+    with pytest.raises(TaxaMismatch, match="distinct"):
+        common_monotone_subsequence(a, b)
+
+
+def preallocated_longest_increasing(values):
+    """The patience loop as it stood before it appended ``prev``."""
+    tails, tails_idx = [], []
+    prev = [-1] * len(values)
+    for i, v in enumerate(values):
+        j = bisect.bisect_left(tails, v)
+        if j == len(tails):
+            tails.append(v)
+            tails_idx.append(i)
+        else:
+            tails[j] = v
+            tails_idx[j] = i
+        prev[i] = tails_idx[j - 1] if j else -1
+    out = []
+    i = tails_idx[-1] if tails_idx else -1
+    while i != -1:
+        out.append(i)
+        i = prev[i]
+    out.reverse()
+    return out
+
+
+# Two permutations whose longest increasing and decreasing runs tie.
+@example(perm=[1, 0, 3, 2])
+@example(perm=[2, 5, 0, 3, 1, 4])
+@settings(max_examples=200, deadline=None)
+@given(perm=st.integers(0, 40).flatmap(
+    lambda n: st.permutations(list(range(n)))))
+def test_longest_increasing_matches_the_preallocated_loop(perm):
+    neg = [-v for v in perm]
+    inc = construction._longest_increasing(perm)
+    dec = construction._longest_increasing(neg)
+    assert inc == preallocated_longest_increasing(perm)
+    assert dec == preallocated_longest_increasing(neg)
+    # A tie goes to the increasing run.
+    labels = [str(v) for v in range(len(perm))]
+    sub, kind = common_monotone_subsequence([labels[v] for v in perm], labels)
+    picked = inc if len(inc) >= len(dec) else dec
+    assert sub == tuple(labels[perm[i]] for i in picked)
+    assert kind == ("increasing" if len(inc) >= len(dec) else "decreasing")
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,23 +321,33 @@ def full_rooting_setup(one, two, rng=None):
 
 
 def setup_pair(model, size, seed):
+    """An adversarial pair, or the models named ``first-second`` (one
+    model names both trees); a balanced tree takes the power of two at
+    or below ``size``."""
     if model == "adversarial":
         return adversarial_pair(1 << (size.bit_length() - 1))
-    return (generate(GenSpec("uniform", size, seed)),
-            generate(GenSpec("uniform", size, seed ^ 0x5E7)))
+    first, _, second = model.partition("-")
+    if "balanced" in model:
+        size = 1 << (size.bit_length() - 1)
+    return (generate(GenSpec(first, size, seed)),
+            generate(GenSpec(second or first, size, seed ^ 0x5E7)))
 
 
 def arrays(tree):
     return tree.left, tree.right, tree.labels
 
 
-# Uniform pairs aligned in each direction, with and without coin flips.
+# Uniform pairs aligned in each direction, with and without coin flips,
+# and one large pair with each orientation.
 @example(model="uniform", size=40, seed=1, orient=False)   # increasing
 @example(model="uniform", size=40, seed=11, orient=False)  # decreasing
 @example(model="uniform", size=40, seed=1, orient=True)    # increasing
 @example(model="uniform", size=40, seed=6, orient=True)    # decreasing
+@example(model="uniform", size=2048, seed=7, orient=False)
+@example(model="uniform", size=2048, seed=7, orient=True)
 @settings(max_examples=60, deadline=None)
-@given(model=st.sampled_from(["uniform", "adversarial"]),
+@given(model=st.sampled_from(["uniform", "adversarial", "caterpillar-uniform",
+                              "uniform-caterpillar", "balanced-uniform"]),
        size=st.integers(4, 300), seed=st.integers(0, 2**32),
        orient=st.booleans())
 def test_setup_matches_the_full_rooting_route(model, size, seed, orient):

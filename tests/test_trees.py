@@ -448,7 +448,7 @@ def test_unranked_rootings_match_the_ranked_route(model, size, seed, pick):
 def unranked_rooting(tree, edge):
     """The full rooting at ``edge`` with no taxon ranked: the oriented
     arrays, numbered."""
-    left, right, labels, order = orient_at_edge(tree, edge, ranked=False)
+    left, right, labels, order, _ = orient_at_edge(tree, edge)
     return rooted_from_arrays(order[-1], left, right, labels)
 
 
@@ -474,6 +474,58 @@ def test_pruned_rooting_matches_the_restricted_full_rooting(model, size,
                      .restrict(keep))
         new = tree.restrict(keep)
         assert (new.adj, new.labels) == (old.adj, old.labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from(MODELS), size=st.integers(2, 64),
+       seed=st.integers(0, 2**32),
+       kept=st.sampled_from(["1", "2", "some", "all"]), ranked=st.booleans(),
+       data=st.data())
+def test_path_cut_builds_the_pruned_tree(model, size, seed, kept, ranked,
+                                         data):
+    # The walks up from the kept leaves must cut the same tree as the
+    # pass over every node, at any edge, ranked or not.
+    n = 1 << (size.bit_length() - 1) if model == "balanced" else size
+    tree = generate(GenSpec(model, n, seed))
+    u = data.draw(st.sampled_from(range(tree.num_nodes())))
+    edge = (u, data.draw(st.sampled_from(tree.adj[u])))
+    if kept == "all":
+        k = n
+    elif kept == "some":
+        k = data.draw(st.integers(1, n))
+    else:
+        k = min(int(kept), n)
+    keep = frozenset(data.draw(st.permutations(sorted(tree.taxa)))[:k])
+    ranks = trees.leaf_ranks(tree) if ranked else None
+    left, right, labels, order, par = orient_at_edge(tree, edge, ranks=ranks)
+    leaves = [tree.leaf_node(x) for x in keep]
+    cut = rooted_from_arrays(*trees.path_cut(leaves, left, right, par), labels)
+    pruned = rooted_from_arrays(
+        *trees.prune(order, left, right, labels, keep), labels)
+    assert (cut.left, cut.right, cut.labels) == \
+        (pruned.left, pruned.right, pruned.labels)
+    assert cut.taxa == keep
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(MODELS), size=st.integers(2, 64),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_orientation_parents_and_tied_ranks(model, size, seed, data):
+    # The parent array is the one the child arrays describe, and ranks
+    # that tie everywhere leave every pair in adjacency order.
+    n = 1 << (size.bit_length() - 1) if model == "balanced" else size
+    tree = generate(GenSpec(model, n, seed))
+    u = data.draw(st.sampled_from(range(tree.num_nodes())))
+    edge = (u, data.draw(st.sampled_from(tree.adj[u])))
+    left, right, labels, order, par = orient_at_edge(tree, edge)
+    top = order[-1]
+    expected = [-1] * (top + 1)
+    for v in order:
+        if left[v] != -1:
+            expected[left[v]] = expected[right[v]] = v
+    assert par == expected
+    tied = orient_at_edge(tree, edge, ranks=[0] * (top + 1))
+    assert tied == (left, right, labels, order, par)
 
 
 @settings(max_examples=30, deadline=None)

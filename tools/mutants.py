@@ -183,9 +183,22 @@ MUTANTS = (
            "        row[top + x] = row[top + w] = 0\n", "",
            (TEST_EXACT, "-k", "row_fill_equals_the_dense_rows")),
     Mutant("edge-side-unranked", EXACT,
-           "orient_at_edge(tree, canonical_root_edge(tree))",
-           "orient_at_edge(tree, canonical_root_edge(tree), ranked=False)",
+           "tree, canonical_root_edge(tree), ranks=leaf_ranks(tree))\n    top",
+           "tree, canonical_root_edge(tree))\n    top",
            (TEST_EXACT, "-k", "unrooted_mast_is_frozen")),
+    # setup on taxon ranks: the alignment's tie rule, the walks up from
+    # the kept leaves, which count the new root's arrivals too, and the
+    # strict rank compare, under which tied ranks keep adjacency order.
+    Mutant("alignment-tie-to-decreasing", CONSTRUCTION,
+           "if len(inc) >= len(dec):", "if len(inc) > len(dec):",
+           (TEST_CONSTRUCTION, "-k", "matches_the_preallocated_loop")),
+    Mutant("path-cut-stops-below-root", "src/mastkit/trees.py",
+           "while p != -1:\n            hits[p] += 1",
+           "while parent[p] != -1:\n            hits[p] += 1",
+           ("tests/test_trees.py", "-k", "path_cut_builds_the_pruned_tree")),
+    Mutant("orient-rank-compare-loose", "src/mastkit/trees.py",
+           "if ranks[y] < ranks[x]:", "if ranks[y] <= ranks[x]:",
+           ("tests/test_trees.py", "-k", "tied_ranks")),
     Mutant("label-key-isdigit", "src/mastkit/trees.py",
            "if label.isdecimal():\n        return (0, _magnitude(label), label)",
            "if label.isdigit():\n        return (0, _magnitude(label), label)",
